@@ -12,10 +12,9 @@
 
 use chiplet_graph::{metrics, Graph};
 use chiplet_partition::{bisect, BisectionConfig};
-use serde::{Deserialize, Serialize};
 
 /// Weights of the proxy objective terms.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProxyWeights {
     /// Weight of the average shortest-path distance (latency proxy).
     pub avg_distance: f64,
@@ -32,7 +31,7 @@ impl Default for ProxyWeights {
 }
 
 /// The full proxy score of one arrangement graph.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProxyScore {
     /// Average shortest-path distance over ordered vertex pairs.
     pub avg_distance: f64,

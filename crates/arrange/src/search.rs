@@ -12,7 +12,6 @@ use chiplet_partition::BisectionConfig;
 use hexamesh::arrangement::{Arrangement, ArrangementKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use xp::pool;
 use xp::seed::derive_seed;
 
@@ -60,7 +59,7 @@ impl InitKind {
 }
 
 /// Configuration of one arrangement search.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive] // construct via new()/quick() and mutate
 pub struct SearchConfig {
     /// Chiplet count (`≥ 2`).

@@ -12,12 +12,11 @@ use chiplet_graph::Graph;
 use chiplet_workload::{WorkloadDriver, WorkloadKind, WorkloadStats};
 use nocsim::measure::{saturation_search, SaturationResult};
 use nocsim::{MeasureConfig, SimConfig};
-use serde::{Deserialize, Serialize};
 
 use crate::ArrangeError;
 
 /// Configuration of the validation stage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive] // construct via Default and mutate
 pub struct ValidateConfig {
     /// Simulator configuration (seed included).

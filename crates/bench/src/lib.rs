@@ -12,7 +12,7 @@
 //! | `fig6_proxies`      | Fig. 6a diameter, Fig. 6b bisection |
 //! | `table1_link_model` | Table I + §VI-B link bandwidth estimates |
 //! | `fig7_simulation`   | Fig. 7a–d latency/throughput (cycle-accurate) |
-//! | `ablation_router`   | EXP-A2 routing/VC sensitivity of the simulator |
+//! | `ablation_router`   | EXP-A2 router-model sensitivity of the ranking |
 //! | `ablation_traffic`  | EXP-A3 traffic-pattern sensitivity of the ranking |
 //! | `ablation_interposer` | EXP-A5 C4 vs. micro-bump carrier ablation |
 //! | `load_curves`       | EXP-LC latency-vs-load curves behind Fig. 7 |
@@ -23,6 +23,8 @@
 //! | `resilience`        | EXP-R1 bridges/connectivity fault tolerance (§IV-C) |
 //! | `workload_comparison` | EXP-W1 closed-loop application ranking (makespan) |
 //! | `arrangement_search`  | EXP-AS1 optimized vs. fixed arrangements |
+//! | `router_fidelity`     | ranking under every router model (`BENCH_router`) |
+//! | `netview`             | one load point with every observability sink on |
 //! | `simperf`             | simulator performance tracking (`BENCH_nocsim`) |
 //! | `calibrate`           | BookSim2 cross-check of the simulator |
 //!
@@ -34,12 +36,13 @@
 //! (rows are identical for any `--workers` value), `--seeds K` replicate
 //! aggregation, and unified CSV + JSON sinks. The campaign binaries accept
 //! the shared flags `--workers`, `--seeds`, `--quick`/`--full`, `--out`,
-//! `--format csv|json|both`, and `--seed`; unknown flags abort. The
+//! `--format csv|json|both`, and `--seed`; unknown flags abort. The twelve
 //! preset-backed binaries (`fig7_simulation`, `load_curves`,
-//! `ablation_traffic`, `workload_comparison`, `kite_comparison`,
-//! `arrangement_search`) are thin wrappers over the declarative study
-//! flow (`xp::spec` + `xp::flow`, presets in [`presets`]); see
-//! DESIGN.md's "Study specs".
+//! `ablation_traffic`, `ablation_router`, `workload_comparison`,
+//! `kite_comparison`, `arrangement_search`, `thermal_comparison`,
+//! `cost_model`, `resilience`, `netview`, `router_fidelity`) are thin
+//! wrappers over the declarative study flow (`xp::spec` + `xp::flow`,
+//! presets in [`presets`]); see DESIGN.md's "Study specs".
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -125,7 +125,7 @@ pub fn preset(name: &str) -> Option<StudySpec> {
 /// spec through the study flow with the arrangement-search hooks, print
 /// the stage summary and the paths written, abort with exit 1 on
 /// failure. Keeping this in one place means the reporting convention
-/// cannot drift between the nine binaries that share it.
+/// cannot drift between `study` and the twelve wrappers that share it.
 pub fn run_and_report(spec: &StudySpec, args: xp::cli::CampaignArgs) {
     match xp::flow::run_study(spec, args, &chiplet_arrange::study::hooks()) {
         Ok(report) => {

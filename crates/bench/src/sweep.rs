@@ -1,7 +1,7 @@
 //! Sweep runners shared by the figure binaries and Criterion benches —
 //! re-exported from the experiment engine.
 //!
-//! The runners themselves (`evaluation_campaign`, `proxy_sweep`,
+//! The runners themselves (`evaluation_campaign_over`, `proxy_sweep`,
 //! `schedule_for`, `competition_rank`, …) moved into
 //! [`xp::flow::sweep`] when the declarative study flow landed: the
 //! study stages run the same sweeps from specs, so the code lives below
@@ -13,9 +13,8 @@ use xp::cli::CampaignArgs;
 
 pub use xp::cli::{arg_f64, arg_flag, arg_u64, arg_usize};
 pub use xp::flow::sweep::{
-    competition_rank, evaluate_pooled, evaluated_rank, evaluation_campaign,
-    evaluation_campaign_over, evaluation_sweep, proxy_sweep, proxy_sweep_over,
-    saturation_search_pooled, schedule_for, ProxyPoint,
+    competition_rank, evaluate_pooled, evaluated_rank, evaluation_campaign_over, proxy_sweep,
+    proxy_sweep_over, schedule_for, ProxyPoint,
 };
 pub use xp::stats::{mean, mean_of, Summary};
 

@@ -386,3 +386,50 @@ fn equivalent_spellings_share_one_cache_entry() {
     assert_eq!(again.outcome, Outcome::Hit, "the explicit spelling is an exact hit");
     assert_eq!(file_map(&again), file_map(&first));
 }
+
+/// A saturation-search resolution outside (0, 1) never terminates the
+/// bisection or panics the pool, so each such line is answered with an
+/// `error` event and the stream keeps serving the next request.
+#[test]
+fn out_of_range_resolution_is_an_error_event_and_serving_continues() {
+    let dir = temp_dir("resolution");
+    let srv = server(&dir, 2);
+    let bad = ["0", "-0.01", "1.0", "1e999"];
+    let mut request = String::new();
+    for (i, res) in bad.iter().enumerate() {
+        request.push_str(&format!(
+            concat!(
+                r#"{{"id":"bad{i}","spec":{{"name":"bad","stage":"saturation","#,
+                r#""axes":{{"kinds":["grid"],"ns":[4]}},"schedule":{{"warmup_cycles":200,"#,
+                r#""measure_cycles":400,"rate_resolution":{res}}}}}}}"#,
+                "\n",
+            ),
+            i = i,
+            res = res,
+        ));
+    }
+    let mut good = Value::object();
+    good.set("id", "good");
+    good.set("spec", curve_spec("after_bad", &[5], &[0.08]).to_value());
+    request.push_str(&good.to_json());
+    request.push('\n');
+
+    let mut output = Vec::new();
+    let stats = serve_lines(&srv, request.as_bytes(), &mut output).expect("stream serves");
+    assert_eq!(stats.backend_runs, 1, "only the valid request runs");
+    let events: Vec<Value> = String::from_utf8(output)
+        .expect("stream is UTF-8")
+        .lines()
+        .map(|line| json::parse(line).expect("every stream line is standalone JSON"))
+        .collect();
+    let has = |id: &str, kind: &str| {
+        events.iter().any(|e| {
+            e.get("id") == Some(&Value::Str(id.into()))
+                && e.get("event") == Some(&Value::Str(kind.into()))
+        })
+    };
+    for (i, res) in bad.iter().enumerate() {
+        assert!(has(&format!("bad{i}"), "error"), "rate_resolution {res}: error event");
+    }
+    assert!(has("good", "done"), "the stream keeps serving after the bad lines");
+}

@@ -16,13 +16,12 @@ use std::fmt;
 
 use chiplet_graph::{metrics, Graph};
 use chiplet_layout::{LayoutError, PlacedChiplet, Placement, Rect};
-use serde::{Deserialize, Serialize};
 
 pub use grid::best_factor_pair;
 pub use hexamesh::{hexamesh_count, ring_radius};
 
 /// The four arrangement families of Fig. 4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArrangementKind {
     /// 2D grid — the paper's baseline (Fig. 4a).
     Grid,
@@ -115,7 +114,7 @@ impl fmt::Display for ArrangementKind {
 }
 
 /// How closely an arrangement matches its ideal pattern (§IV-C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Regularity {
     /// Grid/brickwall/honeycomb: `N` is a perfect square. HexaMesh:
     /// `N = 1 + 3r(r+1)`.

@@ -4,9 +4,8 @@
 
 use std::fmt;
 
-use nocsim::measure::{self, LoadPointResult, SaturationResult};
-use nocsim::{LinkSpec, MeasureConfig, SimConfig, SimError};
-use serde::{Deserialize, Serialize};
+use nocsim::measure::{self, LoadPointResult};
+use nocsim::{MeasureConfig, ShardedSimulator, SimConfig, SimError};
 
 use crate::arrangement::{Arrangement, ArrangementKind, Regularity};
 use crate::link::{self, estimate_link, LinkEstimate, LinkModelError, LinkParams};
@@ -59,7 +58,7 @@ impl From<SimError> for EvalError {
 }
 
 /// All parameters of the §VI evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive] // construct via paper_defaults()/quick() and mutate
 pub struct EvalParams {
     /// Combined compute-chiplet area `A_all` in mm² (§VI-B: 800).
@@ -112,7 +111,7 @@ impl Default for EvalParams {
 
 /// The per-arrangement link budget: chiplet area, sector area, and the
 /// resulting per-link and full-global bandwidth.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkBudget {
     /// Chiplet area `A_C = A_all / N` in mm².
     pub chiplet_area_mm2: f64,
@@ -167,7 +166,7 @@ pub fn link_budget(
 }
 
 /// A fully evaluated arrangement: one row of Fig. 7's underlying data.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvalResult {
     /// Arrangement family.
     pub kind: ArrangementKind,
@@ -193,20 +192,11 @@ pub struct EvalResult {
     pub diameter: u32,
 }
 
-/// Structural zero-load latency for an arrangement under `params`.
-///
-/// # Errors
-///
-/// Propagates routing/configuration errors as [`EvalError::Sim`].
-pub fn zero_load_of(arrangement: &Arrangement, params: &EvalParams) -> Result<f64, EvalError> {
-    Ok(measure::zero_load_latency(arrangement.graph(), &params.sim)?)
-}
-
-/// Simulates one injection-rate point of the saturation search: build the
-/// simulator, warm up, measure, classify. Each point is independent of
+/// Simulates one injection-rate point of the saturation search over the
+/// arrangement's uniform links ([`measure::load_point`] on a fresh engine
+/// with `params.measure.shards` shards). Each point is independent of
 /// every other point — this is the unit of work the experiment engine
-/// schedules (`crates/xp`); `zero_load` is the latency-guard baseline from
-/// [`zero_load_of`].
+/// schedules (`crates/xp`); `zero_load` is the latency-guard baseline.
 ///
 /// # Errors
 ///
@@ -218,54 +208,25 @@ pub fn measure_load_point(
     zero_load: f64,
 ) -> Result<LoadPointResult, EvalError> {
     let config = SimConfig { injection_rate: rate, ..params.sim };
-    let latency = config.link_latency;
-    Ok(measure::run_load_point_with_specs(
-        arrangement.graph(),
-        &config,
-        &params.measure,
-        |_, _| LinkSpec::uniform(latency),
-        zero_load,
-    )?)
+    let mut sim = ShardedSimulator::new(arrangement.graph(), config, params.measure.shards)?;
+    Ok(measure::load_point(&mut sim, &params.measure, zero_load))
 }
 
-/// Re-export of the probe-rate helper of the batched saturation search
-/// (see [`measure::saturation_search_batched`]).
-pub use nocsim::measure::round_rates;
-
-/// Finds the saturation point by *batched* bracketing
+/// [`evaluate_analytic`] plus a saturation search
 /// ([`measure::saturation_search_batched`] at the resolution of
-/// `params.measure`): every round asks `run_points` to simulate
-/// [`round_rates`] — independent jobs the caller may run on any number of
-/// workers. With `fanout = 1` the probe sequence (and therefore the
-/// result) is exactly the serial bisection the paper methodology uses;
-/// larger fanouts trade ~2× total work for `fanout`-way parallelism
-/// inside a single arrangement's search.
-///
-/// # Errors
-///
-/// Propagates failures from `run_points`.
-pub fn saturation_search_with<F>(
-    params: &EvalParams,
-    fanout: usize,
-    run_points: F,
-) -> Result<SaturationResult, EvalError>
-where
-    F: FnMut(&[f64]) -> Result<Vec<LoadPointResult>, EvalError>,
-{
-    measure::saturation_search_batched(params.measure.rate_resolution, fanout, run_points)
-}
-
-/// [`evaluate`] with the saturation search decomposed through
-/// `run_points` (see [`saturation_search_with`]): the engine plugs a
-/// parallel map in here to spread one arrangement's rate search over
-/// workers. `run_points` receives the zero-load latency (computed once,
-/// here) as the latency-guard baseline for [`measure_load_point`],
-/// followed by the batch of rates to simulate.
+/// `params.measure`): every round asks `run_points` to simulate `fanout`
+/// rates, passing the zero-load latency as the latency-guard baseline
+/// for [`measure_load_point`]. The engine plugs a parallel map in here to
+/// spread one arrangement's rate search over workers. With `fanout = 1`
+/// the probe sequence (and therefore the result) is exactly the serial
+/// bisection the paper methodology uses; larger fanouts trade ~2× total
+/// work for `fanout`-way parallelism.
 ///
 /// # Errors
 ///
 /// See [`link_budget`]; additionally [`EvalError::Sim`] if the simulator
-/// rejects the topology or configuration.
+/// rejects the topology or configuration, and any failure `run_points`
+/// returns.
 pub fn evaluate_with<F>(
     arrangement: &Arrangement,
     params: &EvalParams,
@@ -275,27 +236,16 @@ pub fn evaluate_with<F>(
 where
     F: FnMut(f64, &[f64]) -> Result<Vec<LoadPointResult>, EvalError>,
 {
-    let n = arrangement.num_chiplets();
-    if n * params.sim.endpoints_per_router < 2 {
-        return Err(EvalError::TooFewEndpoints(n * params.sim.endpoints_per_router));
-    }
-    let budget = link_budget(arrangement, params)?;
-    let zero_load = zero_load_of(arrangement, params)?;
+    let analytic = evaluate_analytic(arrangement, params)?;
+    let zero_load = analytic.zero_load_latency_cycles;
     let saturation =
-        saturation_search_with(params, fanout, |rates| run_points(zero_load, rates))?;
-    let diameter = proxies::measured_diameter(arrangement).unwrap_or(0);
+        measure::saturation_search_batched(params.measure.rate_resolution, fanout, |rates| {
+            run_points(zero_load, rates)
+        })?;
     Ok(EvalResult {
-        kind: arrangement.kind(),
-        regularity: arrangement.regularity(),
-        n,
-        chiplet_area_mm2: budget.chiplet_area_mm2,
-        link_sector_area_mm2: budget.link_sector_area_mm2,
-        link_bandwidth_gbps: budget.estimate.bandwidth_gbps(),
-        full_global_bandwidth_tbps: budget.full_global_bandwidth_tbps,
-        zero_load_latency_cycles: zero_load,
         saturation_fraction: saturation.throughput,
-        saturation_throughput_tbps: saturation.throughput * budget.full_global_bandwidth_tbps,
-        diameter,
+        saturation_throughput_tbps: saturation.throughput * analytic.full_global_bandwidth_tbps,
+        ..analytic
     })
 }
 
@@ -354,7 +304,7 @@ pub fn evaluate_analytic(
 
 /// One point of Fig. 7c/7d: a variant's latency and throughput relative to
 /// the grid baseline at the same `N` (100 = parity).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NormalizedPoint {
     /// Chiplet count.
     pub n: usize,

@@ -12,8 +12,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Errors from the link model.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LinkModelError {
@@ -38,7 +36,7 @@ impl fmt::Display for LinkModelError {
 impl std::error::Error for LinkModelError {}
 
 /// Architectural parameters of Table I.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkParams {
     /// `A_B`: area (mm²) available for the bumps of one D2D link.
     pub bump_area: f64,
@@ -94,7 +92,7 @@ pub const UCIE_TOTAL_AREA_MM2: f64 = 800.0;
 pub const UCIE_POWER_FRACTION: f64 = 0.4;
 
 /// Output of the link model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkEstimate {
     /// `N_w`: wires that fit the sector.
     pub wires: u64,

@@ -13,8 +13,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::arrangement::{Arrangement, ArrangementKind};
 
 /// Errors from shape computation.
@@ -46,7 +44,7 @@ impl fmt::Display for ShapeError {
 impl std::error::Error for ShapeError {}
 
 /// Inputs to the shape solver.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShapeParams {
     /// Chiplet area `A_C` in mm².
     pub chiplet_area: f64,
@@ -73,7 +71,7 @@ impl ShapeParams {
 
 /// A solved chiplet shape with its bump-sector geometry (all lengths mm,
 /// areas mm²).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChipletShape {
     /// Chiplet width `W_C`.
     pub width: f64,

@@ -14,12 +14,10 @@
 //! earns at least as much per compute unit, and the gap grows with `m` and
 //! with process variation.
 
-use serde::{Deserialize, Serialize};
-
 use crate::CostError;
 
 /// One price bin: sold at `price` if the unit clocks at `min_ghz` or above.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrequencyBin {
     /// Lower frequency edge of the bin in GHz.
     pub min_ghz: f64,
@@ -28,7 +26,7 @@ pub struct FrequencyBin {
 }
 
 /// Parametric-variation and price-ladder inputs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BinningParams {
     /// Mean maximum frequency of one compute unit in GHz.
     pub mean_ghz: f64,
@@ -143,7 +141,7 @@ impl BinningParams {
 }
 
 /// The binning comparison for an `m`-unit product.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BinningComparison {
     /// Per-compute-unit revenue with per-chiplet binning.
     pub individual: f64,

@@ -1,14 +1,11 @@
 //! Recurring die cost: silicon, yield loss, and known-good-die testing.
 
-use serde::Deserialize;
-use serde::Serialize;
-
 use crate::wafer::{dies_per_wafer, Wafer};
 use crate::yield_model::YieldModel;
 use crate::CostError;
 
 /// A fabrication process node for costing purposes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProcessNode {
     /// Human-readable name ("5nm", "14nm", …) — informational only.
     pub name: &'static str,
@@ -21,7 +18,7 @@ pub struct ProcessNode {
 }
 
 /// Cost breakdown for one die type.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DieCost {
     /// Gross die candidates per wafer.
     pub dies_per_wafer: u64,

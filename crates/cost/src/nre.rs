@@ -5,12 +5,10 @@
 //! we transition to a more advanced technology node", and chiplet **reuse**
 //! "avoids redesigning components, further reducing the non-recurring cost".
 
-use serde::{Deserialize, Serialize};
-
 use crate::CostError;
 
 /// NRE inputs for one die design.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NreParams {
     /// Mask-set cost for the node, dollars.
     pub mask_set: f64,

@@ -1,14 +1,11 @@
 //! Packaging cost: organic substrate or silicon interposer, die bonding,
 //! and assembly yield (§II of the paper describes both integration styles).
 
-use serde::Deserialize;
-use serde::Serialize;
-
 use crate::die::{die_cost, ProcessNode};
 use crate::CostError;
 
 /// 2.5D integration carrier (Fig. 1b vs 1c).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Carrier {
     /// Organic package substrate: cheap, coarser wiring (C4 bumps).
     OrganicSubstrate {
@@ -24,7 +21,7 @@ pub enum Carrier {
 }
 
 /// Assembly parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AssemblyParams {
     /// Probability one die-attach (bonding) step succeeds.
     pub bond_yield: f64,

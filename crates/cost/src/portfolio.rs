@@ -12,8 +12,6 @@
 //! * **chiplet-based** — every product assembles `k` copies of one shared
 //!   compute-chiplet design (plus the 2.5D packaging costs).
 
-use serde::{Deserialize, Serialize};
-
 use crate::die::die_cost;
 use crate::nre::NreParams;
 use crate::packaging::{assembly_yield, carrier_cost};
@@ -21,7 +19,7 @@ use crate::system::CostParams;
 use crate::CostError;
 
 /// One product (SKU) in the portfolio.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Product {
     /// Compute silicon the product needs, mm² (before PHY overhead).
     pub compute_area_mm2: f64,
@@ -30,7 +28,7 @@ pub struct Product {
 }
 
 /// NRE rates used for every die design in the portfolio.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PortfolioNre {
     /// Mask-set cost per design on the compute node, dollars.
     pub mask_set: f64,
@@ -49,7 +47,7 @@ impl PortfolioNre {
 }
 
 /// Cost breakdown of one strategy over the whole portfolio.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StrategyCost {
     /// Total recurring cost over all units, dollars.
     pub recurring: f64,
@@ -66,7 +64,7 @@ impl StrategyCost {
 }
 
 /// Portfolio comparison: monolithic-per-SKU vs. shared-chiplet.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PortfolioComparison {
     /// One dedicated monolithic design per product.
     pub monolithic: StrategyCost,

@@ -1,9 +1,6 @@
 //! System-level comparison: monolithic vs. 2.5D-disaggregated cost for the
 //! same total silicon area — quantifying §I's economic argument.
 
-use serde::Deserialize;
-use serde::Serialize;
-
 use crate::die::{die_cost, ProcessNode};
 use crate::packaging::{assembly_yield, carrier_cost, AssemblyParams, Carrier};
 use crate::wafer::Wafer;
@@ -11,7 +8,7 @@ use crate::yield_model::YieldModel;
 use crate::CostError;
 
 /// All parameters of the system cost comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostParams {
     /// Node the compute silicon is fabricated on.
     pub compute_node: ProcessNode,
@@ -53,7 +50,7 @@ impl CostParams {
 }
 
 /// Outcome of a monolithic-vs-2.5D comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostComparison {
     /// Total silicon area of the monolithic reference, mm².
     pub total_area_mm2: f64,

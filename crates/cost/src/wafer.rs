@@ -1,11 +1,9 @@
 //! Wafer geometry: how many die candidates a wafer yields.
 
-use serde::{Deserialize, Serialize};
-
 use crate::CostError;
 
 /// A wafer specification.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Wafer {
     /// Diameter in mm (300 for the mainstream line).
     pub diameter_mm: f64,

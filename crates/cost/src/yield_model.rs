@@ -5,12 +5,10 @@
 //! yield" — smaller chiplets lose less area to each defect, which is the
 //! quantitative heart of the disaggregation argument.
 
-use serde::{Deserialize, Serialize};
-
 use crate::CostError;
 
 /// Die yield model (probability a die is defect-free).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum YieldModel {
     /// Poisson: `Y = e^(−D·A)` — pessimistic, no defect clustering.
     Poisson,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a vertex in a [`Graph`].
 ///
 /// Vertices are dense integers `0..num_vertices`. The alias exists so call
@@ -139,7 +137,7 @@ impl GraphBuilder {
 ///
 /// Simple graph: no self-loops, no parallel edges. Construct through
 /// [`GraphBuilder`] or [`Graph::from_edges`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Graph {
     /// `offsets[v]..offsets[v + 1]` indexes `targets` for vertex `v`.
     offsets: Vec<usize>,

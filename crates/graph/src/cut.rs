@@ -5,12 +5,10 @@
 //! the job of `chiplet-partition`; this module provides the shared primitives:
 //! representing a bipartition and counting the edges it cuts.
 
-use serde::{Deserialize, Serialize};
-
 use crate::csr::{Graph, VertexId};
 
 /// Side of a bipartition a vertex is assigned to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Side {
     /// First part.
     A,
@@ -41,7 +39,7 @@ impl Side {
 /// assert_eq!(p.cut_size(&g), 1); // only edge (1,2) crosses
 /// assert_eq!(p.sizes(), (2, 2));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bipartition {
     sides: Vec<Side>,
 }

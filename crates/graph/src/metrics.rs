@@ -6,8 +6,6 @@
 //! module provides diameter, eccentricities, degree statistics, and the
 //! planar-graph degree bound from §IV-A.
 
-use serde::{Deserialize, Serialize};
-
 use crate::bfs::{self, UNREACHABLE};
 use crate::csr::{Graph, VertexId};
 
@@ -108,7 +106,7 @@ pub fn connected_components(g: &Graph) -> Vec<usize> {
 /// Section IV of the paper compares arrangements by exactly these numbers:
 /// the grid tends to 4 average neighbours, brickwall and HexaMesh to 6, and
 /// HexaMesh raises the minimum from 2 to 3.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DegreeStats {
     /// Smallest vertex degree.
     pub min: usize,

@@ -3,7 +3,6 @@
 use std::fmt;
 
 use chiplet_graph::{Graph, GraphBuilder};
-use serde::{Deserialize, Serialize};
 
 use crate::rect::Rect;
 
@@ -44,7 +43,7 @@ impl std::error::Error for LayoutError {}
 /// The paper optimises the arrangement of identical **compute** chiplets and
 /// assumes **I/O** (and other) chiplets sit on the perimeter (Fig. 2); only
 /// compute chiplets participate in the optimised ICI graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ChipletKind {
     /// One of the identical compute chiplets being arranged.
     Compute,
@@ -53,7 +52,7 @@ pub enum ChipletKind {
 }
 
 /// A chiplet with a position, extent and role.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PlacedChiplet {
     /// Footprint on the interposer/package, in layout units.
     pub rect: Rect,
@@ -79,7 +78,7 @@ impl PlacedChiplet {
 ///
 /// Insertion validates against every existing chiplet (O(n) per push; the
 /// arrangements in this workspace have at most a few hundred chiplets).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Placement {
     chiplets: Vec<PlacedChiplet>,
 }

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::placement::LayoutError;
 
 /// An axis-aligned rectangle with integer corner coordinates and positive
@@ -12,7 +10,7 @@ use crate::placement::LayoutError;
 /// Coordinates are abstract *layout units*; the `hexamesh` core crate maps
 /// them to millimetres once a chiplet area has been chosen. Integer
 /// coordinates make adjacency checks exact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Rect {
     x: i64,
     y: i64,

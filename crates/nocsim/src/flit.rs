@@ -1,7 +1,5 @@
 //! Packets and flow-control units (flits).
 
-use serde::{Deserialize, Serialize};
-
 /// Unique packet identifier, assigned at generation time.
 pub type PacketId = u64;
 
@@ -19,7 +17,7 @@ pub type VcId = usize;
 /// Packets are segmented into [`Flit`]s for transport; the simulator
 /// reassembles them at the destination endpoint and records latency from
 /// `created_at` to tail-flit arrival (BookSim2's packet latency).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Packet {
     /// Unique id.
     pub id: PacketId,
@@ -38,7 +36,7 @@ pub struct Packet {
 /// Flits are small and `Copy`; routing state for the packet as a whole lives
 /// in the routers' input-VC state, not in the flit (wormhole switching: only
 /// the head flit routes, body flits follow their packet's allocated path).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Flit {
     /// Id of the packet this flit belongs to.
     pub packet: PacketId,

@@ -55,7 +55,7 @@ pub mod sim;
 pub mod traffic;
 
 pub use fault::{FaultEvent, FaultPlan, FaultSchedule, FaultTarget, RetransmitConfig};
-pub use measure::{LoadPointObservation, LoadPointResult, MeasureConfig, SaturationResult};
+pub use measure::{LoadPointResult, MeasureConfig, SaturationResult};
 pub use obs::{Probe, WindowSample};
 pub use rmodel::{OutputArbPolicy, RouterModel, RouterModelKind, VcAllocPolicy};
 pub use router::StallCounters;

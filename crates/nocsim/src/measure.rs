@@ -5,17 +5,14 @@
 //! throughput; find the saturation point by searching over injection rates.
 
 use chiplet_graph::Graph;
-use serde::{Deserialize, Serialize};
 
-use crate::fault::FaultPlan;
 use crate::flit::RouterId;
-use crate::obs::{Probe, WindowSample};
 use crate::routing::RoutingTables;
 use crate::shard::ShardedSimulator;
 use crate::sim::{LinkSpec, NetworkStats, SimConfig, SimError, Simulator};
 
 /// Warmup/measurement schedule and saturation criteria.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive] // new criteria ride in via Default/mutation, not literals
 pub struct MeasureConfig {
     /// Cycles simulated before the measurement window opens.
@@ -29,14 +26,10 @@ pub struct MeasureConfig {
     pub latency_guard: f64,
     /// Binary-search resolution on the injection rate (flits/cycle/endpoint).
     pub rate_resolution: f64,
-    /// Worker threads one simulation is sharded across (`1` = the serial
-    /// engine; more uses [`ShardedSimulator`], bit-identical results).
+    /// Worker threads one [`ShardedSimulator`] run is split across (`1` =
+    /// the serial engine, run inline; every count gives bit-identical
+    /// results).
     pub shards: usize,
-    /// Observability probe attached to every simulation run under this
-    /// schedule (`None` — the default — runs probe-free). Probes observe,
-    /// never perturb: results are bit-identical either way; collect the
-    /// series with [`run_load_point_observed`].
-    pub probe: Option<Probe>,
 }
 
 impl Default for MeasureConfig {
@@ -48,7 +41,6 @@ impl Default for MeasureConfig {
             latency_guard: 4.0,
             rate_resolution: 0.01,
             shards: 1,
-            probe: None,
         }
     }
 }
@@ -68,7 +60,7 @@ impl MeasureConfig {
 }
 
 /// Result of simulating one load point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoadPointResult {
     /// Offered load (flits/cycle/endpoint) this point was run at.
     pub offered: f64,
@@ -81,7 +73,7 @@ pub struct LoadPointResult {
 }
 
 /// Outcome of the saturation search.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SaturationResult {
     /// Highest stable injection rate found (flits/cycle/endpoint).
     pub rate: f64,
@@ -154,147 +146,28 @@ pub fn simulated_zero_load_latency(
         .ok_or(SimError::InvalidConfig("zero-load probe measured no packets"))
 }
 
-/// Simulates one load point: warmup, measure, classify.
+/// The one place a load point is measured: warms `sim` up, measures one
+/// window, and classifies the point against `schedule`'s saturation
+/// criteria. The offered rate is `sim.config().injection_rate`, and
+/// `zero_load` is the latency-guard baseline ([`zero_load_latency`],
+/// [`simulated_zero_load_latency`], or an analytic value).
 ///
-/// # Errors
-///
-/// Propagates simulator construction failures.
-pub fn run_load_point(
-    g: &Graph,
-    config: &SimConfig,
+/// Build the engine first to measure a heterogeneous, faulted, or
+/// observed point ([`ShardedSimulator::with_link_specs`],
+/// [`ShardedSimulator::install_fault_plan`],
+/// [`ShardedSimulator::attach_probe`]), and read observations back from
+/// it afterwards. Pass a faulted point the *healthy* zero-load latency, so
+/// a degraded network saturates earlier; its squelched packets count as
+/// offered but never accepted, so a partition reads as lost throughput
+/// rather than wedging the run.
+#[must_use]
+pub fn load_point(
+    sim: &mut ShardedSimulator,
     schedule: &MeasureConfig,
-) -> Result<LoadPointResult, SimError> {
-    let zero_load = zero_load_latency(g, config)?;
-    let latency = config.link_latency;
-    run_load_point_with_specs(g, config, schedule, |_, _| LinkSpec::uniform(latency), zero_load)
-}
-
-/// [`run_load_point`] over heterogeneous links. `zero_load` supplies the
-/// latency baseline for the saturation guard (use
-/// [`simulated_zero_load_latency`] or an analytic value).
-///
-/// # Errors
-///
-/// Propagates simulator construction failures.
-pub fn run_load_point_with_specs(
-    g: &Graph,
-    config: &SimConfig,
-    schedule: &MeasureConfig,
-    spec: impl Fn(RouterId, RouterId) -> LinkSpec,
     zero_load: f64,
-) -> Result<LoadPointResult, SimError> {
-    run_load_point_inner(g, config, schedule, spec, zero_load, None, None)
-}
-
-/// Windowed time-series and spatial link loads observed during one load
-/// point ([`run_load_point_observed`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct LoadPointObservation {
-    /// The probe's window series (merged across shards when sharded).
-    pub windows: Vec<WindowSample>,
-    /// Per-directed-link flit counts over the whole run, `(src, dst,
-    /// flits)` — the congestion-heatmap input.
-    pub channel_loads: Vec<(RouterId, RouterId, u64)>,
-}
-
-/// [`run_load_point`] that also returns what the probe saw. Requires
-/// [`MeasureConfig::probe`] to be set for a non-empty window series (the
-/// channel loads are collected regardless). The [`LoadPointResult`] is
-/// bit-identical to the probe-free [`run_load_point`].
-///
-/// # Errors
-///
-/// Propagates simulator construction failures.
-pub fn run_load_point_observed(
-    g: &Graph,
-    config: &SimConfig,
-    schedule: &MeasureConfig,
-) -> Result<(LoadPointResult, LoadPointObservation), SimError> {
-    let zero_load = zero_load_latency(g, config)?;
-    let latency = config.link_latency;
-    let mut obs = LoadPointObservation::default();
-    let point = run_load_point_inner(
-        g,
-        config,
-        schedule,
-        |_, _| LinkSpec::uniform(latency),
-        zero_load,
-        None,
-        Some(&mut obs),
-    )?;
-    Ok((point, obs))
-}
-
-/// [`run_load_point`] on a network that suffers the failures in `plan`
-/// mid-run. The saturation criteria compare against the *healthy*
-/// zero-load latency, so a degraded network saturates earlier — which is
-/// exactly the degradation the resilience studies chart. Squelched
-/// packets (sources cut off from their sampled destination) count as
-/// offered but never accepted, so a partitioned network also reads as
-/// degraded throughput rather than wedging the run.
-///
-/// # Errors
-///
-/// Propagates simulator construction failures.
-pub fn run_load_point_faulted(
-    g: &Graph,
-    config: &SimConfig,
-    schedule: &MeasureConfig,
-    plan: &FaultPlan,
-) -> Result<LoadPointResult, SimError> {
-    let zero_load = zero_load_latency(g, config)?;
-    let latency = config.link_latency;
-    run_load_point_inner(
-        g,
-        config,
-        schedule,
-        |_, _| LinkSpec::uniform(latency),
-        zero_load,
-        Some(plan),
-        None,
-    )
-}
-
-fn run_load_point_inner(
-    g: &Graph,
-    config: &SimConfig,
-    schedule: &MeasureConfig,
-    spec: impl Fn(RouterId, RouterId) -> LinkSpec,
-    zero_load: f64,
-    plan: Option<&FaultPlan>,
-    observe: Option<&mut LoadPointObservation>,
-) -> Result<LoadPointResult, SimError> {
-    let (stats, deadlock) = if schedule.shards > 1 {
-        let mut sim = ShardedSimulator::with_link_specs(g, *config, spec, schedule.shards)?;
-        if let Some(plan) = plan {
-            sim.install_fault_plan(plan.clone());
-        }
-        if let Some(probe) = schedule.probe {
-            sim.attach_probe(probe);
-        }
-        let stats = sim.run_to_window(schedule.warmup_cycles, schedule.measure_cycles);
-        if let Some(out) = observe {
-            out.windows = sim.obs_windows();
-            out.channel_loads = sim.channel_loads();
-        }
-        (stats, sim.deadlock_suspected())
-    } else {
-        let mut sim = Simulator::with_link_specs(g, *config, spec)?;
-        if let Some(plan) = plan {
-            sim.install_fault_plan(plan.clone());
-        }
-        if let Some(probe) = schedule.probe {
-            sim.attach_probe(probe);
-        }
-        let stats = sim.run_to_window(schedule.warmup_cycles, schedule.measure_cycles);
-        if let Some(out) = observe {
-            out.windows = sim.detach_probe();
-            out.channel_loads = sim.channel_loads();
-        }
-        (stats, sim.deadlock_suspected())
-    };
-
+) -> LoadPointResult {
+    let stats = sim.run_to_window(schedule.warmup_cycles, schedule.measure_cycles);
+    let deadlock = sim.deadlock_suspected();
     let accepted_ratio = if stats.offered_flits_per_cycle_per_endpoint > 0.0 {
         stats.accepted_flits_per_cycle_per_endpoint / stats.offered_flits_per_cycle_per_endpoint
     } else {
@@ -307,87 +180,48 @@ fn run_load_point_inner(
     };
     let saturated =
         deadlock || accepted_ratio < schedule.accepted_ratio_threshold || latency_blown;
-    Ok(LoadPointResult { offered: config.injection_rate, stats, saturated, deadlock })
+    LoadPointResult { offered: sim.config().injection_rate, stats, saturated, deadlock }
 }
 
-/// Finds the saturation throughput by bisecting the injection rate.
+/// Simulates one load point over uniform links: [`load_point`] on a fresh
+/// engine with the analytic zero-load baseline.
+///
+/// # Errors
+///
+/// Propagates routing-table and simulator construction failures.
+pub fn run_load_point(
+    g: &Graph,
+    config: &SimConfig,
+    schedule: &MeasureConfig,
+) -> Result<LoadPointResult, SimError> {
+    let zero_load = zero_load_latency(g, config)?;
+    let mut sim = ShardedSimulator::new(g, *config, schedule.shards)?;
+    Ok(load_point(&mut sim, schedule, zero_load))
+}
+
+/// Finds the saturation throughput by bisecting the injection rate over
+/// uniform links ([`saturation_search_batched`] at `fanout = 1`, each
+/// probe a [`load_point`] on a fresh engine).
 ///
 /// Returns the highest stable rate (to within
 /// [`MeasureConfig::rate_resolution`]) and the accepted throughput there.
 ///
 /// # Errors
 ///
-/// Propagates simulator construction failures.
+/// Propagates routing-table and simulator construction failures.
 pub fn saturation_search(
     g: &Graph,
     base: &SimConfig,
     schedule: &MeasureConfig,
 ) -> Result<SaturationResult, SimError> {
     let zero_load = zero_load_latency(g, base)?;
-    let latency = base.link_latency;
-    saturation_search_with_specs(
-        g,
-        base,
-        schedule,
-        |_, _| LinkSpec::uniform(latency),
-        zero_load,
-    )
-}
-
-/// [`saturation_search`] over heterogeneous links; `zero_load` is the
-/// latency-guard baseline, as in [`run_load_point_with_specs`].
-///
-/// # Errors
-///
-/// Propagates simulator construction failures.
-pub fn saturation_search_with_specs(
-    g: &Graph,
-    base: &SimConfig,
-    schedule: &MeasureConfig,
-    spec: impl Fn(RouterId, RouterId) -> LinkSpec + Copy,
-    zero_load: f64,
-) -> Result<SaturationResult, SimError> {
     saturation_search_batched(schedule.rate_resolution, 1, |rates| {
         rates
             .iter()
             .map(|&rate| {
                 let config = SimConfig { injection_rate: rate, ..*base };
-                run_load_point_with_specs(g, &config, schedule, spec, zero_load)
-            })
-            .collect()
-    })
-}
-
-/// [`saturation_search`] on a network that suffers the failures in `plan`
-/// during every probed load point — the degraded-saturation half of the
-/// resilience study. The latency-guard baseline is the healthy zero-load
-/// latency (see [`run_load_point_faulted`]).
-///
-/// # Errors
-///
-/// Propagates simulator construction failures.
-pub fn saturation_search_faulted(
-    g: &Graph,
-    base: &SimConfig,
-    schedule: &MeasureConfig,
-    plan: &FaultPlan,
-) -> Result<SaturationResult, SimError> {
-    let zero_load = zero_load_latency(g, base)?;
-    let latency = base.link_latency;
-    saturation_search_batched(schedule.rate_resolution, 1, |rates| {
-        rates
-            .iter()
-            .map(|&rate| {
-                let config = SimConfig { injection_rate: rate, ..*base };
-                run_load_point_inner(
-                    g,
-                    &config,
-                    schedule,
-                    |_, _| LinkSpec::uniform(latency),
-                    zero_load,
-                    Some(plan),
-                    None,
-                )
+                let mut sim = ShardedSimulator::new(g, config, schedule.shards)?;
+                Ok(load_point(&mut sim, schedule, zero_load))
             })
             .collect()
     })
@@ -550,9 +384,18 @@ mod tests {
             }
         };
         let zero_load = simulated_zero_load_latency(&g, &base, spec).unwrap();
-        let hetero =
-            saturation_search_with_specs(&g, &base, &MeasureConfig::quick(), spec, zero_load)
-                .unwrap();
+        let schedule = MeasureConfig::quick();
+        let hetero = saturation_search_batched(schedule.rate_resolution, 1, |rates| {
+            rates
+                .iter()
+                .map(|&rate| {
+                    let config = SimConfig { injection_rate: rate, ..base };
+                    let mut sim = ShardedSimulator::with_link_specs(&g, config, spec, 1)?;
+                    Ok::<_, SimError>(load_point(&mut sim, &schedule, zero_load))
+                })
+                .collect()
+        })
+        .unwrap();
         let uniform = saturation_search(&g, &base, &MeasureConfig::quick()).unwrap();
         assert!(hetero.rate > 0.0);
         assert!(

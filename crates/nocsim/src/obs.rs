@@ -25,13 +25,11 @@
 //! latency, utilization) are computed at export time, keeping per-shard
 //! series mergeable in any order without float drift.
 
-use serde::{Deserialize, Serialize};
-
 use crate::router::StallCounters;
 use crate::sim::WindowSums;
 
 /// Attach-time probe configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct Probe {
     /// Window length in cycles between samples.

@@ -29,11 +29,9 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 /// How a head flit picks its output virtual channel during VC
 /// allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum VcAllocPolicy {
     /// The paper's allocator: among allocatable VCs (and, under adaptive
     /// routing, minimal ports) take the one with the most downstream
@@ -88,7 +86,7 @@ impl FromStr for VcAllocPolicy {
 
 /// How an output port breaks ties between competing input nominees
 /// during switch allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum OutputArbPolicy {
     /// The paper's arbiter: per-output-port round-robin over input
     /// ports.
@@ -149,7 +147,7 @@ impl FromStr for OutputArbPolicy {
 /// allocation, round-robin output arbitration, no bubble restriction,
 /// no extra crossbar stages. Every golden fixture pins that the default
 /// model's output is byte-identical to the pre-axis simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct RouterModel {
     /// VC allocation policy.
     pub vc_alloc: VcAllocPolicy,
@@ -180,7 +178,7 @@ impl RouterModel {
 /// The [`code`](RouterModelKind::code) of each kind folds into job seeds
 /// (see `xp::grid`), so the list is **append-only**: new kinds take the
 /// next code, existing codes never move.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RouterModelKind {
     /// The paper's router (the default model).
     Baseline,

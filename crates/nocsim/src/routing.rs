@@ -15,13 +15,12 @@
 //!   ablation).
 
 use chiplet_graph::{bfs, metrics, Graph};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::flit::RouterId;
 
 /// Routing algorithm selector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RoutingKind {
     /// Single deterministic shortest path (BookSim2 `anynet`-style).
     MinimalDeterministic,

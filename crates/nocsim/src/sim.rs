@@ -12,7 +12,6 @@
 //! prove both produce bit-identical statistics.
 
 use chiplet_graph::Graph;
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
@@ -32,7 +31,7 @@ use crate::traffic::{InjectionProcess, ProcessKind, TrafficPattern};
 /// [`SimConfig::paper_defaults`] reproduces §VI-A of the paper: 8 virtual
 /// channels, 8-flit buffers, 3-cycle routers, 27-cycle links, two endpoints
 /// per chiplet.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// Virtual channels per port.
     pub vcs: usize,
@@ -140,7 +139,7 @@ impl From<RoutingError> for SimError {
 }
 
 /// Aggregated network statistics over the open measurement window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkStats {
     /// Cycles elapsed since the window opened.
     pub window_cycles: u64,
@@ -188,7 +187,7 @@ pub struct NetworkStats {
 /// One delivered packet, reported through the delivery log
 /// ([`Simulator::take_deliveries`]): closed-loop drivers use this to
 /// resolve message dependencies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Delivery {
     /// Packet id (assigned at generation/offer time).
     pub packet: PacketId,
@@ -201,7 +200,7 @@ pub struct Delivery {
 /// Physical properties of one directed router-to-router link, for
 /// topologies with heterogeneous links (e.g. Kite-style express links that
 /// are longer and narrower than neighbour links).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LinkSpec {
     /// One-way flit latency in cycles (PHY + wire + PHY).
     pub latency: u64,

@@ -2,12 +2,11 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::flit::EndpointId;
 
 /// Spatial traffic pattern: how destinations are drawn for each packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TrafficPattern {
     /// Uniform random over all other endpoints (the paper's evaluation
     /// traffic).
@@ -213,7 +212,7 @@ impl std::str::FromStr for TrafficPattern {
 }
 
 /// Temporal injection process: how packet generation is spread over time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum ProcessKind {
     /// Independent Bernoulli trials every cycle (BookSim2's default).
     #[default]
@@ -232,7 +231,7 @@ pub enum ProcessKind {
 }
 
 /// Injection process parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InjectionProcess {
     /// Offered load in flits per cycle per endpoint (`0.0..=1.0`).
     pub rate: f64,

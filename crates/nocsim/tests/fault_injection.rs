@@ -186,22 +186,23 @@ fn fault_before_window_only_counts_window_drops() {
 
 #[test]
 fn faulted_load_point_is_identical_across_shard_counts() {
-    use nocsim::measure::run_load_point_faulted;
-    use nocsim::MeasureConfig;
+    use nocsim::measure::{load_point, zero_load_latency};
+    use nocsim::{MeasureConfig, ShardedSimulator};
 
     let g = gen::grid(4, 4);
     let base = config(0.1);
     let plan = FaultPlan::new(FaultSchedule::random_links(&g, 2, 2_500, 7));
-    let serial = {
-        let schedule = MeasureConfig::quick();
-        run_load_point_faulted(&g, &base, &schedule, &plan).expect("valid")
-    };
-    assert!(serial.stats.fault_dropped_packets > 0, "plan must bite inside the window");
-    for shards in [2, 4, 8] {
-        let mut schedule = MeasureConfig::quick();
-        schedule.shards = shards;
-        let sharded = run_load_point_faulted(&g, &base, &schedule, &plan).expect("valid");
-        assert_eq!(sharded.stats, serial.stats, "{shards} shards vs serial");
-        assert_eq!(sharded.saturated, serial.saturated);
+    let schedule = MeasureConfig::quick();
+    let mut serial = Simulator::new(&g, base).expect("valid");
+    serial.install_fault_plan(plan.clone());
+    let serial_stats = serial.run_to_window(schedule.warmup_cycles, schedule.measure_cycles);
+    assert!(serial_stats.fault_dropped_packets > 0, "plan must bite inside the window");
+    let zero_load = zero_load_latency(&g, &base).expect("connected");
+    for shards in [1, 2, 4, 8] {
+        let mut sim = ShardedSimulator::new(&g, base, shards).expect("valid");
+        sim.install_fault_plan(plan.clone());
+        let point = load_point(&mut sim, &schedule, zero_load);
+        assert_eq!(point.stats, serial_stats, "{shards} shards vs serial");
+        assert_eq!(point.deadlock, serial.deadlock_suspected(), "{shards} shards");
     }
 }

@@ -89,6 +89,17 @@ fn window_series_merges_to_serial_under_shard_counts() {
         assert_eq!(stats, serial_stats, "{shards} shards");
 
         let merged = sharded.obs_windows();
+        if shards == 1 {
+            // One shard is the serial engine itself: everything is equal,
+            // the in-network gauge included.
+            assert_eq!(merged, serial_windows);
+            assert_eq!(sharded.channel_loads(), serial.channel_loads());
+            assert_eq!(
+                sharded.latency_percentiles(&[0.5, 0.95, 0.99]),
+                serial.latency_percentiles(&[0.5, 0.95, 0.99])
+            );
+            assert_eq!(sharded.deadlock_suspected(), serial.deadlock_suspected());
+        }
         assert_eq!(merged.len(), serial_windows.len(), "{shards} shards");
         for (m, s) in merged.iter().zip(&serial_windows) {
             // Merge order: ascending window index, aligned boundaries.

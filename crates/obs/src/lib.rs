@@ -6,10 +6,9 @@
 //! event format, loadable by Perfetto (<https://ui.perfetto.dev>) and
 //! `chrome://tracing`.
 //!
-//! The JSON emitter is hand-rolled (the workspace is offline and the
-//! vendored serde has no serializer for nested dynamic documents) and
-//! deterministic: span order, key order, and number formatting are all
-//! fixed, so traces diff cleanly across runs.
+//! The JSON emitter is hand-rolled (the workspace has no serialization
+//! dependency) and deterministic: span order, key order, and number
+//! formatting are all fixed, so traces diff cleanly across runs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

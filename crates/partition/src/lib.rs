@@ -46,7 +46,6 @@ use chiplet_graph::cut::Bipartition;
 use chiplet_graph::Graph;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 pub use coarsen::WeightedGraph;
@@ -78,7 +77,7 @@ impl fmt::Display for PartitionError {
 impl std::error::Error for PartitionError {}
 
 /// Which algorithm produced a [`BisectionResult`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Method {
     /// Exhaustive enumeration of balanced parts (optimal).
     Exact,
@@ -89,7 +88,7 @@ pub enum Method {
 }
 
 /// Tunables for [`bisect`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BisectionConfig {
     /// Number of independent multilevel restarts; the best cut wins.
     pub restarts: usize,

@@ -10,7 +10,6 @@
 //!    proportional to the *transmit* swing of the aggressors;
 //! 4. what remains is compared against Gaussian noise to yield the BER.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::ber;
@@ -26,7 +25,7 @@ use crate::tech::Technology;
 /// penalty). Whether that trade ever pays within D2D reach is exactly the
 /// kind of question this model answers (see
 /// [`crate::capacity::best_modulation`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Modulation {
     /// Two-level signalling: Nyquist = bit rate / 2, one full-swing eye.
     #[default]
@@ -57,7 +56,7 @@ impl Modulation {
 }
 
 /// Electrical budget of the transceiver pair, independent of the channel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SignalBudget {
     /// Transmit swing in volts (peak-to-peak differential or single-ended
     /// full swing, as long as it is consistent with the noise sigma).
@@ -86,7 +85,7 @@ impl Default for SignalBudget {
 }
 
 /// Result of an eye analysis at one operating point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EyeAnalysis {
     /// Per-wire bit rate under analysis, in Gb/s.
     pub bit_rate_gbps: f64,

@@ -6,7 +6,6 @@
 //! loss — the reason interposer links must stay below ~2 mm while substrate
 //! links are good to ~4 mm at the same data rate).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Errors from technology construction.
@@ -35,7 +34,7 @@ impl std::error::Error for TechnologyError {}
 /// length, plus a fixed per-link transition loss for the bump/pad
 /// discontinuities at either end. Crosstalk is characterised by an
 /// asymptotic coupling ratio approached exponentially with coupled length.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Technology {
     /// Human-readable name (used in reports).
     pub name: String,

@@ -1,12 +1,11 @@
 //! Hotspot statistics over a thermal solution.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::solver::ThermalSolution;
 
 /// Summary statistics of a temperature field.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HotspotReport {
     /// Peak temperature in °C.
     pub peak_c: f64,

@@ -1,7 +1,6 @@
 //! Power maps: rasterising floorplans into per-cell dissipation.
 
 use chiplet_layout::{PlacedChiplet, Placement};
-use serde::{Deserialize, Serialize};
 
 use crate::error::ThermalError;
 
@@ -9,7 +8,7 @@ use crate::error::ThermalError;
 ///
 /// Cell `(x, y)` covers the physical square
 /// `[x·cell_mm, (x+1)·cell_mm) × [y·cell_mm, (y+1)·cell_mm)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerMap {
     width: usize,
     height: usize,

@@ -1,12 +1,10 @@
 //! The finite-difference steady-state heat solver.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ThermalError;
 use crate::power::PowerMap;
 
 /// Physical and numerical parameters of the solve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalParams {
     /// Ambient (heat-sink inlet) temperature in °C.
     pub ambient_c: f64,
@@ -80,7 +78,7 @@ impl Default for ThermalParams {
 }
 
 /// The converged temperature field.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThermalSolution {
     width: usize,
     height: usize,

@@ -15,10 +15,9 @@ use std::fmt;
 
 use chiplet_phy::{capacity, SignalBudget, Technology};
 use nocsim::measure::{
-    saturation_search_with_specs, simulated_zero_load_latency, MeasureConfig,
+    load_point, saturation_search_batched, simulated_zero_load_latency, MeasureConfig,
 };
-use nocsim::{LinkSpec, SaturationResult, SimConfig, SimError};
-use serde::{Deserialize, Serialize};
+use nocsim::{LinkSpec, SaturationResult, ShardedSimulator, SimConfig, SimError};
 
 use crate::topology::Topology;
 
@@ -112,7 +111,7 @@ impl From<SimError> for TopoEvalError {
 }
 
 /// Physical operating point of one link after derating.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkOperatingPoint {
     /// Link endpoints (`u < v`).
     pub u: usize,
@@ -127,7 +126,7 @@ pub struct LinkOperatingPoint {
 }
 
 /// Result of evaluating one topology.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TopoEval {
     /// Topology name.
     pub name: String,
@@ -191,8 +190,22 @@ pub fn evaluate(topo: &Topology, opts: &EvalOptions) -> Result<TopoEval, TopoEva
     };
 
     let zero_load = simulated_zero_load_latency(topo.graph(), &opts.sim, spec)?;
-    let saturation =
-        saturation_search_with_specs(topo.graph(), &opts.sim, &opts.schedule, spec, zero_load)?;
+    let schedule = &opts.schedule;
+    let saturation = saturation_search_batched(schedule.rate_resolution, 1, |rates| {
+        rates
+            .iter()
+            .map(|&rate| {
+                let config = SimConfig { injection_rate: rate, ..opts.sim };
+                let mut sim = ShardedSimulator::with_link_specs(
+                    topo.graph(),
+                    config,
+                    spec,
+                    schedule.shards,
+                )?;
+                Ok::<_, SimError>(load_point(&mut sim, schedule, zero_load))
+            })
+            .collect()
+    })?;
 
     let min_rate_gbps =
         links.iter().map(|l| l.rate_gbps).fold(opts.nominal_rate_gbps, f64::min);

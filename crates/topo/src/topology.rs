@@ -4,10 +4,9 @@ use std::collections::HashMap;
 use std::fmt;
 
 use chiplet_graph::{Graph, GraphBuilder};
-use serde::{Deserialize, Serialize};
 
 /// One undirected link with its physical length in chiplet pitches.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkEdge {
     /// Lower endpoint (router id).
     pub u: usize,

@@ -39,8 +39,8 @@ use hexamesh::link::{estimate_link, LinkParams, UCIE_POWER_FRACTION, UCIE_TOTAL_
 use hexamesh::shape::{shape_for, ShapeError, ShapeParams};
 use nocsim::measure as noc_measure;
 use nocsim::{
-    LoadPointObservation, MeasureConfig, Probe, RouterModelKind, ShardedSimulator, SimConfig,
-    SimError, Simulator, TrafficPattern,
+    MeasureConfig, Probe, RouterModelKind, ShardedSimulator, SimConfig, SimError,
+    TrafficPattern, WindowSample,
 };
 
 use crate::campaign::StageRecord;
@@ -872,42 +872,23 @@ fn curve_point(
     windows: (u64, u64),
     shards: usize,
     probe: Option<Probe>,
-) -> (CurvePoint, Option<LoadPointObservation>) {
-    let observing = probe.is_some();
+) -> (CurvePoint, Option<Observation>) {
     // One histogram merge serves all three tail percentiles. The sharded
-    // engine is bit-identical, so `shards` never changes a row — and the
-    // probe records on the side, so observing never changes one either
-    // (the zero-perturbation contract, pinned by nocsim's probe tests).
-    let (stats, tails, observed) = if shards > 1 {
-        let mut simulator =
-            ShardedSimulator::new(graph, config, shards).expect("valid configuration");
-        if let Some(probe) = probe {
-            simulator.attach_probe(probe);
-        }
-        let stats = simulator.run_to_window(windows.0, windows.1);
-        let tails = simulator.latency_percentiles(&[0.50, 0.95, 0.99]);
-        let observed = observing.then(|| {
-            let mut o = LoadPointObservation::default();
-            o.windows = simulator.obs_windows();
-            o.channel_loads = simulator.channel_loads();
-            o
-        });
-        (stats, tails, observed)
-    } else {
-        let mut simulator = Simulator::new(graph, config).expect("valid configuration");
-        if let Some(probe) = probe {
-            simulator.attach_probe(probe);
-        }
-        let stats = simulator.run_to_window(windows.0, windows.1);
-        let tails = simulator.latency_percentiles(&[0.50, 0.95, 0.99]);
-        let observed = observing.then(|| {
-            let mut o = LoadPointObservation::default();
-            o.windows = simulator.detach_probe();
-            o.channel_loads = simulator.channel_loads();
-            o
-        });
-        (stats, tails, observed)
-    };
+    // engine is bit-identical at any shard count, so `shards` never
+    // changes a row — and the probe records on the side, so observing
+    // never changes one either (the zero-perturbation contract, pinned by
+    // nocsim's probe tests).
+    let mut simulator =
+        ShardedSimulator::new(graph, config, shards).expect("valid configuration");
+    if let Some(probe) = probe {
+        simulator.attach_probe(probe);
+    }
+    let stats = simulator.run_to_window(windows.0, windows.1);
+    let tails = simulator.latency_percentiles(&[0.50, 0.95, 0.99]);
+    let observed = probe.map(|_| Observation {
+        windows: simulator.obs_windows(),
+        channel_loads: simulator.channel_loads(),
+    });
     let point = CurvePoint {
         accepted: stats.accepted_flits_per_cycle_per_endpoint,
         avg: stats.avg_packet_latency.unwrap_or(f64::NAN),
@@ -926,6 +907,15 @@ fn curve_point(
 /// absent.
 const DEFAULT_SAMPLE_EVERY: u64 = 250;
 
+/// What the probe saw during one load point.
+struct Observation {
+    /// The window series, merged across shards.
+    windows: Vec<WindowSample>,
+    /// Per-directed-link flit counts over the whole run, `(src, dst,
+    /// flits)` — the congestion-heatmap input.
+    channel_loads: Vec<(usize, usize, u64)>,
+}
+
 /// One observed load point: its coordinates plus what the probe saw.
 struct ObservedPoint {
     /// Fixed arrangement family; `None` for search-discovered (`OPT`)
@@ -936,7 +926,7 @@ struct ObservedPoint {
     rate: f64,
     pattern: TrafficPattern,
     replicate: u64,
-    obs: LoadPointObservation,
+    obs: Observation,
 }
 
 /// The windowed time series of every observed point as one long table
@@ -1657,8 +1647,21 @@ fn degradation_point(
         .expect("removing edges keeps the graph simple");
     let connected = chiplet_graph::metrics::is_connected(&degraded);
 
+    // Open-loop probes compare against the healthy zero-load latency, so
+    // a degraded network saturates earlier.
     let plan = FaultPlan::new(fault_schedule.clone());
-    let sat = noc_measure::saturation_search_faulted(graph, &config, schedule, &plan)?;
+    let zero_load = noc_measure::zero_load_latency(graph, &config)?;
+    let sat = noc_measure::saturation_search_batched(schedule.rate_resolution, 1, |rates| {
+        rates
+            .iter()
+            .map(|&rate| {
+                let at_rate = SimConfig { injection_rate: rate, ..config };
+                let mut sim = ShardedSimulator::new(graph, at_rate, schedule.shards)?;
+                sim.install_fault_plan(plan.clone());
+                Ok::<_, SimError>(noc_measure::load_point(&mut sim, schedule, zero_load))
+            })
+            .collect()
+    })?;
 
     let makespan = |kind: WorkloadKind| -> Result<f64, StudyError> {
         if !connected {

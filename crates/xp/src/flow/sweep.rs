@@ -11,7 +11,6 @@ use chiplet_partition::BisectionConfig;
 use hexamesh::arrangement::{Arrangement, ArrangementKind};
 use hexamesh::eval::{self, EvalParams, EvalResult};
 use hexamesh::proxies;
-use nocsim::measure::SaturationResult;
 use nocsim::{MeasureConfig, TrafficPattern};
 
 use crate::cli::CampaignArgs;
@@ -106,45 +105,10 @@ pub fn proxy_sweep(ns: &[usize]) -> Vec<ProxyPoint> {
     proxy_sweep_over(&ArrangementKind::EVALUATED, ns)
 }
 
-/// Runs the full Fig. 7 evaluation for all counts in `ns` across the three
-/// evaluated kinds, spreading work over `workers` threads via the engine
-/// pool (largest `n` first). Results are returned sorted by `(kind, n)`
-/// and are identical for every `workers` value.
-///
-/// # Panics
-///
-/// Panics if any single evaluation fails — every `n ≥ 1` arrangement is
-/// connected and the paper configuration is valid, so a failure is a bug.
-#[must_use]
-pub fn evaluation_sweep(ns: &[usize], params: &EvalParams, workers: usize) -> Vec<EvalResult> {
-    let mut jobs: Vec<(ArrangementKind, usize)> = Vec::new();
-    for &n in ns {
-        for kind in ArrangementKind::EVALUATED {
-            jobs.push((kind, n));
-        }
-    }
-    let mut results = pool::run_jobs(
-        &jobs,
-        workers,
-        |&(_, n)| n as u64,
-        |&(kind, n)| {
-            let arrangement = Arrangement::build(kind, n).expect("n >= 1 builds");
-            eval::evaluate(&arrangement, params)
-                .unwrap_or_else(|e| panic!("evaluate {kind} n={n}: {e}"))
-        },
-        None,
-    );
-    results.sort_by_key(|r| (r.kind.label(), r.n));
-    results
-}
-
-/// The replicated form of [`evaluation_sweep`] a campaign runs:
-/// `--seeds K` replicates per `(kind, n)` with engine-derived seeds,
-/// aggregated to mean values in the same [`EvalResult`] shape, for an
-/// arbitrary kind set and traffic pattern. With `K = 1`, default kinds,
-/// and uniform traffic the only difference from [`evaluation_sweep`] is
-/// that the simulator seed comes from the campaign seed derivation
-/// instead of `params.sim.seed`.
+/// The Fig. 7 evaluation a campaign runs: [`eval::evaluate`] for every
+/// `(kind, n)` with `--seeds K` replicates per point and engine-derived
+/// seeds, aggregated to mean values in the same [`EvalResult`] shape and
+/// sorted by `(kind, n)`. Rows are identical for every `--workers` value.
 ///
 /// `pattern` rides through the scenario's pattern axis, so a non-uniform
 /// pattern also changes the derived seeds — exactly like any other
@@ -159,7 +123,8 @@ pub fn evaluation_sweep(ns: &[usize], params: &EvalParams, workers: usize) -> Ve
 ///
 /// # Panics
 ///
-/// As [`evaluation_sweep`].
+/// Panics if any single evaluation fails — every `n ≥ 1` arrangement is
+/// connected and the paper configuration is valid, so a failure is a bug.
 #[must_use]
 pub fn evaluation_campaign_over(
     kinds: &[ArrangementKind],
@@ -210,58 +175,16 @@ pub fn evaluation_campaign_over(
     aggregated
 }
 
-/// [`evaluation_campaign_over`] for the three evaluated kinds under
-/// uniform traffic (the historical signature `fig7_simulation` used).
-#[must_use]
-pub fn evaluation_campaign(
-    ns: &[usize],
-    params: &EvalParams,
-    campaign: &Campaign,
-    fanout: usize,
-) -> Vec<EvalResult> {
-    evaluation_campaign_over(
-        &ArrangementKind::EVALUATED,
-        ns,
-        TrafficPattern::UniformRandom,
-        params,
-        campaign,
-        fanout,
-    )
-}
-
-/// Saturation search for a single arrangement with the rate points of each
-/// round spread over `workers` threads — the engine-job decomposition of
-/// [`hexamesh::eval::saturation_search_with`]. Use this when a study
-/// evaluates too few arrangements to keep the pool busy; results are
-/// independent of `workers` (only the probe fanout changes the probe
-/// sequence, and it is fixed by the caller).
+/// Full [`eval::evaluate`] with each round of the saturation search
+/// spreading its `fanout` rate points over `workers` threads on the engine
+/// pool. Results are independent of `workers`: only the fanout changes
+/// the probe sequence, and the caller fixes it. Used by the saturation
+/// stage's `fanout` spec field (`fig7_simulation --fanout F`).
 ///
 /// # Panics
 ///
 /// Panics if a simulation point fails (connected arrangements with valid
 /// parameters never do).
-#[must_use]
-pub fn saturation_search_pooled(
-    arrangement: &Arrangement,
-    params: &EvalParams,
-    fanout: usize,
-    workers: usize,
-) -> SaturationResult {
-    let zero_load = eval::zero_load_of(arrangement, params).expect("connected arrangement");
-    eval::saturation_search_with(params, fanout.max(1), |rates| {
-        Ok(run_rates_pooled(arrangement, params, zero_load, rates, workers))
-    })
-    .expect("runner never errors")
-}
-
-/// Full [`eval::evaluate`] with the saturation search's rate points spread
-/// over `workers` threads — [`saturation_search_pooled`] wrapped in the
-/// link-budget/zero-load pipeline. Used by the saturation stage's
-/// `fanout` spec field (`fig7_simulation --fanout F`).
-///
-/// # Panics
-///
-/// As [`saturation_search_pooled`].
 #[must_use]
 pub fn evaluate_pooled(
     arrangement: &Arrangement,
@@ -270,29 +193,18 @@ pub fn evaluate_pooled(
     workers: usize,
 ) -> EvalResult {
     eval::evaluate_with(arrangement, params, fanout.max(1), |zero_load, rates| {
-        Ok(run_rates_pooled(arrangement, params, zero_load, rates, workers))
+        Ok(pool::run_jobs(
+            rates,
+            workers,
+            |_| 1,
+            |&rate| {
+                eval::measure_load_point(arrangement, params, rate, zero_load)
+                    .unwrap_or_else(|e| panic!("load point at rate {rate}: {e}"))
+            },
+            None,
+        ))
     })
     .unwrap_or_else(|e| panic!("evaluate n={}: {e}", arrangement.num_chiplets()))
-}
-
-/// Simulates a batch of independent rate points on the engine pool.
-fn run_rates_pooled(
-    arrangement: &Arrangement,
-    params: &EvalParams,
-    zero_load: f64,
-    rates: &[f64],
-    workers: usize,
-) -> Vec<nocsim::measure::LoadPointResult> {
-    pool::run_jobs(
-        rates,
-        workers,
-        |_| 1,
-        |&rate| {
-            eval::measure_load_point(arrangement, params, rate, zero_load)
-                .unwrap_or_else(|e| panic!("load point at rate {rate}: {e}"))
-        },
-        None,
-    )
 }
 
 #[cfg(test)]
@@ -329,32 +241,25 @@ mod tests {
     }
 
     #[test]
-    fn evaluation_sweep_tiny() {
-        let results = evaluation_sweep(&[4], &tiny_params(), 2);
-        assert_eq!(results.len(), 3);
-        assert!(results.iter().all(|r| r.saturation_fraction > 0.0));
-    }
-
-    #[test]
-    fn evaluation_sweep_worker_count_is_invisible() {
-        let params = tiny_params();
-        let serial = evaluation_sweep(&[2, 4], &params, 1);
-        let parallel = evaluation_sweep(&[2, 4], &params, 8);
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn pooled_saturation_search_matches_serial_at_fanout_one() {
+    fn pooled_evaluation_matches_serial_at_fanout_one() {
         let params = tiny_params();
         let a = Arrangement::build(ArrangementKind::Grid, 4).unwrap();
-        let serial =
+        let serial = eval::evaluate(&a, &params).unwrap();
+        let bisection =
             nocsim::measure::saturation_search(a.graph(), &params.sim, &params.measure)
                 .unwrap();
-        let pooled = saturation_search_pooled(&a, &params, 1, 4);
-        assert_eq!(serial, pooled, "fanout-1 batched search must equal bisection");
+        assert!(bisection.throughput > 0.0);
+        assert_eq!(serial.saturation_fraction, bisection.throughput);
+        for workers in [1, 4] {
+            let pooled = evaluate_pooled(&a, &params, 1, workers);
+            assert_eq!(serial, pooled, "fanout-1 batched search must equal bisection");
+        }
         // Wider fanout probes different rates but must land near the same
         // knee.
-        let wide = saturation_search_pooled(&a, &params, 4, 4);
-        assert!((wide.rate - serial.rate).abs() <= 2.0 * params.measure.rate_resolution);
+        let wide = evaluate_pooled(&a, &params, 4, 4);
+        assert!(
+            (wide.saturation_fraction - serial.saturation_fraction).abs()
+                <= 2.0 * params.measure.rate_resolution
+        );
     }
 }

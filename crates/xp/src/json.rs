@@ -1,12 +1,12 @@
 //! A small JSON value model, writer, and reader for campaign output and
 //! study specs.
 //!
-//! The vendored serde stand-in has no data model (see `vendor/README.md`),
-//! so the engine writes JSON through this hand-rolled module instead. The
-//! output is plain RFC 8259 JSON; numbers are emitted with enough
-//! precision to round-trip `f64`. [`parse`] is the matching reader — it
-//! accepts any RFC 8259 document (used by `study --spec file.json` and by
-//! the golden tests that compare campaign manifests).
+//! The workspace has no serialization dependency, so the engine writes
+//! JSON through this hand-rolled module. The output is plain RFC 8259
+//! JSON; numbers are emitted with enough precision to round-trip `f64`.
+//! [`parse`] is the matching reader — it accepts any RFC 8259 document
+//! (used by `study --spec file.json` and by the golden tests that compare
+//! campaign manifests).
 
 use std::fmt::Write as _;
 

@@ -802,6 +802,11 @@ impl StudySpec {
             if schedule.warmup_cycles == 0 || schedule.measure_cycles == 0 {
                 return Err("schedule windows must be positive".to_owned());
             }
+            // The saturation search bisects (0, 1] down to this width: zero
+            // or less never terminates, and 1 or more skips the search.
+            if let Some(res) = schedule.rate_resolution.filter(|&r| !(r > 0.0 && r < 1.0)) {
+                return Err(format!("schedule.rate_resolution {res} is outside (0, 1)"));
+            }
         }
         if let Some(ns) = &self.faults.ns {
             if ns.is_empty() {
@@ -1248,6 +1253,15 @@ mod tests {
         assert!(StudySpec::from_toml("name = \"s\"\n").is_err(), "missing stage");
         assert!(StudySpec::from_toml("name = \"a/b\"\nstage = \"traffic\"\n").is_err());
         assert!(StudySpec::from_toml(&format!("{base}replicates = 0\n")).is_err());
+        let schedule = "[schedule]\nwarmup_cycles = 10\nmeasure_cycles = 20\n";
+        for res in ["0.05", "0", "-0.01", "1.0", "2.0"] {
+            let spec =
+                StudySpec::from_toml(&format!("{base}{schedule}rate_resolution = {res}\n"));
+            assert_eq!(spec.is_ok(), res == "0.05", "rate_resolution = {res}");
+        }
+        let overflow = r#"{"name":"s","stage":"traffic","schedule":
+            {"warmup_cycles":10,"measure_cycles":20,"rate_resolution":1e999}}"#;
+        assert!(StudySpec::from_json(overflow).is_err(), "1e999 reads as infinity");
     }
 
     #[test]
