@@ -28,9 +28,10 @@
 //! * [`validate`] — cycle-accurate confirmation of top candidates: nocsim
 //!   saturation throughput and closed-loop workload makespan.
 //!
-//! The `arrangement_search` binary in `hexamesh-bench` drives this crate
-//! to rank {optimized, HexaMesh, brickwall, honeycomb, grid} and writes
-//! the tracked `BENCH_arrange.{csv,json}` baselines.
+//! The `arrangement_search` study preset (`study --preset
+//! arrangement_search` in `hexamesh-bench`) drives this crate to rank
+//! {optimized, HexaMesh, brickwall, honeycomb, grid} and writes the
+//! tracked `BENCH_arrange.{csv,json}` baselines.
 //!
 //! # Example
 //!

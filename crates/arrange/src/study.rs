@@ -23,8 +23,7 @@ use crate::{
 };
 
 /// The standard hook set: the search stage plus the `optimized` axis.
-/// Pass to [`xp::flow::run_study`]; the `study` binary and the rewritten
-/// experiment binaries all do.
+/// Pass to [`xp::flow::run_study`]; the `study` binary does.
 #[must_use]
 pub fn hooks() -> StageHooks<'static> {
     StageHooks { search: Some(&run_search_stage), optimized_graph: Some(&optimized_graph) }

@@ -20,13 +20,13 @@ use hexamesh::arrangement::{Arrangement, ArrangementKind};
 use hexamesh::eval::{evaluate, EvalParams};
 use hexamesh::link::MICROBUMP_PITCH_MM;
 use hexamesh::shape::{paper_link_length, shape_for, ShapeParams};
-use hexamesh_bench::csv::{f3, Table};
-use hexamesh_bench::{sweep, RESULTS_DIR};
+use hexamesh_bench::RESULTS_DIR;
+use xp::table::{f3, Table};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     xp::cli::reject_unknown_flags(&args, &["--quick"]);
-    let quick = sweep::arg_flag(&args, "--quick");
+    let quick = xp::cli::arg_flag(&args, "--quick");
     let budget = SignalBudget::default();
     let interposer = Technology::silicon_interposer();
     let reach = capacity::max_length_mm(&interposer, &budget, 16.0, -15.0)

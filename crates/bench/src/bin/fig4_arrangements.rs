@@ -10,8 +10,8 @@ use std::path::Path;
 use chiplet_partition::BisectionConfig;
 use hexamesh::arrangement::{hexamesh_count, Arrangement, ArrangementKind, Regularity};
 use hexamesh::proxies;
-use hexamesh_bench::csv::{f3, Table};
 use hexamesh_bench::RESULTS_DIR;
+use xp::table::{f3, Table};
 
 fn main() {
     // Analytic binary: no flags. Unknown flags abort (strict-CLI rule).

@@ -8,8 +8,8 @@
 use std::path::Path;
 
 use hexamesh::shape::{brickwall_shape, grid_shape, ShapeParams};
-use hexamesh_bench::csv::{f3, Table};
 use hexamesh_bench::RESULTS_DIR;
+use xp::table::{f3, Table};
 
 fn main() {
     // Analytic binary: no flags. Unknown flags abort (strict-CLI rule).

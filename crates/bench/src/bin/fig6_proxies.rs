@@ -8,15 +8,16 @@
 use std::path::Path;
 
 use hexamesh::arrangement::ArrangementKind;
-use hexamesh_bench::csv::{f3, Table};
-use hexamesh_bench::{sweep, RESULTS_DIR};
+use hexamesh_bench::RESULTS_DIR;
+use xp::flow::sweep::proxy_sweep_over;
+use xp::table::{f3, Table};
 
 fn main() {
     // Analytic binary: no flags. Unknown flags abort (strict-CLI rule).
     let args: Vec<String> = std::env::args().collect();
     xp::cli::reject_unknown_flags(&args, &[]);
     let ns: Vec<usize> = (1..=100).collect();
-    let points = sweep::proxy_sweep(&ns);
+    let points = proxy_sweep_over(&ArrangementKind::EVALUATED, &ns);
 
     let mut diameter = Table::new(&["kind", "regularity", "n", "diameter"]);
     let mut bisection = Table::new(&["kind", "regularity", "n", "bisection"]);

@@ -30,10 +30,10 @@ use std::time::Instant;
 
 use chiplet_graph::{gen, Graph};
 use hexamesh::arrangement::{Arrangement, ArrangementKind};
-use hexamesh_bench::csv::{f3, Table};
-use hexamesh_bench::sweep;
 use nocsim::{ShardedSimulator, SimConfig, Simulator};
+use xp::cli::{arg_flag, arg_u64, arg_usize};
 use xp::json::Value;
+use xp::table::{f3, Table};
 use xp::{Campaign, CampaignArgs};
 
 /// Pre-PR baseline (commit `abd2986`, poll-everything simulator with
@@ -122,11 +122,15 @@ fn main() {
         &args,
         &xp::cli::with_shared(&["--side", "--cycles", "--shards"]),
     );
-    let side = sweep::arg_usize(&args, "--side", 8);
+    let side = arg_usize(&args, "--side", 8);
     let mut shared = CampaignArgs::parse(&args);
-    sweep::default_out_to_repo_root(&args, &mut shared);
+    // `BENCH_nocsim` is a tracked baseline: it lives at the repository
+    // root unless `--out` redirects it.
+    if !arg_flag(&args, "--out") {
+        shared.out = std::path::PathBuf::from(".");
+    }
     let default_cycles = if shared.quick { 20_000 } else { 100_000 };
-    let cycles = sweep::arg_u64(&args, "--cycles", default_cycles);
+    let cycles = arg_u64(&args, "--cycles", default_cycles);
     let default_shards: &[usize] = if shared.quick { &[1, 4] } else { &[1, 2, 4, 8] };
     let mut shard_counts = xp::cli::arg_list(&args, "--shards", default_shards);
     if !shard_counts.contains(&1) {

@@ -21,15 +21,19 @@
 //! plus the shared campaign flags (`--workers`, `--seeds`, `--quick`,
 //! `--full`, `--out`, `--format`, `--seed`) and generic axis overrides
 //! that win over the spec: `--kinds`, `--ns`, `--n` (single-count
-//! shorthand), `--rates`, `--patterns`, `--workloads`, `--routers`
-//! (router-model sweep), `--router` (fixed named model via `sim.router`),
-//! `--restarts`, `--iterations`, `--no-validate`, `--optimized`.
+//! shorthand, exclusive with `--ns`), `--rates`, `--patterns`,
+//! `--workloads`, `--routers` (router-model sweep), `--router` (fixed
+//! named model via `sim.router`), `--restarts`, `--iterations`,
+//! `--no-validate`, `--optimized`.
 //!
 //! A spec's `seed` / `replicates` / `output` keys act as defaults for
 //! the matching flags, so checked-in specs pin their reproduction
-//! exactly; explicit flags always win. Presets reproduce the historical
-//! binaries byte for byte at equal flags — pinned by the golden tests
-//! and the `study-vs-legacy` CI job.
+//! exactly; explicit flags always win. The overridden spec is validated
+//! before any job runs, exactly like a `--spec` file: an invalid value
+//! exits 2 and writes nothing. Presets reproduce the pre-redesign
+//! binaries byte for byte — pinned by the golden tests and by
+//! `scripts/ci_study_diff.sh`, which runs every checked-in spec through
+//! this binary and compares it with the golden fixtures.
 
 use chiplet_workload::WorkloadKind;
 use hexamesh::arrangement::ArrangementKind;
@@ -76,10 +80,13 @@ fn apply_overrides(spec: &mut StudySpec, args: &[String]) {
     if let Some(kinds) = strict(try_arg_list::<ArrangementKind>(args, "--kinds")) {
         spec.axes.kinds = Some(kinds);
     }
+    if arg_flag(args, "--n") && arg_flag(args, "--ns") {
+        fail("--n and --ns are mutually exclusive");
+    }
     if let Some(ns) = strict(try_arg_list::<usize>(args, "--ns")) {
         spec.axes.ns = Some(ns);
     }
-    if let Some(n) = strict(xp::cli::try_arg_value(args, "--n")) {
+    if let Some(n) = strict(try_arg_value(args, "--n")) {
         let n: usize =
             n.parse().unwrap_or_else(|_| fail(&format!("--n expects a count, got {n:?}")));
         spec.axes.ns = Some(vec![n]);
@@ -195,8 +202,22 @@ fn main() {
 
     let mut spec = load_spec(&args);
     apply_overrides(&mut spec, &args);
+    strict(spec.validate());
     let shared = strict(xp::flow::campaign_args_for(&spec, &args));
 
     eprintln!("study: {} (stage {})", spec.name, spec.stage);
-    presets::run_and_report(&spec, shared);
+    match xp::flow::run_study(&spec, shared, &chiplet_arrange::study::hooks()) {
+        Ok(report) => {
+            for line in &report.summary {
+                println!("{line}");
+            }
+            for path in report.written {
+                println!("wrote {}", path.display());
+            }
+        }
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        }
+    }
 }

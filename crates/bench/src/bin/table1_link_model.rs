@@ -10,8 +10,8 @@ use std::path::Path;
 use hexamesh::arrangement::{Arrangement, ArrangementKind};
 use hexamesh::eval::{link_budget, EvalParams};
 use hexamesh::link;
-use hexamesh_bench::csv::{f3, Table};
 use hexamesh_bench::RESULTS_DIR;
+use xp::table::{f3, Table};
 
 fn main() {
     // Analytic binary: no flags. Unknown flags abort (strict-CLI rule).

@@ -1,13 +1,9 @@
 //! The preset study registry: every experiment this repository ships,
 //! as a named [`StudySpec`].
 //!
-//! `study --preset <name>` resolves here, and the rewritten experiment
-//! binaries (`fig7_simulation`, `load_curves`, `ablation_traffic`,
-//! `workload_comparison`, `kite_comparison`, `arrangement_search`) are
-//! ~15-line wrappers that fetch their preset, apply their historical
-//! flags as spec overrides, and delegate to [`xp::flow::run_study`] —
-//! so the preset *is* the binary's behaviour, and
-//! `study --preset <name>` reproduces it byte for byte.
+//! `study --preset <name>` resolves here and runs the spec through
+//! [`xp::flow::run_study`]; the golden tests build the same presets
+//! through the library and pin their CSV byte for byte.
 
 use chiplet_workload::WorkloadKind;
 use hexamesh::arrangement::ArrangementKind;
@@ -71,7 +67,7 @@ pub fn preset(name: &str) -> Option<StudySpec> {
             let mut spec = StudySpec::new("resilience", StageKind::Resilience);
             // Structural analyses have no randomness and the degradation
             // table aggregates replicates internally; one seed is the
-            // historical contract (the binary refuses `--seeds` outright).
+            // preset's contract (an explicit `--seeds` still wins).
             spec.replicates = Some(1);
             // The degradation table (`BENCH_resilience`) is a tracked
             // repo-root baseline like `BENCH_workload` / `BENCH_arrange`.
@@ -119,28 +115,6 @@ pub fn preset(name: &str) -> Option<StudySpec> {
         _ => return None,
     };
     Some(spec)
-}
-
-/// The shared tail of every preset wrapper binary (and `study`): run the
-/// spec through the study flow with the arrangement-search hooks, print
-/// the stage summary and the paths written, abort with exit 1 on
-/// failure. Keeping this in one place means the reporting convention
-/// cannot drift between `study` and the twelve wrappers that share it.
-pub fn run_and_report(spec: &StudySpec, args: xp::cli::CampaignArgs) {
-    match xp::flow::run_study(spec, args, &chiplet_arrange::study::hooks()) {
-        Ok(report) => {
-            for line in &report.summary {
-                println!("{line}");
-            }
-            for path in report.written {
-                println!("wrote {}", path.display());
-            }
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    }
 }
 
 #[cfg(test)]

@@ -388,25 +388,42 @@ fn equivalent_spellings_share_one_cache_entry() {
 }
 
 /// A saturation-search resolution outside (0, 1) never terminates the
-/// bisection or panics the pool, so each such line is answered with an
-/// `error` event and the stream keeps serving the next request.
+/// bisection or panics the pool, and a spec breaking a stage rule
+/// (grid-normalised series without the grid, non-square kite counts, a
+/// honeycomb thermal map) cannot produce its table. Each such line is
+/// answered with an `error` event before any backend run, and the stream
+/// keeps serving the next request.
 #[test]
 fn out_of_range_resolution_is_an_error_event_and_serving_continues() {
     let dir = temp_dir("resolution");
     let srv = server(&dir, 2);
-    let bad = ["0", "-0.01", "1.0", "1e999"];
-    let mut request = String::new();
-    for (i, res) in bad.iter().enumerate() {
-        request.push_str(&format!(
+    let mut bad: Vec<String> = ["0", "-0.01", "1.0", "1e999"]
+        .iter()
+        .map(|res| {
+            format!(
+                concat!(
+                    r#"{{"name":"bad","stage":"saturation","axes":{{"kinds":["grid"],"#,
+                    r#""ns":[4]}},"schedule":{{"warmup_cycles":200,"measure_cycles":400,"#,
+                    r#""rate_resolution":{res}}}}}"#,
+                ),
+                res = res,
+            )
+        })
+        .collect();
+    bad.extend(
+        [
             concat!(
-                r#"{{"id":"bad{i}","spec":{{"name":"bad","stage":"saturation","#,
-                r#""axes":{{"kinds":["grid"],"ns":[4]}},"schedule":{{"warmup_cycles":200,"#,
-                r#""measure_cycles":400,"rate_resolution":{res}}}}}}}"#,
-                "\n",
+                r#"{"name":"bad","stage":"saturation","axes":{"kinds":["hexamesh"],"ns":[4]},"#,
+                r#""saturation":{"normalized_stem":"norm"}}"#,
             ),
-            i = i,
-            res = res,
-        ));
+            r#"{"name":"bad","stage":"kite","axes":{"ns":[20]}}"#,
+            r#"{"name":"bad","stage":"thermal","axes":{"kinds":["honeycomb"],"ns":[16]}}"#,
+        ]
+        .map(str::to_owned),
+    );
+    let mut request = String::new();
+    for (i, spec) in bad.iter().enumerate() {
+        request.push_str(&format!("{{\"id\":\"bad{i}\",\"spec\":{spec}}}\n"));
     }
     let mut good = Value::object();
     good.set("id", "good");
@@ -428,8 +445,8 @@ fn out_of_range_resolution_is_an_error_event_and_serving_continues() {
                 && e.get("event") == Some(&Value::Str(kind.into()))
         })
     };
-    for (i, res) in bad.iter().enumerate() {
-        assert!(has(&format!("bad{i}"), "error"), "rate_resolution {res}: error event");
+    for (i, spec) in bad.iter().enumerate() {
+        assert!(has(&format!("bad{i}"), "error"), "{spec}: error event");
     }
     assert!(has("good", "done"), "the stream keeps serving after the bad lines");
 }

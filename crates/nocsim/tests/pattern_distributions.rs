@@ -1,6 +1,6 @@
 //! Statistical pinning of the traffic-pattern destination laws.
 //!
-//! Workload-vs-pattern comparisons (the `workload_comparison` binary
+//! Workload-vs-pattern comparisons (the `workload_comparison` study
 //! against `ablation_traffic`/`load_curves`) only mean something if the
 //! synthetic generators draw from the distributions they claim. This
 //! suite pins them:

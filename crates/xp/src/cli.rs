@@ -157,12 +157,6 @@ pub fn arg_u64(args: &[String], flag: &str, default: u64) -> u64 {
     try_arg(args, flag, default).unwrap_or_else(|e| die(&e))
 }
 
-/// Parses `--flag value` as an `f64`; aborts on a malformed value.
-#[must_use]
-pub fn arg_f64(args: &[String], flag: &str, default: f64) -> f64 {
-    try_arg(args, flag, default).unwrap_or_else(|e| die(&e))
-}
-
 /// `true` if `--flag` is present.
 #[must_use]
 pub fn arg_flag(args: &[String], flag: &str) -> bool {
@@ -290,7 +284,7 @@ mod tests {
     fn defaults_when_flags_absent() {
         let a = args(&["bin"]);
         assert_eq!(arg_usize(&a, "--n", 37), 37);
-        assert_eq!(arg_f64(&a, "--rate", 0.1), 0.1);
+        assert_eq!(try_arg(&a, "--rate", 0.1), Ok(0.1));
         assert!(!arg_flag(&a, "--quick"));
         let c = CampaignArgs::try_parse(&a).unwrap();
         assert_eq!(c.seeds, 1);
@@ -306,7 +300,7 @@ mod tests {
     fn values_parse() {
         let a = args(&["--n", "64", "--rate", "0.25", "--seeds", "5"]);
         assert_eq!(arg_usize(&a, "--n", 1), 64);
-        assert!((arg_f64(&a, "--rate", 0.0) - 0.25).abs() < 1e-12);
+        assert_eq!(try_arg(&a, "--rate", 0.0), Ok(0.25));
         assert_eq!(CampaignArgs::try_parse(&a).unwrap().seeds, 5);
     }
 

@@ -9,11 +9,10 @@
 //! `config` object, so every output file records the study that produced
 //! it.
 //!
-//! The stages that replaced hand-wired binaries (`fig7_simulation`,
-//! `load_curves`, `ablation_traffic`, `workload_comparison`,
-//! `kite_comparison`, `arrangement_search`) emit **byte-identical CSV**
-//! to what those binaries always wrote for the same axes and seeds —
-//! pinned by the golden tests in `crates/bench/tests/golden_study.rs`.
+//! The stages that replaced the hand-wired experiment binaries emit
+//! **byte-identical CSV** to what those binaries wrote for the same axes
+//! and seeds — pinned by the golden tests in
+//! `crates/bench/tests/golden_study.rs`.
 //!
 //! # Hooks
 //!
@@ -214,13 +213,6 @@ impl fmt::Debug for StageHooks<'_> {
 /// [`CampaignArgs::try_parse`].
 pub fn campaign_args_for(spec: &StudySpec, argv: &[String]) -> Result<CampaignArgs, String> {
     let mut args = CampaignArgs::try_parse(argv)?;
-    apply_spec_defaults(spec, &mut args, argv);
-    Ok(args)
-}
-
-/// The flag-application half of [`campaign_args_for`], for callers that
-/// already parsed (and possibly adjusted) their [`CampaignArgs`].
-pub fn apply_spec_defaults(spec: &StudySpec, args: &mut CampaignArgs, argv: &[String]) {
     let has = |flag: &str| argv.iter().any(|a| a == flag);
     if let Some(seed) = spec.seed {
         if !has("--seed") {
@@ -239,6 +231,7 @@ pub fn apply_spec_defaults(spec: &StudySpec, args: &mut CampaignArgs, argv: &[St
             args.out = std::path::PathBuf::from(dir);
         }
     }
+    Ok(args)
 }
 
 /// Runs a study end to end: resolve the spec, execute its stage on the
@@ -543,11 +536,6 @@ fn saturation_stage(spec: &StudySpec, campaign: &Campaign) -> Result<StageOutput
             results.iter().copied().filter(|r| r.kind == kind).collect()
         };
         let grid = by_kind(ArrangementKind::Grid);
-        if grid.is_empty() {
-            return Err(StudyError::Spec(
-                "saturation.normalized_stem needs the grid baseline in axes.kinds".to_owned(),
-            ));
-        }
         let mut normalized = Table::new(&["kind", "n", "latency_pct", "throughput_pct"]);
         output
             .summary
@@ -1431,20 +1419,8 @@ fn kite_stage(spec: &StudySpec, campaign: &Campaign) -> Result<StageOutput, Stud
     use chiplet_phy::Technology;
     use chiplet_topo::{evaluate, EvalOptions};
 
+    // Validation admits only perfect squares ≥ 4 (`StudySpec::validate`).
     let ns = ns_or(spec, vec![16, 25, 36, 49]);
-    // The grid-side variants are side×side meshes and the bandwidth math
-    // divides the fixed silicon budget by `n`, so every row of one `n`
-    // must describe the same system size: only perfect squares (≥ 2×2)
-    // compare apples to apples.
-    if let Some(&bad) = ns.iter().find(|&&n| {
-        let side = (n as f64).sqrt().round() as usize;
-        side < 2 || side * side != n
-    }) {
-        return Err(StudyError::Spec(format!(
-            "the kite stage compares square grids: axes.ns value {bad} is not a perfect \
-             square >= 4"
-        )));
-    }
     let tech = Technology::organic_substrate();
 
     let mut jobs = Vec::new();
@@ -2020,13 +1996,6 @@ fn thermal_stage(spec: &StudySpec, campaign: &Campaign) -> Result<StageOutput, S
     use chiplet_thermal::{solve, HotspotReport, PowerMap, ThermalParams};
 
     let kinds = kinds_or(spec, &ArrangementKind::EVALUATED);
-    if kinds.contains(&ArrangementKind::Honeycomb) {
-        return Err(StudyError::Spec(
-            "the thermal stage needs rectangular placements; the honeycomb has none \
-             (its graph twin is the brickwall)"
-                .to_owned(),
-        ));
-    }
     let ns = ns_or(spec, vec![16, 37, 64]);
 
     let mut jobs = Vec::new();

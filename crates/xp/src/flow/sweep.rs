@@ -1,11 +1,5 @@
 //! Sweep runners shared by the study stages and the figure binaries —
 //! the engine-pool decompositions of the paper's evaluation pipeline.
-//!
-//! These helpers lived in `hexamesh_bench::sweep` while every experiment
-//! was a hand-wired binary; the study flow ([`crate::flow`]) runs the
-//! same sweeps from declarative specs, so they moved down into the
-//! engine. `hexamesh_bench::sweep` re-exports them under the historical
-//! names.
 
 use chiplet_partition::BisectionConfig;
 use hexamesh::arrangement::{Arrangement, ArrangementKind};
@@ -33,14 +27,6 @@ pub fn competition_rank(values: &[f64]) -> Vec<usize> {
         rank[idx] = if tied { rank[order[place - 1]] } else { place + 1 };
     }
     rank
-}
-
-/// Position of `kind` in [`ArrangementKind::EVALUATED`] — the row order
-/// the historical tables use when restoring ordering after a grid
-/// expansion.
-#[must_use]
-pub fn evaluated_rank(kind: ArrangementKind) -> usize {
-    ArrangementKind::EVALUATED.iter().position(|&e| e == kind).unwrap_or(usize::MAX)
 }
 
 /// The measurement schedule selected by the shared flags: `--quick`
@@ -96,13 +82,6 @@ pub fn proxy_sweep_over(kinds: &[ArrangementKind], ns: &[usize]) -> Vec<ProxyPoi
         }
     }
     out
-}
-
-/// [`proxy_sweep_over`] for the three §VI-evaluated kinds (the historical
-/// signature).
-#[must_use]
-pub fn proxy_sweep(ns: &[usize]) -> Vec<ProxyPoint> {
-    proxy_sweep_over(&ArrangementKind::EVALUATED, ns)
 }
 
 /// The Fig. 7 evaluation a campaign runs: [`eval::evaluate`] for every
@@ -179,7 +158,7 @@ pub fn evaluation_campaign_over(
 /// spreading its `fanout` rate points over `workers` threads on the engine
 /// pool. Results are independent of `workers`: only the fanout changes
 /// the probe sequence, and the caller fixes it. Used by the saturation
-/// stage's `fanout` spec field (`fig7_simulation --fanout F`).
+/// stage's `saturation.fanout` spec field.
 ///
 /// # Panics
 ///
@@ -213,7 +192,7 @@ mod tests {
 
     #[test]
     fn proxy_sweep_covers_all_kinds() {
-        let points = proxy_sweep(&[7, 16]);
+        let points = proxy_sweep_over(&ArrangementKind::EVALUATED, &[7, 16]);
         assert_eq!(points.len(), 6);
         // HexaMesh at n=7 is regular with diameter 2 and bisection 5.
         let hm7 =

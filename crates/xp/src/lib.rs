@@ -26,8 +26,8 @@
 //!   [`spec::StudySpec`] value (loadable from TOML/JSON through [`toml`] /
 //!   [`json`]) names a stage, axes, and overrides; [`flow::run_study`]
 //!   compiles it onto the grid/campaign machinery above and writes the
-//!   unified sinks. The `study` binary and every rewritten experiment
-//!   binary run through this one path.
+//!   unified sinks. The `study` binary runs every preset and spec file
+//!   through this one path.
 //! * [`hash`] + [`cache`] + [`serve`] — the **serving layer**: `study
 //!   serve` keeps the engine resident and answers JSONL spec requests
 //!   from a content-addressed result cache (key = SHA-256 of the

@@ -789,6 +789,41 @@ impl StudySpec {
                     .to_owned(),
             );
         }
+        // Unset axes resolve to stage defaults that satisfy the three
+        // rules below (`EVALUATED` holds the grid and not the honeycomb;
+        // the kite counts are all squares), so only set axes are checked.
+        let kinds = self.axes.kinds.as_deref();
+        if self.saturation.normalized_stem.is_some()
+            && kinds.is_some_and(|k| !k.contains(&ArrangementKind::Grid))
+        {
+            return Err(
+                "`saturation.normalized_stem` normalises against the grid, so axes.kinds \
+                 must include it"
+                    .to_owned(),
+            );
+        }
+        if self.stage == StageKind::Kite {
+            // The grid-side variants are side×side meshes and the bandwidth
+            // math divides the fixed silicon budget by `n`, so every row of
+            // one `n` must describe the same system size: only perfect
+            // squares (≥ 2×2) compare apples to apples.
+            if let Some(&bad) = self.axes.ns.iter().flatten().find(|&&n| {
+                let side = (n as f64).sqrt().round() as usize;
+                side < 2 || side * side != n
+            }) {
+                return Err(format!(
+                    "the kite stage compares square grids: axes.ns value {bad} is not a \
+                     perfect square >= 4"
+                ));
+            }
+        }
+        if self.stage == StageKind::Thermal
+            && kinds.is_some_and(|k| k.contains(&ArrangementKind::Honeycomb))
+        {
+            return Err("the thermal stage needs rectangular placements; the honeycomb has \
+                 none (its graph twin is the brickwall)"
+                .to_owned());
+        }
         if self.axes.optimized
             && !matches!(self.stage, StageKind::LoadCurve | StageKind::Workload)
         {
@@ -1262,6 +1297,18 @@ mod tests {
         let overflow = r#"{"name":"s","stage":"traffic","schedule":
             {"warmup_cycles":10,"measure_cycles":20,"rate_resolution":1e999}}"#;
         assert!(StudySpec::from_json(overflow).is_err(), "1e999 reads as infinity");
+        // Stage rules are checked before any job runs; the stage defaults
+        // satisfy each of them.
+        for (stage, axes, extra) in [
+            ("saturation", "kinds = [\"hexamesh\"]", "[saturation]\nnormalized_stem = \"n\"\n"),
+            ("kite", "ns = [16, 20]", ""),
+            ("thermal", "kinds = [\"grid\", \"honeycomb\"]", ""),
+        ] {
+            let head = format!("name = \"s\"\nstage = \"{stage}\"\n");
+            let bad = StudySpec::from_toml(&format!("{head}[axes]\n{axes}\n{extra}"));
+            assert!(bad.is_err(), "{stage}: {axes}");
+            assert!(StudySpec::from_toml(&format!("{head}{extra}")).is_ok(), "{stage}");
+        }
     }
 
     #[test]

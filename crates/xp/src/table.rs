@@ -1,6 +1,6 @@
 //! Minimal CSV writing for experiment outputs (no external dependency).
-//! This is the engine's CSV sink; `hexamesh_bench::csv` re-exports it for
-//! the figure binaries.
+//! This is the engine's CSV sink, also used directly by the figure
+//! binaries.
 
 use std::fmt::Display;
 use std::fs;

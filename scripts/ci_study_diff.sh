@@ -1,59 +1,53 @@
 #!/usr/bin/env bash
-# study-vs-legacy: run `study` against every checked-in preset spec with
-# --quick and diff the CSV against the matching legacy binary invoked
-# with the equivalent flags. Proves the spec files, the preset registry,
-# and the binaries' flag translation all name the same campaign.
-#
-# Delete-safe once the legacy binaries are retired: drop the binary side
-# of a pair and keep the spec-only run.
+# study-vs-golden: run every checked-in preset spec through
+# `study --spec … --quick` and compare each CSV it writes, byte for byte,
+# with the golden fixture under crates/bench/tests/golden/ (the output of
+# the pre-redesign binaries at the same flags). The golden tests pin the
+# same studies through the library; this pins the binary's spec-loading
+# path to them too.
 #
 # Usage: scripts/ci_study_diff.sh [target/release]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BIN="${1:-target/release}"
+GOLDEN=crates/bench/tests/golden
 OUT="$(mktemp -d)"
 trap 'rm -rf "$OUT"' EXIT
 SHARED=(--quick --seed 42 --workers 2 --format both)
 
-run_pair() {
-    local name="$1" spec="$2" csv="$3"
-    shift 3
-    echo "== $name"
-    "$BIN/study" --spec "examples/specs/$spec" "${SHARED[@]}" --out "$OUT/spec_$name" \
-        > /dev/null
-    "$BIN/$name" "$@" "${SHARED[@]}" --out "$OUT/bin_$name" > /dev/null
-    for stem in $csv; do
-        cmp "$OUT/spec_$name/$stem.csv" "$OUT/bin_$name/$stem.csv"
-        echo "   $stem.csv identical"
+# check SPEC FIXTURE...: run examples/specs/SPEC, then compare the CSV
+# named like each FIXTURE (a path under $GOLDEN) with that fixture.
+check() {
+    local spec="$1"
+    shift
+    echo "== $spec"
+    "$BIN/study" --spec "examples/specs/$spec" "${SHARED[@]}" --out "$OUT/$spec" > /dev/null
+    for fixture in "$@"; do
+        cmp "$OUT/$spec/$(basename "$fixture")" "$GOLDEN/$fixture"
+        echo "   $(basename "$fixture") identical"
     done
 }
 
-run_pair fig7_simulation fig7_quick.toml "fig7_results fig7_normalized" \
-    --step 7 --max-n 9
-run_pair load_curves load_curves_quick.toml load_curves --n 16
-run_pair ablation_traffic ablation_traffic_quick.toml ablation_traffic \
-    --n 9 --patterns uniform,tornado
-run_pair ablation_router ablation_router_quick.toml ablation_router \
-    --n 9 --routers baseline,oldest,fortified
-run_pair workload_comparison workload_quick.toml BENCH_workload \
-    --ns 7,13 --workloads stencil,client_server
-run_pair kite_comparison kite_quick.toml kite_comparison --ns 16
-run_pair arrangement_search arrangement_search_quick.toml BENCH_arrange \
-    --ns 19 --restarts 3 --iterations 120
-run_pair thermal_comparison thermal_quick.toml thermal_comparison --n 16
-run_pair cost_model cost_model.toml cost_model
-# Only the structural table is diffed: the spec file shrinks the
-# [faults] degradation axes below the binary's --quick defaults (the
-# degradation table is covered by the golden test instead).
-run_pair resilience resilience_quick.toml resilience
+check fig7_quick.toml fig7/fig7_results.csv fig7/fig7_normalized.csv
+check load_curves_quick.toml load_curves/load_curves.csv
+check ablation_traffic_quick.toml ablation_traffic/ablation_traffic.csv
+check ablation_router_quick.toml ablation_router/ablation_router.csv
+check workload_quick.toml workload/BENCH_workload.csv
+check kite_quick.toml kite/kite_comparison.csv
+check arrangement_search_quick.toml arrange/BENCH_arrange.csv
+check thermal_quick.toml thermal_comparison.csv
+check cost_model.toml cost_model.csv
+# Only the structural table has a fixture; the golden test covers the
+# shape of the degradation companion.
+check resilience_quick.toml resilience/resilience.csv
 
-# The axis combination no legacy binary covers: runs end to end purely
-# from data (no diff target by construction).
-echo "== opt_hotspot_load_curve (spec-only)"
+# An axis combination no fixture covers: runs end to end purely from
+# data (no comparison target by construction).
+echo "== opt_hotspot_load_curve.toml (spec-only)"
 "$BIN/study" --spec examples/specs/opt_hotspot_load_curve.toml "${SHARED[@]}" \
     --out "$OUT/spec_opt" > /dev/null
 grep -q ",OPT," "$OUT/spec_opt/opt_hotspot_curves.csv"
 echo "   searched-arrangement rows present"
 
-echo "study-vs-legacy: all preset specs byte-identical"
+echo "study-vs-golden: every preset spec matches its golden fixture"
