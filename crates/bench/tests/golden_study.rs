@@ -310,3 +310,84 @@ fn optimized_hotspot_load_curve_spec_runs_end_to_end() {
     assert!(a.lines().any(|l| l.contains(",HM,")), "HexaMesh rows present");
     assert!(a.lines().any(|l| l.contains(",OPT,")), "searched-arrangement rows present");
 }
+
+/// Runs `spec` at `--seeds seeds` (CSV only) and compares each of `files`
+/// byte for byte with its fixture under `tests/golden/cells/<case>/`.
+/// These fixtures pin what the legacy ones cannot: replicate averaging
+/// and the seeds of searched (OPT) rows.
+fn assert_cells(case: &str, spec: &StudySpec, seeds: u64, files: &[&str]) {
+    let out = temp_out(&format!("cells_{case}"));
+    let mut campaign = args(&out, 2);
+    campaign.seeds = seeds;
+    campaign.format = OutputFormat::Csv;
+    run_study(spec, campaign, &chiplet_arrange::study::hooks())
+        .unwrap_or_else(|e| panic!("study {case} failed: {e}"));
+    for file in files {
+        let fixture = golden_dir().join("cells").join(case).join(file);
+        let expected = std::fs::read_to_string(&fixture)
+            .unwrap_or_else(|e| panic!("fixture {}: {e}", fixture.display()));
+        let actual = std::fs::read_to_string(out.join(file)).expect("output file");
+        assert_eq!(actual, expected, "cells/{case}/{file} drifted");
+    }
+}
+
+fn spec_file(file: &str) -> StudySpec {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/specs").join(file);
+    StudySpec::from_toml(&std::fs::read_to_string(path).expect("spec file")).expect("parses")
+}
+
+#[test]
+fn replicate_cells_match_their_fixtures() {
+    assert_cells(
+        "workload_quick",
+        &spec_file("workload_quick.toml"),
+        2,
+        &["BENCH_workload.csv"],
+    );
+    assert_cells(
+        "thermal_quick",
+        &spec_file("thermal_quick.toml"),
+        2,
+        &["thermal_comparison.csv"],
+    );
+}
+
+#[test]
+fn optimized_cells_match_their_fixtures() {
+    assert_cells(
+        "opt_hotspot_load_curve",
+        &spec_file("opt_hotspot_load_curve.toml"),
+        2,
+        &["opt_hotspot_curves.csv"],
+    );
+    let mut spec = hexamesh_bench::presets::preset("workload_comparison").expect("preset");
+    spec.axes.kinds = Some(vec![
+        hexamesh::arrangement::ArrangementKind::HexaMesh,
+        hexamesh::arrangement::ArrangementKind::Grid,
+    ]);
+    spec.axes.ns = Some(vec![7]);
+    spec.axes.workloads = Some(vec![
+        chiplet_workload::WorkloadKind::Stencil,
+        chiplet_workload::WorkloadKind::RingAllReduce,
+    ]);
+    spec.axes.optimized = true;
+    spec.search.restarts = Some(2);
+    spec.search.iterations = Some(60);
+    assert_cells("workload_opt", &spec, 2, &["BENCH_workload.csv"]);
+}
+
+#[test]
+fn netview_cells_match_their_fixtures() {
+    let spec = hexamesh_bench::presets::preset("netview").expect("preset");
+    assert_cells(
+        "netview",
+        &spec,
+        1,
+        &[
+            "netview.csv",
+            "timeline.csv",
+            "heatmap_hexamesh_n19_r300_uniform.svg",
+            "heatmap_grid_n19_r300_uniform.svg",
+        ],
+    );
+}

@@ -6,6 +6,12 @@
 # same studies through the library; this pins the binary's spec-loading
 # path to them too.
 #
+# Those fixtures all run at --seeds 1, in default axis order, without
+# searched (OPT) rows. The `cells` cases at the end pin the paths they
+# miss, from fixtures under golden/cells/: replicate averaging, OPT
+# seeds, the resilience degradation table, router makespan columns, the
+# observability timeline and heatmaps, and non-default axis orders.
+#
 # Usage: scripts/ci_study_diff.sh [target/release]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -49,5 +55,48 @@ echo "== opt_hotspot_load_curve.toml (spec-only)"
     --out "$OUT/spec_opt" > /dev/null
 grep -q ",OPT," "$OUT/spec_opt/opt_hotspot_curves.csv"
 echo "   searched-arrangement rows present"
+
+# Replicate cells (see the header): each case runs at --seeds 2 unless
+# it pins an observability artefact, with fixtures under
+# $GOLDEN/cells/CASE/.
+CELLS=(--quick --seed 42 --workers 2 --format csv)
+
+# cells CASE "FILES..." FLAGS...: run study with FLAGS, then compare each
+# of FILES with its fixture under $GOLDEN/cells/CASE/.
+cells() {
+    local case="$1" files="$2"
+    shift 2
+    echo "== cells/$case"
+    "$BIN/study" "$@" "${CELLS[@]}" --out "$OUT/cells/$case" > /dev/null
+    for f in $files; do
+        cmp "$OUT/cells/$case/$f" "$GOLDEN/cells/$case/$f"
+        echo "   $f identical"
+    done
+}
+
+S=examples/specs
+cells fig7_quick "fig7_results.csv fig7_normalized.csv" --spec $S/fig7_quick.toml --seeds 2
+cells load_curves_quick load_curves.csv --spec $S/load_curves_quick.toml --seeds 2
+cells ablation_traffic_quick ablation_traffic.csv --spec $S/ablation_traffic_quick.toml --seeds 2
+cells ablation_router_quick ablation_router.csv --spec $S/ablation_router_quick.toml --seeds 2
+cells workload_quick BENCH_workload.csv --spec $S/workload_quick.toml --seeds 2
+cells kite_quick kite_comparison.csv --spec $S/kite_quick.toml --seeds 2
+cells thermal_quick thermal_comparison.csv --spec $S/thermal_quick.toml --seeds 2
+cells resilience_quick "resilience.csv BENCH_resilience.csv" \
+    --spec $S/resilience_quick.toml --seeds 2
+cells opt_hotspot_load_curve opt_hotspot_curves.csv \
+    --spec $S/opt_hotspot_load_curve.toml --seeds 2
+cells workload_opt BENCH_workload.csv --preset workload_comparison --kinds hexamesh,grid \
+    --ns 7 --workloads stencil,ring_allreduce --optimized --restarts 2 --iterations 60 --seeds 2
+cells router_fidelity BENCH_router.csv --preset router_fidelity --kinds hexamesh,grid --ns 7 \
+    --routers baseline,fortified --workloads stencil --seeds 2
+cells netview "netview.csv timeline.csv heatmap_hexamesh_n19_r300_uniform.svg \
+    heatmap_grid_n19_r300_uniform.svg" --preset netview
+cells ablation_traffic_axes ablation_traffic.csv --preset ablation_traffic \
+    --kinds hexamesh,grid,brickwall --ns 7,9 --patterns uniform,tornado,hotspot:4:500 --seeds 2
+cells load_curves_axes load_curves.csv --preset load_curves --kinds hexamesh,grid --ns 7,9 \
+    --rates 0.1,0.3 --patterns uniform,tornado --seeds 2
+cells fig7_axes "fig7_results.csv fig7_normalized.csv" --preset fig7_simulation \
+    --kinds hexamesh,grid,brickwall --ns 4,7 --seeds 2
 
 echo "study-vs-golden: every preset spec matches its golden fixture"
