@@ -418,6 +418,11 @@ fn out_of_range_resolution_is_an_error_event_and_serving_continues() {
             ),
             r#"{"name":"bad","stage":"kite","axes":{"ns":[20]}}"#,
             r#"{"name":"bad","stage":"thermal","axes":{"kinds":["honeycomb"],"ns":[16]}}"#,
+            r#"{"name":"bad","stage":"load_curve","axes":{"ns":[4,4],"rates":[0.1]}}"#,
+            concat!(
+                r#"{"name":"x","stage":"load_curve","replicates":99999999999999,"#,
+                r#""axes":{"kinds":["hexamesh"],"ns":[4],"rates":[0.1]}}"#,
+            ),
         ]
         .map(str::to_owned),
     );

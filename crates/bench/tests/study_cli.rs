@@ -21,13 +21,18 @@ fn study(tag: &str, flags: &[&str]) -> (Output, PathBuf) {
 
 #[test]
 fn invalid_overrides_exit_2_before_any_job_runs() {
-    let cases: [&[&str]; 6] = [
+    let cases: [&[&str]; 9] = [
         &["--preset", "load_curves", "--n", "0"],
         &["--preset", "load_curves", "--rates", "1.5"],
         &["--preset", "cost_model", "--ns", "9,16", "--n", "4"],
         &["--preset", "fig7_simulation", "--kinds", "hexamesh", "--ns", "9", "--quick"],
         &["--preset", "kite_comparison", "--ns", "20"],
         &["--preset", "thermal_comparison", "--kinds", "honeycomb"],
+        // A repeated axis value would rank a kind against its own duplicate.
+        &["--preset", "workload_comparison", "--ns", "7,7", "--quick"],
+        &["--preset", "ablation_router", "--kinds", "hexamesh,grid", "--ns", "7,7", "--quick"],
+        // Every job is allocated up front: an unbounded count aborts.
+        &["--preset", "load_curves", "--seeds", "99999999999999"],
     ];
     for (i, flags) in cases.iter().enumerate() {
         let (output, out) = study(&format!("bad{i}"), flags);

@@ -1,5 +1,5 @@
-//! The campaign runner: ties a grid (or an ad-hoc job list) to the worker
-//! pool and the unified sinks.
+//! The campaign runner: ties a stage's cells (or a plain job list) to the
+//! worker pool and the unified sinks.
 //!
 //! A campaign is one invocation of an experiment binary. It runs jobs on
 //! the pool (large-first, deterministic output order), then writes the
@@ -19,9 +19,9 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 use obs::{ArgValue, TraceBuilder, TraceSpan};
 
 use crate::cli::CampaignArgs;
-use crate::grid::{Job, Scenario};
+use crate::grid::expand_replicates;
 use crate::json::Value;
-use crate::pool::{self, PoolOptions, PoolReport};
+use crate::pool::{self, PoolOptions};
 use crate::table::Table;
 
 /// Accounting for one pool run, keyed by the stage label that was active
@@ -127,30 +127,40 @@ impl Campaign {
         }
     }
 
-    /// Books one finished pool run: appends the [`StageRecord`] and, when
-    /// tracing, converts the schedule spans (offset by `epoch_offset_ns`,
-    /// the campaign-relative start of the pool run) into trace spans named
-    /// by `describe(job_index)`.
-    fn record_pool_run(
+    /// Runs `jobs` on the pool with `--workers / threads_per_job` workers
+    /// and books the run: appends the [`StageRecord`] and, when tracing,
+    /// turns the schedule spans into trace spans named by
+    /// `describe(job_index)` (a label plus the job's replicate index, if
+    /// it has one).
+    fn run_pool<J, R>(
         &self,
-        jobs: usize,
-        report: &PoolReport,
-        epoch_offset_ns: u64,
-        describe: impl Fn(usize) -> (String, Vec<(&'static str, ArgValue)>),
-    ) {
+        jobs: &[J],
+        threads_per_job: usize,
+        weight: impl Fn(&J) -> u64,
+        run: impl Fn(&J) -> R + Sync,
+        describe: impl Fn(usize) -> (String, Option<u64>),
+    ) -> Vec<R>
+    where
+        J: Sync,
+        R: Send,
+    {
+        let workers = pool::budgeted_workers(self.args.workers, threads_per_job);
+        let epoch_offset_ns = ns_u64(self.started.elapsed());
+        let (results, report) =
+            pool::run_jobs_reported(jobs, workers, weight, run, self.pool_options());
         let stage = self.stage.lock().unwrap().clone();
         self.stages.lock().unwrap().push(StageRecord {
             stage: stage.clone(),
-            jobs,
+            jobs: jobs.len(),
             wall_ms: report.wall_ns / 1_000_000,
             peak_workers: report.peak_workers,
         });
         let mut trace = self.trace.lock().unwrap();
         let Some(state) = trace.as_mut() else {
-            return;
+            return results;
         };
         let mut stage_span = TraceSpan::new(stage, "stage", 0, epoch_offset_ns, report.wall_ns);
-        stage_span.args.push(("jobs", ArgValue::from(jobs)));
+        stage_span.args.push(("jobs", ArgValue::from(jobs.len())));
         stage_span.args.push(("peak_workers", ArgValue::from(report.peak_workers)));
         state.builder.push(stage_span);
         for span in &report.spans {
@@ -158,14 +168,24 @@ impl Campaign {
             if state.named_tids.insert(tid) {
                 state.builder.name_thread(tid, format!("worker {}", span.worker));
             }
-            let (name, args) = describe(span.index);
-            let mut event =
-                TraceSpan::new(name, "job", tid, epoch_offset_ns + span.start_ns, span.dur_ns);
+            let (coord, replicate) = describe(span.index);
+            let mut event = TraceSpan::new(
+                coord.clone(),
+                "job",
+                tid,
+                epoch_offset_ns + span.start_ns,
+                span.dur_ns,
+            );
             event.args.push(("job", ArgValue::from(span.index)));
             event.args.push(("wall_ns", ArgValue::from(span.dur_ns)));
-            event.args.extend(args);
+            event.args.push(("coord", ArgValue::from(coord)));
+            if let Some(replicate) = replicate {
+                event.args.push(("replicate", ArgValue::from(replicate)));
+            }
+            event.args.push(("shards", ArgValue::from(threads_per_job)));
             state.builder.push(event);
         }
+        results
     }
 
     /// The campaign name (output file stem).
@@ -180,102 +200,59 @@ impl Campaign {
         &self.args
     }
 
-    /// Expands `scenario` (replicates forced to `--seeds`) and runs every
-    /// job on the pool. Returns `(job, result)` pairs in grid order,
-    /// independent of the worker count.
-    pub fn run_grid<R, F>(&self, scenario: &Scenario, run: F) -> Vec<(Job, R)>
-    where
-        R: Send,
-        F: Fn(&Job) -> R + Sync,
-    {
-        self.run_grid_budgeted(scenario, 1, run)
-    }
-
-    /// [`Campaign::run_grid`] for jobs that are internally
-    /// `threads_per_job`-way parallel (e.g. sharded simulations): the
-    /// pool gets `--workers / threads_per_job` workers
-    /// ([`pool::budgeted_workers`]) so the thread total stays within the
-    /// budget. Results are identical for every worker count either way.
-    pub fn run_grid_budgeted<R, F>(
+    /// The one loop behind every study stage: runs `--seeds` replicates
+    /// of each cell on the pool and returns each cell's results together,
+    /// in cell order (replicate order within a cell). A replicate's seed
+    /// derives from the campaign seed, the cell's seed words (`coords`,
+    /// see [`crate::grid`]) and its replicate index, so results are
+    /// identical for any worker count and any cell order.
+    ///
+    /// `threads_per_job` is the internal parallelism of one job (sharded
+    /// simulations): the pool gets `--workers / threads_per_job` workers
+    /// so the thread total stays within the budget. `weight` orders the
+    /// large-first schedule and `label` names each job in the trace.
+    pub fn run_cells<C, R>(
         &self,
-        scenario: &Scenario,
+        cells: &[C],
         threads_per_job: usize,
-        run: F,
-    ) -> Vec<(Job, R)>
+        coords: impl Fn(&C) -> Vec<u64>,
+        weight: impl Fn(&C) -> u64,
+        label: impl Fn(&C) -> String,
+        run: impl Fn(&C, u64) -> R + Sync,
+    ) -> Vec<Vec<R>>
     where
+        C: Clone + Sync,
         R: Send,
-        F: Fn(&Job) -> R + Sync,
     {
-        let scenario = scenario.clone().with_replicates(self.args.seeds);
-        let jobs = scenario.jobs(self.args.campaign_seed);
-        let workers = pool::budgeted_workers(self.args.workers, threads_per_job);
-        let offset = ns_u64(self.started.elapsed());
-        let (results, report) =
-            pool::run_jobs_reported(&jobs, workers, Job::weight, run, self.pool_options());
-        self.record_pool_run(jobs.len(), &report, offset, |i| {
-            let job = &jobs[i];
-            let mut coord = format!("{} n={}", job.kind, job.n);
-            if let Some(rate) = job.rate {
-                let _ = std::fmt::Write::write_fmt(&mut coord, format_args!(" rate={rate}"));
-            }
-            let args = vec![
-                ("coord", ArgValue::from(coord.clone())),
-                ("replicate", ArgValue::from(job.replicate)),
-                ("shards", ArgValue::from(threads_per_job)),
-            ];
-            (coord, args)
-        });
-        jobs.into_iter().zip(results).collect()
+        let k = self.args.seeds.max(1);
+        let jobs = expand_replicates(cells, k, self.args.campaign_seed, coords);
+        let results = self.run_pool(
+            &jobs,
+            threads_per_job,
+            |(cell, _)| weight(cell),
+            |(cell, seed)| run(cell, *seed),
+            |i| (label(&jobs[i].0), Some(i as u64 % k)),
+        );
+        let mut results = results.into_iter();
+        cells.iter().map(|_| results.by_ref().take(k as usize).collect()).collect()
     }
 
-    /// Runs an ad-hoc job list (axes beyond the standard grid, e.g.
-    /// routing × VC ablations) on the pool with the campaign's worker
-    /// count. Results come back in submission order.
-    pub fn run_jobs<J, R, W, F>(&self, jobs: &[J], weight: W, run: F) -> Vec<R>
-    where
-        J: Sync,
-        R: Send,
-        W: Fn(&J) -> u64,
-        F: Fn(&J) -> R + Sync,
-    {
-        let stage = self.stage.lock().unwrap().clone();
-        self.run_jobs_budgeted(jobs, 1, weight, run, |i, _| format!("{stage} job {i}"))
-    }
-
-    /// [`Campaign::run_jobs`] for jobs that are internally
-    /// `threads_per_job`-way parallel, with a caller-provided trace label
-    /// per job (the ad-hoc twin of [`Campaign::run_grid_budgeted`]): the
-    /// pool gets `--workers / threads_per_job` workers so the thread
-    /// total stays within the budget. Results are identical for every
-    /// worker count either way.
-    pub fn run_jobs_budgeted<J, R, W, F, L>(
+    /// Runs `jobs` once each — deterministic work with no replicate seeds
+    /// — and returns their results in job order. The budget, `weight`,
+    /// and `label` work as in [`Campaign::run_cells`].
+    pub fn run_jobs<J, R>(
         &self,
         jobs: &[J],
         threads_per_job: usize,
-        weight: W,
-        run: F,
-        label: L,
+        weight: impl Fn(&J) -> u64,
+        label: impl Fn(&J) -> String,
+        run: impl Fn(&J) -> R + Sync,
     ) -> Vec<R>
     where
         J: Sync,
         R: Send,
-        W: Fn(&J) -> u64,
-        F: Fn(&J) -> R + Sync,
-        L: Fn(usize, &J) -> String,
     {
-        let workers = pool::budgeted_workers(self.args.workers, threads_per_job);
-        let offset = ns_u64(self.started.elapsed());
-        let (results, report) =
-            pool::run_jobs_reported(jobs, workers, weight, run, self.pool_options());
-        self.record_pool_run(jobs.len(), &report, offset, |i| {
-            let coord = label(i, &jobs[i]);
-            let args = vec![
-                ("coord", ArgValue::from(coord.clone())),
-                ("shards", ArgValue::from(threads_per_job)),
-            ];
-            (coord, args)
-        });
-        results
+        self.run_pool(jobs, threads_per_job, weight, run, |i| (label(&jobs[i]), None))
     }
 
     /// Writes `table` through the selected sinks and returns the paths
@@ -427,7 +404,6 @@ pub fn git_describe() -> String {
 mod tests {
     use super::*;
     use crate::cli::OutputFormat;
-    use hexamesh::arrangement::ArrangementKind;
 
     fn test_args(out: &std::path::Path) -> CampaignArgs {
         CampaignArgs {
@@ -447,15 +423,15 @@ mod tests {
         let dir = std::env::temp_dir().join("xp_campaign_test");
         let _ = std::fs::remove_dir_all(&dir);
         let campaign = Campaign::new("unit", test_args(&dir));
-        let scenario = Scenario::new(&[ArrangementKind::Grid], &[2, 3]);
-        let results = campaign.run_grid(&scenario, |job| job.n * 10);
-        // 2 ns × --seeds 2 replicates.
-        assert_eq!(results.len(), 4);
-        assert!(results.iter().all(|(job, r)| *r == job.n * 10));
+        let ns = [2u64, 3];
+        let results =
+            campaign.run_cells(&ns, 1, |&n| vec![n], |&n| n, |n| n.to_string(), |n, _| n * 10);
+        // 2 cells, each with its --seeds 2 replicates.
+        assert_eq!(results, [[20, 20], [30, 30]]);
 
         let mut table = Table::new(&["n", "value"]);
-        for (job, r) in &results {
-            table.row(&[&job.n, r]);
+        for (n, replicates) in ns.iter().zip(&results) {
+            table.row(&[n, &replicates[0]]);
         }
         let written = campaign.finish(&table, Value::object()).unwrap();
         assert_eq!(written.len(), 2);
@@ -474,17 +450,16 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let campaign = Campaign::new("staged", test_args(&dir));
         campaign.set_stage("sweep");
-        let scenario = Scenario::new(&[ArrangementKind::Grid], &[2]);
-        let _ = campaign.run_grid(&scenario, |job| job.n);
+        let _ = campaign.run_cells(&[2u64], 1, |&n| vec![n], |_| 1, |_| "n".into(), |n, _| *n);
         campaign.set_stage("refine");
-        let _ = campaign.run_jobs(&[1u64, 2, 3], |_| 1, |j| j + 1);
+        let _ = campaign.run_jobs(&[1u64, 2, 3], 1, |_| 1, |j| j.to_string(), |j| j + 1);
 
         let records = campaign.stage_records();
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].stage, "sweep");
         assert_eq!(records[0].jobs, 2, "1 n x --seeds 2");
         assert_eq!(records[1].stage, "refine");
-        assert_eq!(records[1].jobs, 3);
+        assert_eq!(records[1].jobs, 3, "run_jobs runs each job once");
         assert!(records.iter().all(|r| (1..=4).contains(&r.peak_workers)));
 
         let table = Table::new(&["n"]);
@@ -502,8 +477,8 @@ mod tests {
         let campaign = Campaign::new("traced", test_args(&dir));
         assert_eq!(campaign.write_trace().unwrap(), None, "off by default");
         campaign.enable_trace();
-        let scenario = Scenario::new(&[ArrangementKind::Grid], &[2, 3]).with_rates(&[0.1]);
-        let _ = campaign.run_grid(&scenario, |job| job.n);
+        let label = |n: &u64| format!("Grid n={n} rate=0.1");
+        let _ = campaign.run_cells(&[2u64, 3], 1, |&n| vec![n], |&n| n, label, |n, _| *n);
         let path = campaign.write_trace().unwrap().expect("trace path");
         let json = std::fs::read_to_string(&path).unwrap();
         assert!(json.starts_with("{\"traceEvents\":["), "{json}");
@@ -515,16 +490,23 @@ mod tests {
     }
 
     #[test]
-    fn grid_results_identical_across_worker_counts() {
+    fn cell_results_identical_across_worker_counts() {
         let dir = std::env::temp_dir().join("xp_campaign_det");
-        let scenario =
-            Scenario::new(&ArrangementKind::EVALUATED, &[2, 3, 4]).with_rates(&[0.1, 0.2]);
+        let cells: Vec<(u64, u64)> = (2..5).flat_map(|n| [(n, 1), (n, 2)]).collect();
         let run = |workers: usize| {
             let mut args = test_args(&dir);
             args.workers = workers;
-            Campaign::new("det", args)
-                .run_grid(&scenario, |job| (job.seed, job.n, job.replicate))
+            Campaign::new("det", args).run_cells(
+                &cells,
+                1,
+                |&(n, r)| vec![n, r],
+                |&(n, _)| n,
+                |c| format!("{c:?}"),
+                |&c, seed| (c, seed),
+            )
         };
-        assert_eq!(run(1), run(8));
+        let one = run(1);
+        assert_eq!(one, run(8));
+        assert!(one.iter().all(|reps| reps.len() == 2 && reps[0].1 != reps[1].1));
     }
 }

@@ -208,6 +208,12 @@ where
     }
 }
 
+/// The most replicate seeds per cell that `--seeds` and a spec's
+/// `replicates` accept. Every job is allocated up front, so an unbounded
+/// count would abort the process (and `study serve` with it) before a
+/// single job ran.
+pub const MAX_REPLICATES: u64 = 1_000;
+
 /// The flags shared by every campaign binary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignArgs {
@@ -256,8 +262,8 @@ impl CampaignArgs {
             return Err("--workers must be at least 1".to_owned());
         }
         let seeds = try_arg(args, "--seeds", 1u64)?;
-        if seeds == 0 {
-            return Err("--seeds must be at least 1".to_owned());
+        if !(1..=MAX_REPLICATES).contains(&seeds) {
+            return Err(format!("--seeds must be between 1 and {MAX_REPLICATES}"));
         }
         let quick = arg_flag(args, "--quick");
         let full = arg_flag(args, "--full");
@@ -312,6 +318,9 @@ mod tests {
         assert!(CampaignArgs::try_parse(&a).is_err());
         let a = args(&["--seeds", "-3"]);
         assert!(CampaignArgs::try_parse(&a).is_err());
+        let a = args(&["--seeds", "1001"]);
+        assert!(CampaignArgs::try_parse(&a).is_err(), "above MAX_REPLICATES");
+        assert!(CampaignArgs::try_parse(&args(&["--seeds", "1000"])).is_ok());
         let a = args(&["--format", "xml"]);
         assert!(CampaignArgs::try_parse(&a).is_err());
     }

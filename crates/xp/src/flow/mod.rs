@@ -1,11 +1,12 @@
 //! The study flow: executes a [`StudySpec`] through the engine.
 //!
 //! [`run_study`] is the one runner behind every experiment binary: it
-//! resolves the spec's axes against the stage defaults, compiles them
-//! onto the existing [`crate::grid::Scenario`] / ad-hoc-job machinery,
-//! runs the jobs through a [`Campaign`] (worker pool, coordinate-derived
-//! seeds, replicate aggregation), and writes the result tables through
-//! the unified sinks — with the resolved spec embedded as the manifest's
+//! resolves the spec's axes against the stage defaults ([`resolved_axes`]),
+//! and the stage lists its cells — one table row's coordinates each — in
+//! row order. [`Campaign::run_cells`] runs `--seeds K` replicates of every
+//! cell on the worker pool with coordinate-derived seeds and hands each
+//! cell its replicates to average. The result tables go through the
+//! unified sinks with the resolved spec embedded as the manifest's
 //! `config` object, so every output file records the study that produced
 //! it.
 //!
@@ -44,7 +45,7 @@ use nocsim::{
 
 use crate::campaign::StageRecord;
 use crate::cli::CampaignArgs;
-use crate::grid::{expand_replicates, kind_code, pattern_code, Scenario, OPTIMIZED_KIND_CODE};
+use crate::grid::{kind_code, point_coords, OPTIMIZED_KIND_CODE};
 use crate::spec::{StageKind, StudySpec};
 use crate::stats::mean_of;
 use crate::table::{f3, Table};
@@ -277,9 +278,10 @@ pub fn run_study(
 
 /// Executes the spec's stage on an existing campaign and returns its
 /// tables without touching the sinks — the serving layer's entry point
-/// ([`run_study`] is this plus validation, axis resolution, and the
-/// sink writes). The spec should already be validated; axes the caller
-/// left unresolved fall back to the stage defaults.
+/// ([`run_study`] is this plus validation and the sink writes). The spec
+/// should already be validated; its axes are resolved here
+/// ([`resolved_axes`] is idempotent), so every stage body reads the
+/// resolved axes.
 ///
 /// # Errors
 ///
@@ -289,16 +291,17 @@ pub fn run_stage(
     campaign: &Campaign,
     hooks: &StageHooks,
 ) -> Result<StageOutput, StudyError> {
+    let spec = &resolved_axes(spec, campaign.args());
     campaign.set_stage(spec.stage.name());
     match spec.stage {
-        StageKind::Proxies => proxies_stage(spec, campaign),
+        StageKind::Proxies => proxies_stage(spec),
         StageKind::Saturation => saturation_stage(spec, campaign),
         StageKind::Traffic => traffic_stage(spec, campaign),
         StageKind::LoadCurve => load_curve_stage(spec, campaign, hooks),
         StageKind::Workload => workload_stage(spec, campaign, hooks),
         StageKind::Kite => kite_stage(spec, campaign),
         StageKind::Thermal => thermal_stage(spec, campaign),
-        StageKind::Cost => cost_stage(spec, campaign),
+        StageKind::Cost => cost_stage(spec),
         StageKind::Resilience => resilience_stage(spec, campaign),
         StageKind::Router => router_stage(spec, campaign),
         StageKind::Search => match hooks.search {
@@ -320,9 +323,10 @@ pub fn run_stage(
 /// and therefore hash — identically.
 ///
 /// Only axes the stage consumes are filled, so a resolved spec still
-/// passes [`StudySpec::validate`]. Two stages keep their axes as
-/// written: resilience (its structural and degradation tables resolve
-/// *different* kind defaults) and search (its axes belong to the hook).
+/// passes [`StudySpec::validate`]. Resolving twice changes nothing. Two
+/// stages keep axes as written: resilience keeps `kinds` (its structural
+/// and degradation tables default to *different* kinds), and search
+/// keeps all of them (its axes belong to the hook).
 #[must_use]
 pub fn resolved_axes(spec: &StudySpec, args: &CampaignArgs) -> StudySpec {
     let mut resolved = spec.clone();
@@ -383,19 +387,38 @@ pub fn resolved_axes(spec: &StudySpec, args: &CampaignArgs) -> StudySpec {
             // (no makespan columns), which is a different table shape,
             // not a default to fill in.
         }
-        StageKind::Resilience | StageKind::Search => {}
+        StageKind::Resilience => {
+            axes.ns.get_or_insert_with(|| STRUCTURAL_RESILIENCE_NS.to_vec());
+        }
+        StageKind::Search => {}
     }
     resolved
 }
 
 // ── shared resolution helpers ───────────────────────────────────────────
 
-fn kinds_or(spec: &StudySpec, default: &[ArrangementKind]) -> Vec<ArrangementKind> {
-    spec.axes.kinds.clone().unwrap_or_else(|| default.to_vec())
+/// The values of an axis [`resolved_axes`] filled in.
+fn axis<T>(values: &Option<Vec<T>>) -> &[T] {
+    values.as_deref().expect("resolved_axes fills every axis the stage reads")
 }
 
-fn ns_or(spec: &StudySpec, default: Vec<usize>) -> Vec<usize> {
-    spec.axes.ns.clone().unwrap_or(default)
+/// The resolved chiplet counts in ascending order: the row order of the
+/// tables that group their rows by `n`.
+fn ns_ascending(spec: &StudySpec) -> Vec<usize> {
+    let mut ns = axis(&spec.axes.ns).to_vec();
+    ns.sort_unstable();
+    ns
+}
+
+/// Seed-word code and row label of an arrangement family; `None` is the
+/// searched (`OPT`) arrangement.
+fn family(kind: Option<ArrangementKind>) -> (u64, &'static str) {
+    kind.map_or((OPTIMIZED_KIND_CODE, OPTIMIZED_LABEL), |k| (kind_code(k), k.label()))
+}
+
+/// Full name of an arrangement family for trace labels and messages.
+fn family_name(kind: Option<ArrangementKind>) -> String {
+    kind.map_or_else(|| OPTIMIZED_LABEL.to_owned(), |k| k.to_string())
 }
 
 /// The saturation-search schedule: the spec's explicit [`crate::spec::Schedule`],
@@ -432,29 +455,47 @@ fn base_sim(spec: &StudySpec) -> SimConfig {
     sim
 }
 
-fn require_optimized_hook<'a>(
+/// The searched (`OPT`) arrangement's graph at every resolved `n`, for
+/// the `optimized` axis of the load-curve and workload stages; empty
+/// when the axis is off.
+fn optimized_graphs(
     spec: &StudySpec,
-    hooks: &StageHooks<'a>,
-) -> Result<Option<&'a OptimizedGraphFn>, StudyError> {
+    campaign: &Campaign,
+    hooks: &StageHooks,
+) -> Result<Vec<(usize, Graph)>, StudyError> {
     if !spec.axes.optimized {
-        return Ok(None);
+        return Ok(Vec::new());
     }
-    hooks.optimized_graph.map(Some).ok_or_else(|| {
+    let graph_of = hooks.optimized_graph.ok_or_else(|| {
         StudyError::Spec(
             "axes.optimized needs the search-backed graph hook \
              (chiplet_arrange::study::hooks()); use the `study` binary or pass the hooks \
              explicitly"
                 .to_owned(),
         )
-    })
+    })?;
+    axis(&spec.axes.ns).iter().map(|&n| Ok((n, graph_of(n, spec, campaign.args())?))).collect()
+}
+
+/// Runs `f` on the graph of family `kind` at `n`: the fixed arrangement,
+/// or for `OPT` the searched graph among `optimized`.
+fn with_graph<R>(
+    kind: Option<ArrangementKind>,
+    n: usize,
+    optimized: &[(usize, Graph)],
+    f: impl FnOnce(&Graph) -> R,
+) -> R {
+    match kind {
+        Some(kind) => f(Arrangement::build(kind, n).expect("any n builds").graph()),
+        None => f(&optimized.iter().find(|(m, _)| *m == n).expect("an OPT graph per n").1),
+    }
 }
 
 // ── proxies stage ───────────────────────────────────────────────────────
 
-fn proxies_stage(spec: &StudySpec, _campaign: &Campaign) -> Result<StageOutput, StudyError> {
-    let kinds = kinds_or(spec, &ArrangementKind::EVALUATED);
-    let ns = ns_or(spec, (1..=100).collect());
-    let points = sweep::proxy_sweep_over(&kinds, &ns);
+fn proxies_stage(spec: &StudySpec) -> Result<StageOutput, StudyError> {
+    let ns = axis(&spec.axes.ns);
+    let points = sweep::proxy_sweep_over(axis(&spec.axes.kinds), ns);
     let mut table = Table::new(&["kind", "regularity", "n", "diameter", "bisection"]);
     for p in &points {
         table.row(&[
@@ -481,26 +522,68 @@ fn proxies_stage(spec: &StudySpec, _campaign: &Campaign) -> Result<StageOutput, 
 // ── saturation stage (the Fig. 7 pipeline) ──────────────────────────────
 
 fn saturation_stage(spec: &StudySpec, campaign: &Campaign) -> Result<StageOutput, StudyError> {
-    let kinds = kinds_or(spec, &ArrangementKind::EVALUATED);
-    let ns = ns_or(spec, (2..=100).collect());
-    let pattern = spec.axes.patterns.as_ref().map_or(TrafficPattern::UniformRandom, |p| p[0]);
+    let kinds = axis(&spec.axes.kinds);
+    let ns = ns_ascending(spec);
+    let pattern = axis(&spec.axes.patterns)[0];
     let fanout = spec.saturation.fanout.unwrap_or(1).max(1);
     let mut params = EvalParams::paper_defaults();
     params.sim = base_sim(spec);
+    params.sim.pattern = pattern;
     params.measure = measure_for(spec, campaign.args());
+    let args = campaign.args();
 
     eprintln!(
         "{}: evaluating {} chiplet counts x {} kinds x {} seeds on {} workers (quick={}, routing={})",
         campaign.name(),
         ns.len(),
         kinds.len(),
-        campaign.args().seeds,
-        campaign.args().workers,
-        campaign.args().quick,
+        args.seeds,
+        args.workers,
+        args.quick,
         params.sim.routing,
     );
-    let results =
-        sweep::evaluation_campaign_over(&kinds, &ns, pattern, &params, campaign, fanout);
+    // Fig. 7 rows read by kind label, then n. `kinds` itself keeps its
+    // order: the normalised series below iterates it.
+    let mut by_label = kinds.to_vec();
+    by_label.sort_by_key(|kind| kind.label());
+    let cells: Vec<(ArrangementKind, usize)> =
+        by_label.iter().flat_map(|&kind| ns.iter().map(move |&n| (kind, n))).collect();
+    // Keep the thread total within the worker budget: a fanned-out search
+    // only gets the workers the cells leave idle, and sharded simulations
+    // charge their shard threads to the same budget. (The probe sequence
+    // depends only on `fanout`, so this split never changes a row.)
+    let inner_workers =
+        (args.workers / (cells.len() * args.seeds.max(1) as usize).max(1)).max(1);
+    let replicates = campaign.run_cells(
+        &cells,
+        params.measure.shards,
+        |&(kind, n)| point_coords(kind_code(kind), n, None, pattern, None, None),
+        |&(_, n)| n as u64,
+        |(kind, n)| format!("{kind} n={n}"),
+        |&(kind, n), seed| {
+            let arrangement = Arrangement::build(kind, n).expect("n >= 1 builds");
+            let mut p = params;
+            p.sim.seed = seed;
+            if fanout > 1 {
+                sweep::evaluate_pooled(&arrangement, &p, fanout, inner_workers)
+            } else {
+                hexamesh::eval::evaluate(&arrangement, &p)
+                    .unwrap_or_else(|e| panic!("evaluate {kind} n={n}: {e}"))
+            }
+        },
+    );
+    let results: Vec<EvalResult> = replicates
+        .iter()
+        .map(|reps| {
+            let field = |f: fn(&EvalResult) -> f64| mean_of(reps, f);
+            EvalResult {
+                zero_load_latency_cycles: field(|r| r.zero_load_latency_cycles),
+                saturation_fraction: field(|r| r.saturation_fraction),
+                saturation_throughput_tbps: field(|r| r.saturation_throughput_tbps),
+                ..reps[0]
+            }
+        })
+        .collect();
 
     // ── Absolute series (Fig. 7a / 7b) ──────────────────────────────────
     let mut table = Table::new(&[
@@ -588,29 +671,38 @@ const DEFAULT_TRAFFIC_PATTERNS: [TrafficPattern; 5] = [
 ];
 
 fn traffic_stage(spec: &StudySpec, campaign: &Campaign) -> Result<StageOutput, StudyError> {
-    let kinds = kinds_or(spec, &ArrangementKind::EVALUATED);
-    let ns = ns_or(spec, vec![37]);
-    let patterns =
-        spec.axes.patterns.clone().unwrap_or_else(|| DEFAULT_TRAFFIC_PATTERNS.to_vec());
+    let kinds = axis(&spec.axes.kinds);
     let schedule = measure_for(spec, campaign.args());
     let sim = base_sim(spec);
 
-    // The scenario expands kind-outermost (kind → n → rate → pattern →
-    // replicate); the sort below restores the historical pattern-major
-    // row order after aggregation.
-    let scenario = Scenario::new(&kinds, &ns).with_patterns(&patterns);
-    let results = campaign.run_grid_budgeted(&scenario, schedule.shards, |job| {
-        let arrangement = Arrangement::build(job.kind, job.n).expect("any n builds");
-        let graph = arrangement.graph();
-        let mut config = sim;
-        config.pattern = job.pattern;
-        config.seed = job.seed;
-        let zero_load =
-            noc_measure::zero_load_latency(graph, &config).expect("connected graph");
-        let sat = noc_measure::saturation_search(graph, &config, &schedule)
-            .expect("valid configuration");
-        (zero_load, sat.throughput)
-    });
+    // Pattern-major rows: pattern, then n, then kind.
+    let mut cells = Vec::new();
+    for &pattern in axis(&spec.axes.patterns) {
+        for n in ns_ascending(spec) {
+            cells.extend(kinds.iter().map(|&kind| (pattern, n, kind)));
+        }
+    }
+    let replicates = campaign.run_cells(
+        &cells,
+        schedule.shards,
+        |&(pattern, n, kind)| point_coords(kind_code(kind), n, None, pattern, None, None),
+        |&(_, n, _)| n as u64,
+        |(pattern, n, kind)| format!("{kind} n={n} {}", pattern.name()),
+        |&(pattern, n, kind), seed| {
+            let arrangement = Arrangement::build(kind, n).expect("any n builds");
+            let graph = arrangement.graph();
+            let config = SimConfig { pattern, seed, ..sim };
+            let zero_load =
+                noc_measure::zero_load_latency(graph, &config).expect("connected graph");
+            let sat = noc_measure::saturation_search(graph, &config, &schedule)
+                .expect("valid configuration");
+            (zero_load, sat.throughput)
+        },
+    );
+    let points: Vec<(f64, f64)> = replicates
+        .iter()
+        .map(|reps| (mean_of(reps, |r| r.0), mean_of(reps, |r| r.1)))
+        .collect();
 
     let mut table = Table::new(&[
         "n",
@@ -620,36 +712,13 @@ fn traffic_stage(spec: &StudySpec, campaign: &Campaign) -> Result<StageOutput, S
         "saturation_fraction",
         "saturation_vs_grid",
     ]);
-
-    // Aggregate replicates, then reorder to the historical pattern-major
-    // row order (the grid expands kind-major).
-    let k = campaign.args().seeds.max(1) as usize;
-    let mut by_point: Vec<(TrafficPattern, usize, ArrangementKind, f64, f64)> = results
-        .chunks(k)
-        .map(|chunk| {
-            let job = chunk[0].0;
-            (
-                job.pattern,
-                job.n,
-                job.kind,
-                mean_of(chunk, |(_, (l, _))| *l),
-                mean_of(chunk, |(_, (_, s))| *s),
-            )
-        })
-        .collect();
-    let pattern_rank =
-        |p: TrafficPattern| patterns.iter().position(|&q| q == p).unwrap_or(usize::MAX);
-    let kind_rank =
-        |kind: ArrangementKind| kinds.iter().position(|&q| q == kind).unwrap_or(usize::MAX);
-    by_point.sort_by_key(|&(p, n, kind, _, _)| (pattern_rank(p), n, kind_rank(kind)));
-
     let mut summary = Vec::new();
-    for &(pattern, n, kind, zero_load, sat) in &by_point {
+    for (&(pattern, n, kind), &(zero_load, sat)) in cells.iter().zip(&points) {
         let pattern_name = pattern.name();
-        let grid_sat = by_point
+        let grid_sat = cells
             .iter()
-            .find(|&&(p, m, k, _, _)| p == pattern && m == n && k == ArrangementKind::Grid)
-            .map(|&(_, _, _, _, s)| s)
+            .position(|&cell| cell == (pattern, n, ArrangementKind::Grid))
+            .map(|i| points[i].1)
             .filter(|&g| g > 0.0);
         let vs_grid = grid_sat.map_or(f64::NAN, |g| sat / g);
         summary.push(format!(
@@ -708,45 +777,14 @@ fn curve_table() -> Table {
     ])
 }
 
-/// Appends one aggregated curve row: the replicate mean of `chunk`
-/// (`max` for the queue high-water mark). Both the full-grid stage and
-/// the partial-grid path row through here, so a cell formats
-/// identically wherever it ran — the byte-identity half of the
-/// warm-start contract.
-fn push_curve_row(
-    table: &mut Table,
-    label: &str,
-    n: usize,
-    rate: f64,
-    pattern: TrafficPattern,
-    chunk: &[CurvePoint],
-) {
-    let of = |f: fn(&CurvePoint) -> f64| mean_of(chunk, f);
-    let pattern_name = pattern.name();
-    let queue_max = chunk.iter().map(|p| p.queue_max).max().unwrap_or(0);
-    table.row(&[
-        &n,
-        &label,
-        &pattern_name,
-        &f3(rate),
-        &f3(of(|p| p.accepted)),
-        &f3(of(|p| p.avg)),
-        &f3(of(|p| p.p50)),
-        &f3(of(|p| p.p95)),
-        &f3(of(|p| p.p99)),
-        &queue_max,
-        &f3(of(|p| p.queue_mean)),
-    ]);
-}
-
-/// One fixed-family load-curve grid coordinate. A cell aggregates its
-/// replicates into exactly one table row, and its seeds derive from the
-/// coordinates alone, so a cell's row is bit-identical whether it runs
-/// in the full grid, in a sub-grid, or alone.
+/// One load-curve cell: a table row's coordinates. A cell aggregates its
+/// replicates into exactly one row, and its seeds derive from the
+/// coordinates alone, so its row is bit-identical whether it runs in the
+/// full grid, in a sub-grid, or alone.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CurveCell {
-    /// Arrangement family.
-    pub kind: ArrangementKind,
+    /// Arrangement family; `None` is the searched (`OPT`) arrangement.
+    pub kind: Option<ArrangementKind>,
     /// Chiplet count.
     pub n: usize,
     /// Offered injection rate (flits per cycle per endpoint).
@@ -755,22 +793,26 @@ pub struct CurveCell {
     pub pattern: TrafficPattern,
 }
 
-/// The load-curve grid of `spec` in grid order (kind → n → rate →
-/// pattern, stage defaults for absent axes) — the stage's row order and
-/// the universe the serving layer's warm-start splice walks. Excludes
-/// the `optimized` axis, which has no fixed-family cells.
+impl CurveCell {
+    /// The cell's seed words, which are also its identity in the serving
+    /// layer's warm-start splice.
+    pub(crate) fn coords(&self) -> Vec<u64> {
+        point_coords(family(self.kind).0, self.n, Some(self.rate), self.pattern, None, None)
+    }
+}
+
+/// The load-curve cells of a resolved spec ([`resolved_axes`]) in row
+/// order: the fixed families (kind → n → rate → pattern), then the `OPT`
+/// cells (n → rate → pattern) when the `optimized` axis is on. The
+/// serving layer's warm-start splice walks the same list.
 #[must_use]
 pub fn load_curve_cells(spec: &StudySpec) -> Vec<CurveCell> {
-    let kinds = kinds_or(spec, &ArrangementKind::EVALUATED);
-    let ns = ns_or(spec, vec![37]);
-    let rates = spec.axes.rates.clone().unwrap_or_else(default_curve_rates);
-    let patterns =
-        spec.axes.patterns.clone().unwrap_or_else(|| vec![TrafficPattern::UniformRandom]);
-    let mut cells = Vec::with_capacity(kinds.len() * ns.len() * rates.len() * patterns.len());
-    for &kind in &kinds {
-        for &n in &ns {
-            for &rate in &rates {
-                for &pattern in &patterns {
+    let fixed = axis(&spec.axes.kinds).iter().copied().map(Some);
+    let mut cells = Vec::new();
+    for kind in fixed.chain(spec.axes.optimized.then_some(None)) {
+        for &n in axis(&spec.axes.ns) {
+            for &rate in axis(&spec.axes.rates) {
+                for &pattern in axis(&spec.axes.patterns) {
                     cells.push(CurveCell { kind, n, rate, pattern });
                 }
             }
@@ -781,11 +823,10 @@ pub fn load_curve_cells(spec: &StudySpec) -> Vec<CurveCell> {
 
 /// Runs exactly `cells` of the load-curve stage on `campaign` and
 /// returns their aggregated rows in cell order — the resumable /
-/// partial-grid entry point behind the serving layer's warm-start.
-/// Replicates expand with the engine's coordinate-derived seed rule,
-/// identical to the full-grid scenario expansion, so the rows splice
-/// bit-identically into a from-scratch superset run (pinned by the
-/// serve battery's golden tests).
+/// partial-grid entry point behind the serving layer's warm-start. It
+/// shares the stage's runner and seed rule, so the rows splice
+/// bit-identically into a from-scratch superset run (pinned by the serve
+/// battery's golden tests).
 ///
 /// The partial path covers the plain fixed-family grid; specs using the
 /// `optimized` axis or `[observe]` artefacts need a full [`run_study`].
@@ -805,7 +846,7 @@ pub fn run_load_curve_cells(
             spec.stage
         )));
     }
-    if spec.axes.optimized || !spec.observe.is_off() {
+    if spec.axes.optimized || !spec.observe.is_off() || cells.iter().any(|c| c.kind.is_none()) {
         return Err(StudyError::Spec(
             "the partial-grid path covers the plain fixed-family grid; `axes.optimized` \
              and `[observe]` need a full run_study"
@@ -813,45 +854,68 @@ pub fn run_load_curve_cells(
         ));
     }
     spec.validate().map_err(StudyError::Spec)?;
+    Ok(run_curves(spec, campaign, cells, &[]).0)
+}
+
+/// The load-curve runner behind both the stage and the partial-grid
+/// path: runs `cells` in one pool run and returns their rows (the
+/// replicate mean, `max` for the queue high-water mark) plus what the
+/// `[observe]` probes saw. `optimized` holds the `OPT` graph per `n`.
+fn run_curves(
+    spec: &StudySpec,
+    campaign: &Campaign,
+    cells: &[CurveCell],
+    optimized: &[(usize, Graph)],
+) -> (Table, Vec<ObservedPoint>) {
     let windows = curve_windows(spec, campaign.args());
     let sim = base_sim(spec);
     let shards = spec.sim.shards.unwrap_or(1);
-    let expanded =
-        expand_replicates(cells, campaign.args().seeds, campaign.args().campaign_seed, |c| {
-            vec![kind_code(c.kind), c.n as u64, c.rate.to_bits(), pattern_code(c.pattern)]
-        });
-    let results = campaign.run_jobs_budgeted(
-        &expanded,
+    // `[observe]`: probes ride along with every job (recording into
+    // preallocated buffers, never changing a row) and feed the timeline
+    // table and the per-point heatmaps.
+    let probe = spec.observe.wants_probe().then(|| {
+        let every = spec.observe.sample_every.unwrap_or(DEFAULT_SAMPLE_EVERY);
+        Probe::new(every, Probe::capacity_for(every, windows.0 + windows.1) + 1)
+    });
+    let replicates = campaign.run_cells(
+        cells,
         shards,
-        |&(c, _)| c.n as u64,
-        |&(c, seed)| {
-            let arrangement = Arrangement::build(c.kind, c.n).expect("any n builds");
-            curve_point(
-                arrangement.graph(),
-                point_config(sim, c.rate, c.pattern, seed),
-                windows,
-                shards,
-                None,
-            )
-            .0
+        CurveCell::coords,
+        |c| c.n as u64,
+        |c| format!("{} n={} rate={}", family_name(c.kind), c.n, c.rate),
+        |c, seed| {
+            let config = SimConfig { injection_rate: c.rate, pattern: c.pattern, seed, ..sim };
+            with_graph(c.kind, c.n, optimized, |graph| {
+                curve_point(graph, config, windows, shards, probe)
+            })
         },
-        |_, &(c, _)| format!("{} n={} rate={}", c.kind, c.n, f3(c.rate)),
     );
-    let k = campaign.args().seeds.max(1) as usize;
     let mut table = curve_table();
-    for (cell, chunk) in cells.iter().zip(results.chunks(k)) {
-        push_curve_row(&mut table, cell.kind.label(), cell.n, cell.rate, cell.pattern, chunk);
+    let mut observed = Vec::new();
+    for (&cell, reps) in cells.iter().zip(replicates) {
+        let mut points = Vec::with_capacity(reps.len());
+        for (replicate, (point, obs)) in reps.into_iter().enumerate() {
+            points.push(point);
+            if let Some(obs) = obs {
+                observed.push(ObservedPoint { cell, replicate: replicate as u64, obs });
+            }
+        }
+        let of = |f: fn(&CurvePoint) -> f64| f3(mean_of(&points, f));
+        table.row(&[
+            &cell.n,
+            &family(cell.kind).1,
+            &cell.pattern.name(),
+            &f3(cell.rate),
+            &of(|p| p.accepted),
+            &of(|p| p.avg),
+            &of(|p| p.p50),
+            &of(|p| p.p95),
+            &of(|p| p.p99),
+            &points.iter().map(|p| p.queue_max).max().unwrap_or(0),
+            &of(|p| p.queue_mean),
+        ]);
     }
-    Ok(table)
-}
-
-/// The base [`SimConfig`] with one curve point's coordinates applied.
-fn point_config(sim: SimConfig, rate: f64, pattern: TrafficPattern, seed: u64) -> SimConfig {
-    let mut config = sim;
-    config.injection_rate = rate;
-    config.pattern = pattern;
-    config.seed = seed;
-    config
+    (table, observed)
 }
 
 fn curve_point(
@@ -904,15 +968,10 @@ struct Observation {
     channel_loads: Vec<(usize, usize, u64)>,
 }
 
-/// One observed load point: its coordinates plus what the probe saw.
+/// One observed load point: its cell and replicate plus what the probe
+/// saw. `OPT` cells have no physical placement to draw.
 struct ObservedPoint {
-    /// Fixed arrangement family; `None` for search-discovered (`OPT`)
-    /// rows, which have no physical placement to draw.
-    kind: Option<ArrangementKind>,
-    label: String,
-    n: usize,
-    rate: f64,
-    pattern: TrafficPattern,
+    cell: CurveCell,
     replicate: u64,
     obs: Observation,
 }
@@ -939,16 +998,16 @@ fn timeline_table(points: &[ObservedPoint], endpoints_per_router: usize) -> Tabl
         "link_flits",
         "max_link_flits",
     ]);
-    for point in points {
-        let endpoints = point.n * endpoints_per_router;
-        let pattern_name = point.pattern.name();
-        for w in &point.obs.windows {
+    for ObservedPoint { cell, replicate, obs } in points {
+        let endpoints = cell.n * endpoints_per_router;
+        let pattern_name = cell.pattern.name();
+        for w in &obs.windows {
             table.row(&[
-                &point.label,
-                &point.n,
+                &family(cell.kind).1,
+                &cell.n,
                 &pattern_name,
-                &f3(point.rate),
-                &point.replicate,
+                &f3(cell.rate),
+                replicate,
                 &w.window,
                 &w.start_cycle,
                 &w.end_cycle,
@@ -977,24 +1036,23 @@ fn write_heatmaps(
     use chiplet_layout::svg::{to_heatmap_svg, HeatOverlay, SvgStyle};
 
     let mut written = Vec::new();
-    for point in points {
-        if point.replicate != 0 {
+    for ObservedPoint { cell, replicate, obs } in points {
+        if *replicate != 0 {
             continue;
         }
-        let Some(kind) = point.kind else {
+        let Some(kind) = cell.kind else {
             continue;
         };
-        let arrangement = Arrangement::build(kind, point.n).expect("any n builds");
+        let arrangement = Arrangement::build(kind, cell.n).expect("any n builds");
         let Some(placement) = arrangement.placement() else {
             continue;
         };
         // Fold the directed channel loads into undirected edge totals and
         // per-vertex sums, each normalised to its hottest element so the
         // full colour ramp is always used.
-        let n = point.n;
-        let mut vertex = vec![0u64; n];
+        let mut vertex = vec![0u64; cell.n];
         let mut edges: Vec<((usize, usize), u64)> = Vec::new();
-        for &(src, dst, flits) in &point.obs.channel_loads {
+        for &(src, dst, flits) in &obs.channel_loads {
             if let Some(sum) = vertex.get_mut(src) {
                 *sum += flits;
             }
@@ -1015,13 +1073,13 @@ fn write_heatmaps(
 
         let heat = HeatOverlay { cell_load: &cell_load, edge_load: &edge_load };
         let svg = to_heatmap_svg(placement, &SvgStyle::default(), &heat);
-        let permille = (point.rate * 1000.0).round() as u64;
+        let permille = (cell.rate * 1000.0).round() as u64;
         std::fs::create_dir_all(out)?;
         let path = out.join(format!(
             "heatmap_{}_n{}_r{permille:03}_{}.svg",
             kind.name(),
-            point.n,
-            point.pattern.name()
+            cell.n,
+            cell.pattern.name()
         ));
         std::fs::write(&path, svg)?;
         written.push(path);
@@ -1034,137 +1092,20 @@ fn load_curve_stage(
     campaign: &Campaign,
     hooks: &StageHooks,
 ) -> Result<StageOutput, StudyError> {
-    let kinds = kinds_or(spec, &ArrangementKind::EVALUATED);
-    let ns = ns_or(spec, vec![37]);
-    let rates: Vec<f64> = spec.axes.rates.clone().unwrap_or_else(default_curve_rates);
-    let patterns =
-        spec.axes.patterns.clone().unwrap_or_else(|| vec![TrafficPattern::UniformRandom]);
-    // Per-point simulation windows: the historical 4k/8k by default,
-    // shortened by --quick, paper-scale under --full.
-    let windows = curve_windows(spec, campaign.args());
-    let sim = base_sim(spec);
-    let shards = spec.sim.shards.unwrap_or(1);
-    let optimized = require_optimized_hook(spec, hooks)?;
-    // `[observe]`: probes ride along with every job (recording into
-    // preallocated buffers, never changing a row) and feed the timeline
-    // table and the per-point heatmaps below.
-    let probe = spec.observe.wants_probe().then(|| {
-        let every = spec.observe.sample_every.unwrap_or(DEFAULT_SAMPLE_EVERY);
-        Probe::new(every, Probe::capacity_for(every, windows.0 + windows.1) + 1)
-    });
-    let mut observed_points: Vec<ObservedPoint> = Vec::new();
-
-    let scenario = Scenario::new(&kinds, &ns).with_rates(&rates).with_patterns(&patterns);
-    let results = campaign.run_grid_budgeted(&scenario, shards, |job| {
-        let arrangement = Arrangement::build(job.kind, job.n).expect("any n builds");
-        curve_point(
-            arrangement.graph(),
-            point_config(sim, job.rate.expect("rate axis set"), job.pattern, job.seed),
-            windows,
-            shards,
-            probe,
-        )
-    });
-
-    let mut table = curve_table();
-
-    // Replicates of one (kind, n, rate, pattern) point are adjacent in
-    // grid order; aggregate each chunk to the replicate mean.
-    let k = campaign.args().seeds.max(1) as usize;
-    let mut add_rows = |jobs: &[(String, usize, f64, TrafficPattern)],
-                        points: &[CurvePoint]| {
-        for (job, chunk) in jobs.iter().zip(points.chunks(k)) {
-            let &(ref label, n, rate, pattern) = job;
-            push_curve_row(&mut table, label, n, rate, pattern, chunk);
-        }
-    };
-    let grid_jobs: Vec<(String, usize, f64, TrafficPattern)> = results
-        .chunks(k)
-        .map(|chunk| {
-            let job = chunk[0].0;
-            (job.kind.label().to_owned(), job.n, job.rate.expect("rate axis set"), job.pattern)
-        })
-        .collect();
-    let mut grid_points: Vec<CurvePoint> = Vec::with_capacity(results.len());
-    for (job, (point, obs)) in results {
-        grid_points.push(point);
-        if let Some(obs) = obs {
-            observed_points.push(ObservedPoint {
-                kind: Some(job.kind),
-                label: job.kind.label().to_owned(),
-                n: job.n,
-                rate: job.rate.expect("rate axis set"),
-                pattern: job.pattern,
-                replicate: job.replicate,
-                obs,
-            });
-        }
-    }
-    add_rows(&grid_jobs, &grid_points);
-
-    // Search-discovered arrangement rows, appended after the fixed
-    // families. Coordinates mirror the scenario's, with the reserved
-    // OPT kind code, so seeds follow the engine's standard derivation.
-    if let Some(graph_of) = optimized {
-        for &n in &ns {
-            let graph = graph_of(n, spec, campaign.args())?;
-            let mut opt_jobs = Vec::new();
-            for &rate in &rates {
-                for &pattern in &patterns {
-                    opt_jobs.push((OPTIMIZED_LABEL.to_owned(), n, rate, pattern));
-                }
-            }
-            let expanded = expand_replicates(
-                &opt_jobs,
-                campaign.args().seeds,
-                campaign.args().campaign_seed,
-                |&(_, n, rate, pattern)| {
-                    vec![OPTIMIZED_KIND_CODE, n as u64, rate.to_bits(), pattern_code(pattern)]
-                },
-            );
-            let results = campaign.run_jobs(
-                &expanded,
-                |&((_, n, _, _), _)| n as u64,
-                |&((_, _, rate, pattern), seed)| {
-                    curve_point(
-                        &graph,
-                        point_config(sim, rate, pattern, seed),
-                        windows,
-                        shards,
-                        probe,
-                    )
-                },
-            );
-            let mut points = Vec::with_capacity(results.len());
-            for (index, (point, obs)) in results.into_iter().enumerate() {
-                points.push(point);
-                if let Some(obs) = obs {
-                    let ((_, n, rate, pattern), _) = expanded[index];
-                    observed_points.push(ObservedPoint {
-                        kind: None,
-                        label: OPTIMIZED_LABEL.to_owned(),
-                        n,
-                        rate,
-                        pattern,
-                        replicate: (index % k) as u64,
-                        obs,
-                    });
-                }
-            }
-            add_rows(&opt_jobs, &points);
-        }
-    }
-
+    let optimized = optimized_graphs(spec, campaign, hooks)?;
+    let (table, observed_points) =
+        run_curves(spec, campaign, &load_curve_cells(spec), &optimized);
     let mut summary = vec![format!(
-        "load curves over kinds={} ns={ns:?} rates={} patterns={} ({} rows)",
-        kinds.len(),
-        rates.len(),
-        patterns.len(),
+        "load curves over kinds={} ns={:?} rates={} patterns={} ({} rows)",
+        axis(&spec.axes.kinds).len(),
+        axis(&spec.axes.ns),
+        axis(&spec.axes.rates).len(),
+        axis(&spec.axes.patterns).len(),
         table.len()
     )];
     let mut tables = vec![StageTable::main(table)];
     if spec.observe.timeline {
-        let timeline = timeline_table(&observed_points, sim.endpoints_per_router);
+        let timeline = timeline_table(&observed_points, base_sim(spec).endpoints_per_router);
         summary.push(format!("timeline: {} windowed samples", timeline.len()));
         tables.push(StageTable { stem: Some("timeline".to_owned()), table: timeline });
     }
@@ -1192,50 +1133,62 @@ fn workload_stage(
 ) -> Result<StageOutput, StudyError> {
     use chiplet_workload::WorkloadStats;
 
-    let kinds = kinds_or(spec, &ArrangementKind::ALL);
-    let ns =
-        ns_or(spec, if campaign.args().quick { vec![7, 13, 19] } else { vec![37, 61, 91] });
-    let workloads = spec.axes.workloads.clone().unwrap_or_else(|| WorkloadKind::ALL.to_vec());
+    let workloads = axis(&spec.axes.workloads);
+    let ns = axis(&spec.axes.ns);
     let max_cycles = spec.workload.max_cycles.unwrap_or(DEFAULT_MAX_CYCLES);
     let sim = base_sim(spec);
-    let optimized = require_optimized_hook(spec, hooks)?;
+    let optimized = optimized_graphs(spec, campaign, hooks)?;
 
-    let run_one = |graph: &Graph, n: usize, label: &str, kind: WorkloadKind, seed: u64| {
-        let mut config = sim;
-        config.seed = seed;
-        let endpoints = n * config.endpoints_per_router;
-        let workload = kind.build(endpoints);
-        let mut driver = WorkloadDriver::new(graph, config, &workload).expect("valid driver");
-        let stats = driver.run(max_cycles);
-        if stats.completed {
-            Ok(stats)
-        } else {
-            Err(format!(
-                "{kind} on {label} n={n} stalled at {}/{} messages",
-                stats.delivered_messages,
-                workload.len()
-            ))
+    // Rows read workload, then n, then kind; each (workload, n) group is
+    // one ranking, with the searched arrangement last.
+    let fixed = axis(&spec.axes.kinds).iter().copied().map(Some);
+    let families: Vec<_> = fixed.chain(spec.axes.optimized.then_some(None)).collect();
+    let mut cells = Vec::new();
+    for &workload in workloads {
+        for n in ns_ascending(spec) {
+            cells.extend(families.iter().map(|&kind| (workload, n, kind)));
         }
-    };
-
-    let scenario = Scenario::new(&kinds, &ns).with_workloads(&workloads);
-    let results = campaign.run_grid(&scenario, |job| {
-        let arrangement = Arrangement::build(job.kind, job.n).expect("any n builds");
-        run_one(
-            arrangement.graph(),
-            job.n,
-            &job.kind.to_string(),
-            job.workload.expect("workload axis set"),
-            job.seed,
-        )
-    });
+    }
+    let results = campaign.run_cells(
+        &cells,
+        1,
+        |&(w, n, kind)| {
+            point_coords(family(kind).0, n, None, TrafficPattern::UniformRandom, Some(w), None)
+        },
+        // Quadratic-message kernels (ring all-reduce and all-to-all move
+        // Θ(E²) messages) dominate a mixed sweep.
+        |&(w, n, _)| match w {
+            WorkloadKind::RingAllReduce | WorkloadKind::AllToAll => (n * n) as u64,
+            _ => n as u64,
+        },
+        |&(w, n, kind)| format!("{} n={n} {w}", family_name(kind)),
+        |&(w, n, kind), seed| {
+            let config = SimConfig { seed, ..sim };
+            let workload = w.build(n * config.endpoints_per_router);
+            let stats = with_graph(kind, n, &optimized, |graph| {
+                WorkloadDriver::new(graph, config, &workload)
+                    .expect("valid driver")
+                    .run(max_cycles)
+            });
+            if stats.completed {
+                Ok(stats)
+            } else {
+                Err(format!(
+                    "{w} on {} n={n} stalled at {}/{} messages",
+                    family_name(kind),
+                    stats.delivered_messages,
+                    workload.len()
+                ))
+            }
+        },
+    );
 
     if spec.workload.traces {
         let dir = campaign.args().out.join("traces");
         std::fs::create_dir_all(&dir)?;
         let mut summary_paths = Vec::new();
-        for &kind in &workloads {
-            for &n in &ns {
+        for &kind in workloads {
+            for &n in ns {
                 let endpoints = n * sim.endpoints_per_router;
                 let path = dir.join(format!("{kind}_e{endpoints}.trace.csv"));
                 trace::save(&kind.build(endpoints), &path)?;
@@ -1247,99 +1200,11 @@ fn workload_stage(
         }
     }
 
-    // Aggregate replicates (bit-identical by construction, but --seeds K
-    // keeps the CLI uniform), then regroup rows (workload, n)-major for
-    // the ranking.
-    let k = campaign.args().seeds.max(1) as usize;
-    struct Row {
-        workload: WorkloadKind,
-        n: usize,
-        label: String,
-        kind_rank: usize,
-        stats: WorkloadStats,
-        makespan: f64,
-        critical: f64,
-        avg_latency: f64,
-    }
-    let aggregate = |chunk: &[Result<WorkloadStats, String>],
-                     workload: WorkloadKind,
-                     n: usize,
-                     label: String,
-                     kind_rank: usize|
-     -> Result<Row, StudyError> {
-        let stats: Vec<&WorkloadStats> = chunk
-            .iter()
-            .map(|r| r.as_ref().map_err(|e| StudyError::Stage(e.clone())))
-            .collect::<Result<_, _>>()?;
-        Ok(Row {
-            workload,
-            n,
-            label,
-            kind_rank,
-            stats: stats[0].clone(),
-            makespan: mean_of(&stats, |s| s.makespan as f64),
-            critical: mean_of(&stats, |s| s.critical_path_cycles as f64),
-            avg_latency: mean_of(&stats, |s| s.network.avg_packet_latency.unwrap_or(f64::NAN)),
-        })
-    };
-
-    let kind_rank =
-        |kind: ArrangementKind| kinds.iter().position(|&x| x == kind).unwrap_or(usize::MAX);
-    let mut rows: Vec<Row> = Vec::new();
-    for chunk in results.chunks(k) {
-        let job = chunk[0].0;
-        let stats: Vec<Result<WorkloadStats, String>> =
-            chunk.iter().map(|(_, r)| r.clone()).collect();
-        rows.push(aggregate(
-            &stats,
-            job.workload.expect("workload axis set"),
-            job.n,
-            job.kind.label().to_owned(),
-            kind_rank(job.kind),
-        )?);
-    }
-
-    // Search-discovered arrangement rows: same coordinates as the
-    // scenario's closed-loop jobs, with the reserved OPT kind code.
-    if let Some(graph_of) = optimized {
-        for &n in &ns {
-            let graph = graph_of(n, spec, campaign.args())?;
-            let opt_jobs: Vec<WorkloadKind> = workloads.clone();
-            let expanded = expand_replicates(
-                &opt_jobs,
-                campaign.args().seeds,
-                campaign.args().campaign_seed,
-                |&w| {
-                    vec![
-                        OPTIMIZED_KIND_CODE,
-                        n as u64,
-                        u64::MAX,
-                        pattern_code(TrafficPattern::UniformRandom),
-                        w.code(),
-                    ]
-                },
-            );
-            let opt_results = campaign.run_jobs(
-                &expanded,
-                |_| (n as u64) * (n as u64),
-                |&(w, seed)| run_one(&graph, n, OPTIMIZED_LABEL, w, seed),
-            );
-            for (i, chunk) in opt_results.chunks(k).enumerate() {
-                rows.push(aggregate(
-                    chunk,
-                    opt_jobs[i],
-                    n,
-                    OPTIMIZED_LABEL.to_owned(),
-                    kinds.len(),
-                )?);
-            }
-        }
-    }
-
-    let workload_rank =
-        |w: WorkloadKind| workloads.iter().position(|&x| x == w).unwrap_or(usize::MAX);
-    rows.sort_by_key(|r| (workload_rank(r.workload), r.n, r.kind_rank));
-
+    let stats: Vec<Vec<WorkloadStats>> = results
+        .into_iter()
+        .map(|reps| reps.into_iter().collect::<Result<_, _>>())
+        .collect::<Result<_, _>>()
+        .map_err(StudyError::Stage)?;
     let mut table = Table::new(&[
         "workload",
         "n",
@@ -1354,40 +1219,39 @@ fn workload_stage(
         "mean_source_queue_flits",
         "rank",
     ]);
-
-    let group_len = kinds.len() + usize::from(spec.axes.optimized);
     let mut summary = Vec::new();
-    for group in rows.chunks(group_len) {
-        // Rank the kinds of one (workload, n) point by makespan (shared
-        // competition ranking: identical makespans — routine for
-        // brickwall vs. honeycomb — share the better rank).
-        let makespans: Vec<f64> = group.iter().map(|r| r.makespan).collect();
+    for (group, reps) in cells.chunks(families.len()).zip(stats.chunks(families.len())) {
+        // Rank the kinds of one (workload, n) point by replicate-mean
+        // makespan (shared competition ranking: identical makespans —
+        // routine for brickwall vs. honeycomb — share the better rank).
+        let makespans: Vec<f64> =
+            reps.iter().map(|r| mean_of(r, |s| s.makespan as f64)).collect();
         let rank = sweep::competition_rank(&makespans);
-        for (i, row) in group.iter().enumerate() {
-            let overhead = row.makespan / row.critical.max(1.0);
+        for (i, (&(w, n, kind), r)) in group.iter().zip(reps).enumerate() {
+            let critical = mean_of(r, |s| s.critical_path_cycles as f64);
+            let latency = mean_of(r, |s| s.network.avg_packet_latency.unwrap_or(f64::NAN));
             table.row(&[
-                &row.workload.label(),
-                &row.n,
-                &row.label,
-                &row.stats.delivered_messages,
-                &row.stats.delivered_flits,
-                &f3(row.makespan),
-                &f3(row.critical),
-                &f3(overhead),
-                &f3(row.avg_latency),
-                &row.stats.network.max_source_queue_flits,
-                &f3(row.stats.network.avg_source_queue_flits),
+                &w.label(),
+                &n,
+                &family(kind).1,
+                &r[0].delivered_messages,
+                &r[0].delivered_flits,
+                &f3(makespans[i]),
+                &f3(critical),
+                &f3(makespans[i] / critical.max(1.0)),
+                &f3(latency),
+                &r[0].network.max_source_queue_flits,
+                &f3(r[0].network.avg_source_queue_flits),
                 &rank[i],
             ]);
         }
-        let best_idx = rank.iter().position(|&r| r == 1).expect("non-empty group");
-        let best = &group[best_idx];
+        let best = rank.iter().position(|&r| r == 1).expect("non-empty group");
+        let (w, n, kind) = group[best];
         summary.push(format!(
-            "{} n={}: fastest is {} ({:.0} cycles)",
-            best.workload.label(),
-            best.n,
-            best.label,
-            best.makespan
+            "{} n={n}: fastest is {} ({:.0} cycles)",
+            w.label(),
+            family(kind).1,
+            makespans[best]
         ));
     }
     Ok(StageOutput { tables: vec![StageTable::main(table)], summary })
@@ -1419,23 +1283,10 @@ fn kite_stage(spec: &StudySpec, campaign: &Campaign) -> Result<StageOutput, Stud
     use chiplet_phy::Technology;
     use chiplet_topo::{evaluate, EvalOptions};
 
-    // Validation admits only perfect squares ≥ 4 (`StudySpec::validate`).
-    let ns = ns_or(spec, vec![16, 25, 36, 49]);
     let tech = Technology::organic_substrate();
-
-    let mut jobs = Vec::new();
-    for &n in &ns {
-        for &variant in &KITE_VARIANTS {
-            jobs.push((n, variant));
-        }
-    }
-    let seeds = campaign.args().seeds.max(1);
-    let expanded =
-        expand_replicates(&jobs, seeds, campaign.args().campaign_seed, |&(n, variant)| {
-            let variant_rank =
-                KITE_VARIANTS.iter().position(|&v| v == variant).expect("listed variant");
-            vec![n as u64, variant_rank as u64]
-        });
+    // Validation admits only perfect squares ≥ 4 (`StudySpec::validate`).
+    let cells: Vec<(usize, KiteVariant)> =
+        axis(&spec.axes.ns).iter().flat_map(|&n| KITE_VARIANTS.map(|v| (n, v))).collect();
 
     // This stage's historical default *is* the paper-scale schedule, so
     // --full coincides with the default and --quick shortens it.
@@ -1448,10 +1299,14 @@ fn kite_stage(spec: &StudySpec, campaign: &Campaign) -> Result<StageOutput, Stud
         None if campaign.args().quick => MeasureConfig::quick(),
         None => MeasureConfig::default(),
     };
-    let results = campaign.run_jobs(
-        &expanded,
-        |&((n, _), _)| n as u64,
-        |&((n, variant), seed)| -> Result<KiteRow, StudyError> {
+    let results = campaign.run_cells(
+        &cells,
+        1,
+        // The kite seed words: n, then the variant's KITE_VARIANTS index.
+        |&(n, variant)| vec![n as u64, variant as u64],
+        |&(n, _)| n as u64,
+        |(n, variant)| format!("{variant:?} n={n}"),
+        |&(n, variant), seed| -> Result<KiteRow, StudyError> {
             let physical = build_kite_topology(n, variant)?;
             let mut opts = EvalOptions::paper_defaults(tech.clone());
             opts.pitch_mm = 1.0; // lengths already in mm
@@ -1478,7 +1333,10 @@ fn kite_stage(spec: &StudySpec, campaign: &Campaign) -> Result<StageOutput, Stud
             })
         },
     );
-    let results: Vec<KiteRow> = results.into_iter().collect::<Result<_, _>>()?;
+    let results: Vec<Vec<KiteRow>> = results
+        .into_iter()
+        .map(|reps| reps.into_iter().collect::<Result<_, _>>())
+        .collect::<Result<_, _>>()?;
 
     let mut table = Table::new(&[
         "n",
@@ -1492,10 +1350,10 @@ fn kite_stage(spec: &StudySpec, campaign: &Campaign) -> Result<StageOutput, Stud
     let mut summary = vec![
         "HexaMesh vs. length-aware grid topologies (substrate, 16 Gb/s nominal)".to_owned(),
     ];
-    for ((n, _), chunk) in jobs.iter().zip(results.chunks(seeds as usize)) {
-        let first = &chunk[0];
-        let zero_load = mean_of(chunk, |r| r.zero_load);
-        let sat_tbps = mean_of(chunk, |r| r.sat_tbps);
+    for ((n, _), reps) in cells.iter().zip(&results) {
+        let first = &reps[0];
+        let zero_load = mean_of(reps, |r| r.zero_load);
+        let sat_tbps = mean_of(reps, |r| r.sat_tbps);
         summary.push(format!(
             "N={n:>3} {:<14} sat {sat_tbps:>7.2} Tb/s, lat {zero_load:>6.1} cyc",
             first.name
@@ -1663,35 +1521,31 @@ fn degradation_point(
 fn resilience_stage(spec: &StudySpec, campaign: &Campaign) -> Result<StageOutput, StudyError> {
     use chiplet_graph::resilience::{articulation_points, bridges, edge_connectivity};
 
-    let kinds = kinds_or(spec, &ArrangementKind::EVALUATED);
-    let ns = ns_or(spec, STRUCTURAL_RESILIENCE_NS.to_vec());
-    let k = campaign.args().seeds.max(1) as usize;
-
     // ── Structural table (byte-identical to the legacy binary) ──────────
-    let scenario = Scenario::new(&kinds, &ns);
-    let results = campaign.run_grid(&scenario, |job| {
-        let arrangement = Arrangement::build(job.kind, job.n).expect("any n builds");
-        let g = arrangement.graph();
-        (
-            arrangement.regularity().to_string(),
-            arrangement.degree_stats().min,
-            bridges(g).len(),
-            articulation_points(g).len(),
-            edge_connectivity(g).unwrap_or(0),
-        )
-    });
-    let kind_rank =
-        |kind: ArrangementKind| kinds.iter().position(|&q| q == kind).unwrap_or(usize::MAX);
-    // Structural analyses have no randomness: replicates are identical,
-    // keep one row per point. Historical row order is n-major.
-    let mut rows: Vec<_> = results
-        .chunks(k)
-        .map(|chunk| {
-            let job = chunk[0].0;
-            (job.n, job.kind, chunk[0].1.clone())
-        })
+    // Structural analyses have no randomness, so each point runs once.
+    // Rows read n, then kind; the default kinds are the legacy trio.
+    let kinds = spec.axes.kinds.as_deref().unwrap_or(&ArrangementKind::EVALUATED);
+    let points: Vec<(usize, ArrangementKind)> = ns_ascending(spec)
+        .into_iter()
+        .flat_map(|n| kinds.iter().map(move |&k| (n, k)))
         .collect();
-    rows.sort_by_key(|&(n, kind, _)| (n, kind_rank(kind)));
+    let rows = campaign.run_jobs(
+        &points,
+        1,
+        |&(n, _)| n as u64,
+        |(n, kind)| format!("{kind} n={n}"),
+        |&(n, kind)| {
+            let arrangement = Arrangement::build(kind, n).expect("any n builds");
+            let g = arrangement.graph();
+            (
+                arrangement.regularity().to_string(),
+                arrangement.degree_stats().min,
+                bridges(g).len(),
+                articulation_points(g).len(),
+                edge_connectivity(g).unwrap_or(0),
+            )
+        },
+    );
     let mut structural = Table::new(&[
         "n",
         "kind",
@@ -1701,7 +1555,7 @@ fn resilience_stage(spec: &StudySpec, campaign: &Campaign) -> Result<StageOutput
         "articulation_points",
         "edge_connectivity",
     ]);
-    for (n, kind, (regularity, min_deg, b, cuts, k_edge)) in &rows {
+    for ((n, kind), (regularity, min_deg, b, cuts, k_edge)) in points.iter().zip(&rows) {
         structural.row(&[n, &kind.label(), regularity, min_deg, b, cuts, k_edge]);
     }
 
@@ -1709,7 +1563,7 @@ fn resilience_stage(spec: &StudySpec, campaign: &Campaign) -> Result<StageOutput
     // Default kinds include the honeycomb: the degradation story is about
     // all four families, while the structural table keeps the legacy
     // EVALUATED trio.
-    let degrade_kinds = kinds_or(spec, &ArrangementKind::ALL);
+    let degrade_kinds = spec.axes.kinds.as_deref().unwrap_or(&ArrangementKind::ALL);
     let fault_ns =
         spec.faults.ns.clone().unwrap_or_else(|| degradation_ns(campaign.args().quick));
     let failure_counts = spec.faults.link_failures.clone().unwrap_or_else(|| vec![0, 1, 2, 4]);
@@ -1721,24 +1575,20 @@ fn resilience_stage(spec: &StudySpec, campaign: &Campaign) -> Result<StageOutput
         retransmit.timeout = timeout;
     }
 
-    let mut jobs = Vec::new();
+    let mut cells = Vec::new();
     for &n in &fault_ns {
-        for &kind in &degrade_kinds {
-            for &failures in &failure_counts {
-                jobs.push((n, kind, failures));
-            }
+        for &kind in degrade_kinds {
+            cells.extend(failure_counts.iter().map(|&failures| (n, kind, failures)));
         }
     }
-    let expanded = expand_replicates(
-        &jobs,
-        campaign.args().seeds,
-        campaign.args().campaign_seed,
+    let points = campaign.run_cells(
+        &cells,
+        schedule.shards,
+        // The degradation seed words: kind, n, failures.
         |&(n, kind, failures)| vec![kind_code(kind), n as u64, failures as u64],
-    );
-    let points = campaign.run_jobs(
-        &expanded,
-        |&((n, _, _), _)| (n * n) as u64,
-        |&((n, kind, failures), seed)| {
+        |&(n, _, _)| (n * n) as u64,
+        |(n, kind, failures)| format!("{kind} n={n} failures={failures}"),
+        |&(n, kind, failures), seed| {
             let arrangement = Arrangement::build(kind, n)?;
             degradation_point(
                 arrangement.graph(),
@@ -1751,7 +1601,10 @@ fn resilience_stage(spec: &StudySpec, campaign: &Campaign) -> Result<StageOutput
             )
         },
     );
-    let points: Vec<DegradationPoint> = points.into_iter().collect::<Result<_, _>>()?;
+    let points: Vec<Vec<DegradationPoint>> = points
+        .into_iter()
+        .map(|reps| reps.into_iter().collect::<Result<_, _>>())
+        .collect::<Result<_, _>>()?;
 
     let mut degradation = Table::new(&[
         "n",
@@ -1763,28 +1616,25 @@ fn resilience_stage(spec: &StudySpec, campaign: &Campaign) -> Result<StageOutput
         "allreduce_makespan_cycles",
     ]);
     let mut summary = Vec::new();
-    for (job, chunk) in jobs.iter().zip(points.chunks(k)) {
-        let &(n, kind, failures) = job;
-        let connected = chunk.iter().all(|p| p.connected);
+    for (&(n, kind, failures), reps) in cells.iter().zip(&points) {
         degradation.row(&[
             &n,
             &kind.label(),
             &failures,
-            &usize::from(connected),
-            &f3(mean_of(chunk, |p| p.saturation)),
-            &f3(mean_of(chunk, |p| p.stencil_makespan)),
-            &f3(mean_of(chunk, |p| p.allreduce_makespan)),
+            &usize::from(reps.iter().all(|p| p.connected)),
+            &f3(mean_of(reps, |p| p.saturation)),
+            &f3(mean_of(reps, |p| p.stencil_makespan)),
+            &f3(mean_of(reps, |p| p.allreduce_makespan)),
         ]);
     }
     // Headline: how much saturation headroom each family keeps at the
     // heaviest failure count probed.
     let worst = *failure_counts.iter().max().expect("validated non-empty");
     for &n in &fault_ns {
-        for &kind in &degrade_kinds {
+        for &kind in degrade_kinds {
             let at = |f: usize| {
-                jobs.iter()
-                    .position(|&j| j == (n, kind, f))
-                    .map(|i| mean_of(&points[i * k..(i + 1) * k], |p| p.saturation))
+                let i = cells.iter().position(|&cell| cell == (n, kind, f))?;
+                Some(mean_of(&points[i], |p| p.saturation))
             };
             if let (Some(healthy), Some(degraded)) = (at(0), at(worst)) {
                 if healthy > 0.0 {
@@ -1810,9 +1660,9 @@ fn resilience_stage(spec: &StudySpec, campaign: &Campaign) -> Result<StageOutput
 // ── router stage (microarchitecture fidelity re-ranking) ────────────────
 
 fn router_stage(spec: &StudySpec, campaign: &Campaign) -> Result<StageOutput, StudyError> {
-    let kinds = kinds_or(spec, &ArrangementKind::ALL);
-    let ns = ns_or(spec, if campaign.args().quick { vec![7, 13] } else { vec![37, 91, 169] });
-    let routers = spec.axes.routers.clone().unwrap_or_else(|| RouterModelKind::ALL.to_vec());
+    let kinds = axis(&spec.axes.kinds);
+    let ns = axis(&spec.axes.ns);
+    let routers = axis(&spec.axes.routers);
     // The makespan half is opt-in: with `axes.workloads` set, every
     // (router, n, kind) point also runs those kernels closed-loop and
     // the table gains per-kernel makespan + rank columns.
@@ -1830,70 +1680,65 @@ fn router_stage(spec: &StudySpec, campaign: &Campaign) -> Result<StageOutput, St
         campaign.args().workers,
     );
 
-    let scenario = Scenario::new(&kinds, &ns).with_routers(&routers);
-    let results = campaign.run_grid_budgeted(&scenario, schedule.shards, |job| {
-        let arrangement = Arrangement::build(job.kind, job.n).expect("any n builds");
-        let graph = arrangement.graph();
-        let mut config = sim;
-        config.router = job.router.expect("router axis set").model();
-        config.seed = job.seed;
-        let zero_load =
-            noc_measure::zero_load_latency(graph, &config).expect("connected graph");
-        let sat = noc_measure::saturation_search(graph, &config, &schedule)
-            .expect("valid configuration");
-        // Closed-loop kernels under the same model and seed; a stalled
-        // run reads as NaN (ranked last by total_cmp), not an abort.
-        let makespans: Vec<f64> = workloads
-            .iter()
-            .map(|&w| {
-                let endpoints = job.n * config.endpoints_per_router;
-                let workload = w.build(endpoints);
-                let mut driver =
-                    WorkloadDriver::new(graph, config, &workload).expect("valid driver");
-                let stats = driver.run(DEFAULT_MAX_CYCLES);
-                if stats.completed {
-                    stats.makespan as f64
-                } else {
-                    f64::NAN
-                }
-            })
-            .collect();
-        (zero_load, sat.throughput, makespans)
-    });
-
-    struct Row {
-        router: RouterModelKind,
-        n: usize,
-        kind: ArrangementKind,
-        zero_load: f64,
-        saturation: f64,
-        makespans: Vec<f64>,
+    // Router-major rows: router, then n, then kind; each (router, n)
+    // group is one ranking.
+    let mut cells = Vec::new();
+    for &router in routers {
+        for n in ns_ascending(spec) {
+            cells.extend(kinds.iter().map(|&kind| (router, n, kind)));
+        }
     }
-    let k = campaign.args().seeds.max(1) as usize;
-    let mut rows: Vec<Row> = results
-        .chunks(k)
-        .map(|chunk| {
-            let job = chunk[0].0;
-            Row {
-                router: job.router.expect("router axis set"),
-                n: job.n,
-                kind: job.kind,
-                zero_load: mean_of(chunk, |(_, (z, _, _))| *z),
-                saturation: mean_of(chunk, |(_, (_, s, _))| *s),
-                makespans: (0..workloads.len())
-                    .map(|i| mean_of(chunk, |(_, (_, _, m))| m[i]))
-                    .collect(),
-            }
+    let results = campaign.run_cells(
+        &cells,
+        schedule.shards,
+        |&(router, n, kind)| {
+            point_coords(
+                kind_code(kind),
+                n,
+                None,
+                TrafficPattern::UniformRandom,
+                None,
+                Some(router),
+            )
+        },
+        |&(_, n, _)| n as u64,
+        |(router, n, kind)| format!("{kind} n={n} {}", router.name()),
+        |&(router, n, kind), seed| {
+            let arrangement = Arrangement::build(kind, n).expect("any n builds");
+            let graph = arrangement.graph();
+            let config = SimConfig { router: router.model(), seed, ..sim };
+            let zero_load =
+                noc_measure::zero_load_latency(graph, &config).expect("connected graph");
+            let sat = noc_measure::saturation_search(graph, &config, &schedule)
+                .expect("valid configuration");
+            // Closed-loop kernels under the same model and seed; a stalled
+            // run reads as NaN (ranked last by total_cmp), not an abort.
+            let makespans: Vec<f64> = workloads
+                .iter()
+                .map(|&w| {
+                    let workload = w.build(n * config.endpoints_per_router);
+                    let mut driver =
+                        WorkloadDriver::new(graph, config, &workload).expect("valid driver");
+                    let stats = driver.run(DEFAULT_MAX_CYCLES);
+                    if stats.completed {
+                        stats.makespan as f64
+                    } else {
+                        f64::NAN
+                    }
+                })
+                .collect();
+            (zero_load, sat.throughput, makespans)
+        },
+    );
+    // Replicate means per cell: zero-load, saturation, then one makespan
+    // per workload.
+    let means: Vec<(f64, f64, Vec<f64>)> = results
+        .iter()
+        .map(|reps| {
+            let makespans = (0..workloads.len()).map(|i| mean_of(reps, |r| r.2[i])).collect();
+            (mean_of(reps, |r| r.0), mean_of(reps, |r| r.1), makespans)
         })
         .collect();
-
-    // The grid expands kind-outermost; the table reads router-major
-    // (router → n → kind), one ranking group per (router, n).
-    let router_rank =
-        |r: RouterModelKind| routers.iter().position(|&q| q == r).unwrap_or(usize::MAX);
-    let kind_rank =
-        |kind: ArrangementKind| kinds.iter().position(|&q| q == kind).unwrap_or(usize::MAX);
-    rows.sort_by_key(|r| (router_rank(r.router), r.n, kind_rank(r.kind)));
 
     let mut columns: Vec<String> = ["router", "n", "kind", "zero_load_latency_cycles"]
         .iter()
@@ -1913,27 +1758,30 @@ fn router_stage(spec: &StudySpec, campaign: &Campaign) -> Result<StageOutput, St
     // the fidelity comparison below (rank vectors are tie-exact where a
     // sorted kind order would not be).
     let mut rank_vectors: Vec<(RouterModelKind, usize, Vec<usize>)> = Vec::new();
-    for group in rows.chunks(kinds.len()) {
+    for (group, rows) in cells.chunks(kinds.len()).zip(means.chunks(kinds.len())) {
         // Saturation: higher is better, so rank the negated series.
         // Makespans rank directly (lower is better).
-        let sats: Vec<f64> = group.iter().map(|r| -r.saturation).collect();
+        let sats: Vec<f64> = rows.iter().map(|r| -r.1).collect();
         let sat_rank = sweep::competition_rank(&sats);
         let makespan_ranks: Vec<Vec<usize>> = (0..workloads.len())
             .map(|i| {
-                let series: Vec<f64> = group.iter().map(|r| r.makespans[i]).collect();
+                let series: Vec<f64> = rows.iter().map(|r| r.2[i]).collect();
                 sweep::competition_rank(&series)
             })
             .collect();
-        for (i, row) in group.iter().enumerate() {
+        let (router, n, _) = group[0];
+        for (i, (&(_, _, kind), (zero_load, saturation, makespans))) in
+            group.iter().zip(rows).enumerate()
+        {
             let mut cells: Vec<String> = vec![
-                row.router.name().to_owned(),
-                row.n.to_string(),
-                row.kind.label().to_owned(),
-                f3(row.zero_load),
-                f3(row.saturation),
+                router.name().to_owned(),
+                n.to_string(),
+                kind.label().to_owned(),
+                f3(*zero_load),
+                f3(*saturation),
                 sat_rank[i].to_string(),
             ];
-            for (w, ranks) in row.makespans.iter().zip(&makespan_ranks) {
+            for (w, ranks) in makespans.iter().zip(&makespan_ranks) {
                 cells.push(f3(*w));
                 cells.push(ranks[i].to_string());
             }
@@ -1944,12 +1792,12 @@ fn router_stage(spec: &StudySpec, campaign: &Campaign) -> Result<StageOutput, St
         let best = sat_rank.iter().position(|&r| r == 1).expect("non-empty group");
         summary.push(format!(
             "{:<11} n={:<4} best saturation {} ({:.3})",
-            group[0].router.name(),
-            group[0].n,
-            group[best].kind.label(),
-            group[best].saturation,
+            router.name(),
+            n,
+            group[best].2.label(),
+            rows[best].1,
         ));
-        rank_vectors.push((group[0].router, group[0].n, sat_rank));
+        rank_vectors.push((router, n, sat_rank));
     }
 
     // The fidelity headline: does raising router fidelity re-rank the
@@ -1959,7 +1807,7 @@ fn router_stage(spec: &StudySpec, campaign: &Campaign) -> Result<StageOutput, St
             rank_vectors.iter().find(|&&(r, m, _)| r == router && m == n).map(|(_, _, v)| v)
         };
         let mut reordered = Vec::new();
-        for &n in &ns {
+        for &n in ns {
             let base = rank_of(reference, n);
             for &router in routers.iter().skip(1) {
                 if rank_of(router, n) != base {
@@ -1995,18 +1843,15 @@ fn thermal_stage(spec: &StudySpec, campaign: &Campaign) -> Result<StageOutput, S
     use chiplet_layout::ChipletKind;
     use chiplet_thermal::{solve, HotspotReport, PowerMap, ThermalParams};
 
-    let kinds = kinds_or(spec, &ArrangementKind::EVALUATED);
-    let ns = ns_or(spec, vec![16, 37, 64]);
-
-    let mut jobs = Vec::new();
-    for &n in &ns {
-        for &kind in &kinds {
-            jobs.push((n, kind));
-        }
-    }
+    // Deterministic: each (n, kind) point runs once, n-major.
+    let kinds = axis(&spec.axes.kinds);
+    let jobs: Vec<(usize, ArrangementKind)> =
+        axis(&spec.axes.ns).iter().flat_map(|&n| kinds.iter().map(move |&k| (n, k))).collect();
     let results = campaign.run_jobs(
         &jobs,
+        1,
         |&(n, _)| n as u64,
+        |(n, kind)| format!("{kind} n={n}"),
         |&(n, kind)| -> Result<(f64, HotspotReport), StudyError> {
             let arrangement = Arrangement::build(kind, n)?;
             let placement = arrangement
@@ -2072,10 +1917,10 @@ fn thermal_stage(spec: &StudySpec, campaign: &Campaign) -> Result<StageOutput, S
 /// Total-silicon-area sweep of the cost stage, mm².
 const COST_AREAS_MM2: [f64; 6] = [50.0, 100.0, 200.0, 400.0, 600.0, 800.0];
 
-fn cost_stage(spec: &StudySpec, _campaign: &Campaign) -> Result<StageOutput, StudyError> {
+fn cost_stage(spec: &StudySpec) -> Result<StageOutput, StudyError> {
     use chiplet_cost::system::{best_chiplet_count, system_cost_comparison, CostParams};
 
-    let ns = ns_or(spec, vec![2, 4, 8, 16, 25, 36, 49, 64, 100]);
+    let ns = axis(&spec.axes.ns);
     let params = CostParams::default_5nm();
     let mut table = Table::new(&[
         "total_area_mm2",
@@ -2088,7 +1933,7 @@ fn cost_stage(spec: &StudySpec, _campaign: &Campaign) -> Result<StageOutput, Stu
         "assembly_yield",
     ]);
     for &area in &COST_AREAS_MM2 {
-        for &n in &ns {
+        for &n in ns {
             let Ok(cmp) = system_cost_comparison(&params, area, n) else {
                 continue; // tiny chiplets may round below wafer feasibility
             };

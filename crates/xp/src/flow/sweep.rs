@@ -5,12 +5,10 @@ use chiplet_partition::BisectionConfig;
 use hexamesh::arrangement::{Arrangement, ArrangementKind};
 use hexamesh::eval::{self, EvalParams, EvalResult};
 use hexamesh::proxies;
-use nocsim::{MeasureConfig, TrafficPattern};
+use nocsim::MeasureConfig;
 
 use crate::cli::CampaignArgs;
-use crate::grid::{Job, Scenario};
-use crate::stats::mean_of;
-use crate::{pool, Campaign};
+use crate::pool;
 
 /// Competition ranking ("1224"): ranks `values` ascending — lower is
 /// better — with exact ties sharing the better rank. Ties are routine,
@@ -82,76 +80,6 @@ pub fn proxy_sweep_over(kinds: &[ArrangementKind], ns: &[usize]) -> Vec<ProxyPoi
         }
     }
     out
-}
-
-/// The Fig. 7 evaluation a campaign runs: [`eval::evaluate`] for every
-/// `(kind, n)` with `--seeds K` replicates per point and engine-derived
-/// seeds, aggregated to mean values in the same [`EvalResult`] shape and
-/// sorted by `(kind, n)`. Rows are identical for every `--workers` value.
-///
-/// `pattern` rides through the scenario's pattern axis, so a non-uniform
-/// pattern also changes the derived seeds — exactly like any other
-/// coordinate — while the uniform default leaves the historical seeds
-/// unmoved.
-///
-/// `fanout > 1` additionally spreads each arrangement's saturation search
-/// over `fanout` rate points per round ([`evaluate_pooled`]) — worthwhile
-/// when the grid has fewer jobs than workers. The fanout changes the probe
-/// sequence, so it must come from an explicit flag or spec field (never
-/// from `--workers`) to keep rows independent of the worker count.
-///
-/// # Panics
-///
-/// Panics if any single evaluation fails — every `n ≥ 1` arrangement is
-/// connected and the paper configuration is valid, so a failure is a bug.
-#[must_use]
-pub fn evaluation_campaign_over(
-    kinds: &[ArrangementKind],
-    ns: &[usize],
-    pattern: TrafficPattern,
-    params: &EvalParams,
-    campaign: &Campaign,
-    fanout: usize,
-) -> Vec<EvalResult> {
-    let scenario = Scenario::new(kinds, ns).with_patterns(&[pattern]);
-    // Keep the thread total bounded by the worker budget: the nested
-    // rate-point pool only gets the workers the grid leaves idle, and
-    // sharded simulations charge their shard threads to the same budget.
-    // (The probe *sequence* depends only on `fanout`, so this split never
-    // changes results.)
-    let k = campaign.args().seeds.max(1) as usize;
-    let total_jobs = (kinds.len() * ns.len() * k).max(1);
-    let inner_workers = (campaign.args().workers / total_jobs).max(1);
-    let results = campaign.run_grid_budgeted(&scenario, params.measure.shards, |job: &Job| {
-        let arrangement = Arrangement::build(job.kind, job.n).expect("n >= 1 builds");
-        let mut p = *params;
-        p.sim.seed = job.seed;
-        p.sim.pattern = job.pattern;
-        if fanout > 1 {
-            evaluate_pooled(&arrangement, &p, fanout, inner_workers)
-        } else {
-            eval::evaluate(&arrangement, &p)
-                .unwrap_or_else(|e| panic!("evaluate {} n={}: {e}", job.kind, job.n))
-        }
-    });
-
-    // Aggregate replicates: grid order guarantees replicates of one point
-    // are adjacent, so chunking by K keeps this deterministic.
-    let mut aggregated: Vec<EvalResult> = results
-        .chunks(k)
-        .map(|chunk| {
-            let field = |f: fn(&EvalResult) -> f64| mean_of(chunk, |(_, r)| f(r));
-            let first = chunk[0].1;
-            EvalResult {
-                zero_load_latency_cycles: field(|r| r.zero_load_latency_cycles),
-                saturation_fraction: field(|r| r.saturation_fraction),
-                saturation_throughput_tbps: field(|r| r.saturation_throughput_tbps),
-                ..first
-            }
-        })
-        .collect();
-    aggregated.sort_by_key(|r| (r.kind.label(), r.n));
-    aggregated
 }
 
 /// Full [`eval::evaluate`] with each round of the saturation search

@@ -1,23 +1,23 @@
-//! Declarative experiment grids.
+//! Coordinate-derived seeds for experiment cells.
 //!
-//! A [`Scenario`] is the cartesian product the paper's figures sweep:
-//! arrangement kind × chiplet count × injection rate × traffic pattern ×
-//! workload × router model × replicate seed. [`Scenario::jobs`] expands it into [`Job`]s
-//! whose seeds come from [`crate::seed::derive_seed`] over the job's
-//! *coordinates*, so the expansion is independent of axis ordering,
-//! worker count, and the presence of other axis values.
+//! A study stage lists its *cells* — one table row's coordinates, for
+//! example (kind, n, rate, pattern) — and [`crate::Campaign::run_cells`]
+//! runs `--seeds K` replicates of each. A replicate's RNG seed comes from
+//! [`crate::seed::derive_seed`] over the cell's *seed words* plus the
+//! replicate index ([`expand_replicates`]), so it is independent of cell
+//! order, worker count, and the presence of other cells.
 //!
 //! # Axis evolution rule
 //!
-//! The seed coordinate layout is a compatibility contract. The first
-//! grid shipped five words — `[kind, n, rate bits, pattern, replicate]`
-//! — and every result ever produced is keyed on seeds derived from them,
-//! so growing the grid must never re-derive them. The rule, introduced
-//! when the workload axis landed (PR 3) and binding for **every** future
-//! axis:
+//! The standard seed words ([`point_coords`]) are a compatibility
+//! contract. The first grid shipped five words — `[kind, n, rate bits,
+//! pattern, replicate]` — and every result ever produced is keyed on
+//! seeds derived from them, so growing the grid must never re-derive
+//! them. The rule, introduced when the workload axis landed (PR 3) and
+//! binding for **every** future axis:
 //!
 //! 1. a new axis is *optional*: its neutral value (`None`) contributes
-//!    one grid point and **no** coordinate word;
+//!    **no** seed word;
 //! 2. when the axis is used, its word is appended **between the pattern
 //!    word and the replicate word**, after any earlier optional axes'
 //!    words (insertion order = the order the axes were added to the
@@ -27,15 +27,15 @@
 //!    never renumbered or reused.
 //!
 //! Consequence, pinned by `optional_axis_rule_keeps_unused_seeds_fixed`
-//! below: a scenario that leaves every optional axis at its neutral
-//! value derives exactly the historical five-word seeds, whatever
-//! optional axes the engine has since grown.
+//! below: a point that leaves every optional axis at its neutral value
+//! derives exactly the historical five-word seeds, whatever optional axes
+//! the engine has since grown.
 //!
 //! Two optional axes exist today, in insertion order: the **workload**
 //! axis (PR 3) and the **router-model** axis. A used router coordinate
 //! ([`nocsim::RouterModelKind::code`], append-only like every other
 //! code) is therefore appended *after* the workload word (when that is
-//! used) and immediately before the replicate word; a scenario on the
+//! used) and immediately before the replicate word; a point on the
 //! default router model appends nothing and keeps its historical seeds.
 
 use chiplet_workload::WorkloadKind;
@@ -44,217 +44,45 @@ use nocsim::{RouterModelKind, TrafficPattern};
 
 use crate::seed::derive_seed;
 
-/// A declarative sweep: the cartesian product of the seven axes.
-///
-/// Axes left at their defaults contribute a single neutral point, so a
-/// scenario only names the dimensions it actually sweeps.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Scenario {
-    /// Arrangement families to evaluate.
-    pub kinds: Vec<ArrangementKind>,
-    /// Chiplet counts.
-    pub ns: Vec<usize>,
-    /// Injection rates (flits/cycle/endpoint); `None` marks a job whose
-    /// runner chooses the rate itself (e.g. a saturation search).
-    pub rates: Vec<Option<f64>>,
-    /// Spatial traffic patterns.
-    pub patterns: Vec<TrafficPattern>,
-    /// Closed-loop application workloads; `None` marks an open-loop
-    /// (pattern-driven) job. A `None` job's seed coordinates are exactly
-    /// the pre-workload five words, so adding this axis moved no
-    /// existing point's seed.
-    pub workloads: Vec<Option<WorkloadKind>>,
-    /// Router microarchitectures; `None` marks a job on the default
-    /// (paper) router. Like the workload axis, a `None` job contributes
-    /// no coordinate word, so adding this axis moved no existing
-    /// point's seed.
-    pub routers: Vec<Option<RouterModelKind>>,
-    /// Number of replicate seeds per grid point (`--seeds K`).
-    pub replicates: u64,
+/// The standard seed words of one grid point: `[kind, n, rate bits,
+/// pattern]`, then the workload word and the router word when those
+/// optional axes are set (the module-level axis evolution rule). `rate:
+/// None` marks a point whose runner picks rates itself (a saturation
+/// search) and encodes as `u64::MAX`. `kind_code` is [`kind_code`] of a
+/// fixed family, or [`OPTIMIZED_KIND_CODE`] for a searched arrangement.
+#[must_use]
+pub fn point_coords(
+    kind_code: u64,
+    n: usize,
+    rate: Option<f64>,
+    pattern: TrafficPattern,
+    workload: Option<WorkloadKind>,
+    router: Option<RouterModelKind>,
+) -> Vec<u64> {
+    let mut coords =
+        vec![kind_code, n as u64, rate.map_or(u64::MAX, f64::to_bits), pattern_code(pattern)];
+    coords.extend(workload.map(WorkloadKind::code));
+    coords.extend(router.map(RouterModelKind::code));
+    coords
 }
 
-impl Scenario {
-    /// A scenario over `kinds × ns`, with single-point rate/pattern axes
-    /// and one replicate.
-    #[must_use]
-    pub fn new(kinds: &[ArrangementKind], ns: &[usize]) -> Self {
-        Self {
-            kinds: kinds.to_vec(),
-            ns: ns.to_vec(),
-            rates: vec![None],
-            patterns: vec![TrafficPattern::UniformRandom],
-            workloads: vec![None],
-            routers: vec![None],
-            replicates: 1,
-        }
-    }
-
-    /// Sweeps the given injection rates.
-    #[must_use]
-    pub fn with_rates(mut self, rates: &[f64]) -> Self {
-        self.rates = rates.iter().copied().map(Some).collect();
-        self
-    }
-
-    /// Sweeps the given traffic patterns.
-    #[must_use]
-    pub fn with_patterns(mut self, patterns: &[TrafficPattern]) -> Self {
-        self.patterns = patterns.to_vec();
-        self
-    }
-
-    /// Sweeps the given closed-loop workloads (replacing the neutral
-    /// open-loop point).
-    #[must_use]
-    pub fn with_workloads(mut self, workloads: &[WorkloadKind]) -> Self {
-        self.workloads = workloads.iter().copied().map(Some).collect();
-        self
-    }
-
-    /// Sweeps the given router models (replacing the neutral
-    /// default-router point).
-    #[must_use]
-    pub fn with_routers(mut self, routers: &[RouterModelKind]) -> Self {
-        self.routers = routers.iter().copied().map(Some).collect();
-        self
-    }
-
-    /// Runs `k` replicate seeds per grid point.
-    #[must_use]
-    pub fn with_replicates(mut self, k: u64) -> Self {
-        self.replicates = k.max(1);
-        self
-    }
-
-    /// Number of jobs the scenario expands to.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.kinds.len()
-            * self.ns.len()
-            * self.rates.len()
-            * self.patterns.len()
-            * self.workloads.len()
-            * self.routers.len()
-            * self.replicates as usize
-    }
-
-    /// `true` if any axis is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Expands the cartesian product into jobs with derived seeds.
-    ///
-    /// Iteration order is row-major over (kind, n, rate, pattern,
-    /// workload, router, replicate) — the order sinks write rows in.
-    #[must_use]
-    pub fn jobs(&self, campaign_seed: u64) -> Vec<Job> {
-        let mut out = Vec::with_capacity(self.len());
-        for &kind in &self.kinds {
-            for &n in &self.ns {
-                for &rate in &self.rates {
-                    for &pattern in &self.patterns {
-                        for &workload in &self.workloads {
-                            for &router in &self.routers {
-                                for replicate in 0..self.replicates {
-                                    // Neutral jobs keep the historical
-                                    // five-word coordinates; the workload
-                                    // and router words are appended only
-                                    // when those axes are set (in axis
-                                    // insertion order), so earlier seeds
-                                    // are stable.
-                                    let mut coords = vec![
-                                        kind_code(kind),
-                                        n as u64,
-                                        rate.map_or(u64::MAX, f64::to_bits),
-                                        pattern_code(pattern),
-                                    ];
-                                    if let Some(w) = workload {
-                                        coords.push(w.code());
-                                    }
-                                    if let Some(r) = router {
-                                        coords.push(r.code());
-                                    }
-                                    coords.push(replicate);
-                                    let seed = derive_seed(campaign_seed, &coords);
-                                    out.push(Job {
-                                        kind,
-                                        n,
-                                        rate,
-                                        pattern,
-                                        workload,
-                                        router,
-                                        replicate,
-                                        seed,
-                                    });
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
-}
-
-/// One point of a [`Scenario`]: the coordinates plus the derived seed.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Job {
-    /// Arrangement family.
-    pub kind: ArrangementKind,
-    /// Chiplet count.
-    pub n: usize,
-    /// Injection rate, `None` when the runner picks rates itself.
-    pub rate: Option<f64>,
-    /// Spatial traffic pattern.
-    pub pattern: TrafficPattern,
-    /// Closed-loop workload (`None` = open-loop pattern job).
-    pub workload: Option<WorkloadKind>,
-    /// Router microarchitecture (`None` = default paper router).
-    pub router: Option<RouterModelKind>,
-    /// Replicate index within this grid point (`0..K`).
-    pub replicate: u64,
-    /// RNG seed derived from the campaign seed and the coordinates above.
-    pub seed: u64,
-}
-
-impl Job {
-    /// Default job weight for the pool's large-first schedule: simulation
-    /// cost grows with the chiplet count, and quadratic-message kernels
-    /// (ring all-reduce, all-to-all move Θ(E²) messages) dominate a mixed
-    /// workload sweep. Weights only order the schedule — results never
-    /// depend on them.
-    #[must_use]
-    pub fn weight(&self) -> u64 {
-        let n = self.n as u64;
-        match self.workload {
-            Some(WorkloadKind::RingAllReduce | WorkloadKind::AllToAll) => n * n,
-            _ => n,
-        }
-    }
-}
-
-/// Expands an ad-hoc job list (axes beyond the standard [`Scenario`],
-/// e.g. routing × VC ablations) into `seeds` replicates per job, each
-/// with a seed derived from the campaign seed, the job's coordinate words
-/// (`coords`), and the replicate index — the same coordinate-not-position
-/// rule [`Scenario::jobs`] follows. Replicates of one job are adjacent,
-/// so results chunk by `seeds` for aggregation.
-pub fn expand_replicates<J: Clone>(
-    jobs: &[J],
+/// Expands `cells` into `seeds` replicate jobs per cell, each with a seed
+/// derived from the campaign seed, the cell's seed words (`coords`), and
+/// the replicate index — from coordinates, never from list position.
+/// Replicates of one cell are adjacent, in replicate order.
+pub fn expand_replicates<C: Clone>(
+    cells: &[C],
     seeds: u64,
     campaign_seed: u64,
-    coords: impl Fn(&J) -> Vec<u64>,
-) -> Vec<(J, u64)> {
+    coords: impl Fn(&C) -> Vec<u64>,
+) -> Vec<(C, u64)> {
     let seeds = seeds.max(1);
-    let mut out = Vec::with_capacity(jobs.len() * seeds as usize);
-    for job in jobs {
-        let mut c = coords(job);
+    let mut out = Vec::with_capacity(cells.len() * seeds as usize);
+    for cell in cells {
+        let mut c = coords(cell);
         for replicate in 0..seeds {
             c.push(replicate);
-            out.push((job.clone(), derive_seed(campaign_seed, &c)));
+            out.push((cell.clone(), derive_seed(campaign_seed, &c)));
             c.pop();
         }
     }
@@ -303,49 +131,102 @@ pub fn pattern_code(pattern: TrafficPattern) -> u64 {
 mod tests {
     use super::*;
 
+    use ArrangementKind::{Brickwall, Grid, HexaMesh};
+    use TrafficPattern::{Tornado, UniformRandom};
+
+    type Point = (
+        ArrangementKind,
+        usize,
+        Option<f64>,
+        TrafficPattern,
+        Option<WorkloadKind>,
+        Option<RouterModelKind>,
+    );
+
+    /// An open-loop point on the default router.
+    fn open(
+        kind: ArrangementKind,
+        n: usize,
+        rate: Option<f64>,
+        pattern: TrafficPattern,
+    ) -> Point {
+        (kind, n, rate, pattern, None, None)
+    }
+
+    fn coords(&(kind, n, rate, pattern, workload, router): &Point) -> Vec<u64> {
+        point_coords(kind_code(kind), n, rate, pattern, workload, router)
+    }
+
+    /// Replicate seeds of `points`, `k` per point, in expansion order.
+    fn seeds(points: &[Point], k: u64, campaign_seed: u64) -> Vec<u64> {
+        expand_replicates(points, k, campaign_seed, coords)
+            .into_iter()
+            .map(|(_, s)| s)
+            .collect()
+    }
+
+    fn assert_distinct(seeds: &[u64], what: &str) {
+        let mut sorted = seeds.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
+        assert_eq!(sorted.len(), seeds.len(), "{what}: seed collision");
+    }
+
     #[test]
-    fn product_size_and_order() {
-        let s = Scenario::new(&[ArrangementKind::Grid, ArrangementKind::HexaMesh], &[4, 9])
-            .with_rates(&[0.1, 0.2])
-            .with_replicates(3);
-        assert_eq!(s.len(), 2 * 2 * 2 * 3);
-        let jobs = s.jobs(1);
-        assert_eq!(jobs.len(), s.len());
-        // Row-major: first block is Grid at n=4, rate 0.1, replicates 0..3.
-        assert_eq!(jobs[0].kind, ArrangementKind::Grid);
-        assert_eq!(jobs[0].n, 4);
-        assert_eq!(jobs[0].rate, Some(0.1));
-        assert_eq!(jobs[2].replicate, 2);
-        assert_eq!(jobs[3].rate, Some(0.2));
+    fn neutral_points_keep_the_historical_five_words() {
+        // kind, n, rate bits, pattern — then the replicate word.
+        assert_eq!(coords(&open(Grid, 9, None, UniformRandom)), [0, 9, u64::MAX, 0]);
+        let seeds = seeds(&[open(Grid, 9, None, UniformRandom)], 1, 42);
+        assert_eq!(seeds, [derive_seed(42, &[0, 9, u64::MAX, 0, 0])]);
+    }
+
+    #[test]
+    fn optional_axis_rule_keeps_unused_seeds_fixed() {
+        // The axis evolution rule (module docs): a neutral point derives
+        // exactly the historical five-word seeds, and a used optional
+        // axis appends its word between the pattern and replicate words,
+        // workload first, then router.
+        let (w, r) = (WorkloadKind::Stencil, RouterModelKind::Fortified);
+        for (kind, n) in [(Grid, 4), (HexaMesh, 9)] {
+            let base = [kind_code(kind), n as u64, 0.1f64.to_bits(), pattern_code(Tornado)];
+            let neutral = open(kind, n, Some(0.1), Tornado);
+            let closed = (kind, n, Some(0.1), Tornado, Some(w), None);
+            let both = (kind, n, Some(0.1), Tornado, Some(w), Some(r));
+            for replicate in 0..2 {
+                let at = |point: &Point| seeds(&[*point], 2, 99)[replicate as usize];
+                let words = |extra: &[u64]| [&base[..], extra, &[replicate]].concat();
+                assert_eq!(at(&neutral), derive_seed(99, &words(&[])));
+                assert_eq!(at(&closed), derive_seed(99, &words(&[w.code()])));
+                assert_eq!(at(&both), derive_seed(99, &words(&[w.code(), r.code()])));
+            }
+        }
+    }
+
+    #[test]
+    fn an_explicit_baseline_router_is_a_seed_word() {
+        // Sweeping the router axis is not the same grid point as leaving
+        // it neutral, even at the default model.
+        let neutral = open(Grid, 37, None, UniformRandom);
+        let baseline = (Grid, 37, None, UniformRandom, None, Some(RouterModelKind::Baseline));
+        assert_eq!(
+            coords(&baseline),
+            [&coords(&neutral)[..], &[RouterModelKind::Baseline.code()]].concat()
+        );
+        assert_ne!(seeds(&[neutral], 1, 5), seeds(&[baseline], 1, 5));
     }
 
     #[test]
     fn seeds_are_coordinate_stable() {
-        let small = Scenario::new(&[ArrangementKind::Grid], &[4]).with_replicates(2);
-        let wide =
-            Scenario::new(&[ArrangementKind::Grid, ArrangementKind::Brickwall], &[4, 9, 16])
-                .with_replicates(4);
-        let find = |jobs: &[Job], n: usize, r: u64| {
-            jobs.iter()
-                .find(|j| j.kind == ArrangementKind::Grid && j.n == n && j.replicate == r)
-                .map(|j| j.seed)
-                .unwrap()
-        };
-        let a = small.jobs(42);
-        let b = wide.jobs(42);
         // Growing the grid must not move existing points' seeds.
-        assert_eq!(find(&a, 4, 0), find(&b, 4, 0));
-        assert_eq!(find(&a, 4, 1), find(&b, 4, 1));
-    }
-
-    #[test]
-    fn campaign_seed_changes_every_job_seed() {
-        let s = Scenario::new(&[ArrangementKind::Grid], &[4, 9]).with_replicates(2);
-        let a = s.jobs(1);
-        let b = s.jobs(2);
-        for (x, y) in a.iter().zip(&b) {
-            assert_ne!(x.seed, y.seed);
+        let small = [open(Grid, 4, None, UniformRandom)];
+        let mut wide = Vec::new();
+        for kind in [Brickwall, Grid] {
+            for n in [16, 9, 4] {
+                wide.push(open(kind, n, None, UniformRandom));
+            }
         }
+        let at = wide.iter().position(|p| *p == small[0]).unwrap();
+        assert_eq!(seeds(&small, 2, 42), seeds(&wide, 4, 42)[at * 4..at * 4 + 2]);
     }
 
     #[test]
@@ -365,105 +246,56 @@ mod tests {
     }
 
     #[test]
-    fn workload_axis_expands_with_distinct_seeds() {
-        let s = Scenario::new(&[ArrangementKind::Grid, ArrangementKind::HexaMesh], &[37])
-            .with_workloads(&[WorkloadKind::RingAllReduce, WorkloadKind::Stencil])
-            .with_replicates(2);
-        assert_eq!(s.len(), 2 * 2 * 2);
-        let jobs = s.jobs(5);
-        assert_eq!(jobs.len(), 8);
-        // Row-major: workload is the innermost non-replicate axis.
-        assert_eq!(jobs[0].workload, Some(WorkloadKind::RingAllReduce));
-        assert_eq!(jobs[2].workload, Some(WorkloadKind::Stencil));
-        let mut seeds: Vec<u64> = jobs.iter().map(|j| j.seed).collect();
-        seeds.sort_unstable();
-        seeds.dedup();
-        assert_eq!(seeds.len(), 8, "workload coordinates must differentiate seeds");
-    }
-
-    #[test]
-    fn open_loop_seeds_unmoved_by_the_workload_axis() {
-        // The workload word is appended only for Some jobs, so a
-        // pre-workload scenario's seeds are exactly the historical
-        // five-coordinate derivation.
-        let jobs = Scenario::new(&[ArrangementKind::Grid], &[9]).jobs(42);
-        assert_eq!(jobs[0].workload, None);
-        let expected = derive_seed(
-            42,
-            &[0, 9, u64::MAX, 0, 0], // kind, n, rate bits, pattern, replicate
-        );
-        assert_eq!(jobs[0].seed, expected);
-    }
-
-    #[test]
-    fn optional_axis_rule_keeps_unused_seeds_fixed() {
-        // The axis evolution rule (module docs): a scenario that leaves
-        // every optional axis neutral derives exactly the historical
-        // five-word seeds — for every point, not just the first — and a
-        // used optional axis appends its word between the pattern and
-        // replicate words.
-        let s = Scenario::new(&[ArrangementKind::Grid, ArrangementKind::HexaMesh], &[4, 9])
-            .with_rates(&[0.1])
-            .with_patterns(&[TrafficPattern::Tornado])
-            .with_replicates(2);
-        for job in s.jobs(99) {
-            let five_words = [
-                kind_code(job.kind),
-                job.n as u64,
-                job.rate.map_or(u64::MAX, f64::to_bits),
-                pattern_code(job.pattern),
-                job.replicate,
-            ];
-            assert_eq!(job.seed, derive_seed(99, &five_words));
-        }
-        let closed = s.with_workloads(&[WorkloadKind::Stencil]);
-        for job in closed.jobs(99) {
-            let six_words = [
-                kind_code(job.kind),
-                job.n as u64,
-                job.rate.map_or(u64::MAX, f64::to_bits),
-                pattern_code(job.pattern),
-                job.workload.expect("workload axis set").code(),
-                job.replicate,
-            ];
-            assert_eq!(job.seed, derive_seed(99, &six_words));
-        }
-        // With both optional axes set, insertion order holds: workload
-        // word first, then the router word, then the replicate word.
-        let both = closed.with_routers(&[RouterModelKind::Fortified]);
-        for job in both.jobs(99) {
-            let seven_words = [
-                kind_code(job.kind),
-                job.n as u64,
-                job.rate.map_or(u64::MAX, f64::to_bits),
-                pattern_code(job.pattern),
-                job.workload.expect("workload axis set").code(),
-                job.router.expect("router axis set").code(),
-                job.replicate,
-            ];
-            assert_eq!(job.seed, derive_seed(99, &seven_words));
+    fn campaign_seed_changes_every_job_seed() {
+        let points = [open(Grid, 4, None, UniformRandom), open(Grid, 9, None, UniformRandom)];
+        for (x, y) in seeds(&points, 2, 1).iter().zip(seeds(&points, 2, 2)) {
+            assert_ne!(*x, y);
         }
     }
 
     #[test]
-    fn router_axis_expands_with_distinct_seeds() {
-        let s = Scenario::new(&[ArrangementKind::Grid, ArrangementKind::HexaMesh], &[37])
-            .with_routers(&[RouterModelKind::Baseline, RouterModelKind::Bubble])
-            .with_replicates(2);
-        assert_eq!(s.len(), 2 * 2 * 2);
-        let jobs = s.jobs(5);
-        assert_eq!(jobs.len(), 8);
-        // Row-major: router is the innermost non-replicate axis.
-        assert_eq!(jobs[0].router, Some(RouterModelKind::Baseline));
-        assert_eq!(jobs[2].router, Some(RouterModelKind::Bubble));
-        let mut seeds: Vec<u64> = jobs.iter().map(|j| j.seed).collect();
-        seeds.sort_unstable();
-        seeds.dedup();
-        assert_eq!(seeds.len(), 8, "router coordinates must differentiate seeds");
-        // Even the explicit Baseline coordinate gets a word: sweeping the
-        // axis is not the same grid point as leaving it neutral.
-        let neutral = Scenario::new(&[ArrangementKind::Grid], &[37]).jobs(5);
-        assert_ne!(jobs[0].seed, neutral[0].seed);
+    fn every_axis_gives_distinct_seeds() {
+        let mut points = Vec::new();
+        for kind in ArrangementKind::EVALUATED {
+            for n in 2..=9 {
+                for rate in [0.1, 0.2, 0.3] {
+                    for pattern in [
+                        UniformRandom,
+                        Tornado,
+                        TrafficPattern::Hotspot { num_hotspots: 1, fraction_permille: 500 },
+                        TrafficPattern::Hotspot { num_hotspots: 2, fraction_permille: 500 },
+                    ] {
+                        points.push(open(kind, n, Some(rate), pattern));
+                    }
+                }
+            }
+        }
+        assert_distinct(&seeds(&points, 3, 7), "kind x n x rate x pattern");
+    }
+
+    #[test]
+    fn workload_words_give_distinct_seeds() {
+        let mut points = Vec::new();
+        for kind in [Grid, HexaMesh] {
+            for w in [WorkloadKind::RingAllReduce, WorkloadKind::Stencil] {
+                points.push((kind, 37, None, UniformRandom, Some(w), None));
+            }
+        }
+        assert_distinct(&seeds(&points, 2, 5), "workload axis");
+    }
+
+    #[test]
+    fn router_words_give_distinct_seeds() {
+        // Checked apart from the workload words: a workload-only and a
+        // router-only point with equal codes share seed words by design.
+        let mut points = Vec::new();
+        for kind in [Grid, HexaMesh] {
+            for r in [RouterModelKind::Baseline, RouterModelKind::Bubble] {
+                points.push((kind, 37, None, UniformRandom, None, Some(r)));
+            }
+        }
+        points.push(open(Grid, 37, None, UniformRandom));
+        assert_distinct(&seeds(&points, 2, 5), "router axis");
     }
 
     #[test]
@@ -471,23 +303,5 @@ mod tests {
         for kind in ArrangementKind::ALL {
             assert_ne!(kind_code(kind), OPTIMIZED_KIND_CODE);
         }
-    }
-
-    #[test]
-    fn all_jobs_have_distinct_seeds() {
-        let s = Scenario::new(&ArrangementKind::EVALUATED, &[2, 3, 4, 5, 6, 7, 8, 9])
-            .with_rates(&[0.1, 0.2, 0.3])
-            .with_patterns(&[
-                TrafficPattern::UniformRandom,
-                TrafficPattern::Tornado,
-                TrafficPattern::Hotspot { num_hotspots: 1, fraction_permille: 500 },
-                TrafficPattern::Hotspot { num_hotspots: 2, fraction_permille: 500 },
-            ])
-            .with_replicates(3);
-        let mut seeds: Vec<u64> = s.jobs(7).iter().map(|j| j.seed).collect();
-        let n = seeds.len();
-        seeds.sort_unstable();
-        seeds.dedup();
-        assert_eq!(seeds.len(), n, "seed collision in grid expansion");
     }
 }

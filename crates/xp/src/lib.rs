@@ -5,10 +5,10 @@
 //! loop, warmup constants, and arg parsing; this crate factors the shared
 //! machinery into one code path (see `DESIGN.md` for the full model):
 //!
-//! * [`grid`] — declarative experiment grids: a [`grid::Scenario`] is a
-//!   cartesian product over arrangement kind × chiplet count × injection
-//!   rate × traffic pattern × replicate seed, expanded into [`grid::Job`]s
-//!   with deterministic per-job seeds.
+//! * [`grid`] — coordinate-derived seeds: a stage's *cells* (one table
+//!   row's coordinates each) expand into `--seeds K` replicate jobs whose
+//!   seeds hash the cell's seed words ([`grid::point_coords`]), and
+//!   [`Campaign::run_cells`] runs them and hands each cell its replicates.
 //! * [`pool`] — a scoped-thread worker pool with large-job-first
 //!   scheduling and a progress ticker. Results are returned in job order,
 //!   so output is byte-identical for any `--workers` value.
@@ -25,7 +25,7 @@
 //! * [`spec`] + [`flow`] — the **declarative study API**: a
 //!   [`spec::StudySpec`] value (loadable from TOML/JSON through [`toml`] /
 //!   [`json`]) names a stage, axes, and overrides; [`flow::run_study`]
-//!   compiles it onto the grid/campaign machinery above and writes the
+//!   runs its cells through the campaign machinery above and writes the
 //!   unified sinks. The `study` binary runs every preset and spec file
 //!   through this one path.
 //! * [`hash`] + [`cache`] + [`serve`] — the **serving layer**: `study
@@ -56,7 +56,6 @@ pub mod serve;
 pub use campaign::Campaign;
 pub use cli::CampaignArgs;
 pub use flow::{run_study, StageHooks, StudyError, StudyReport};
-pub use grid::{Job, Scenario};
 pub use serve::{ServeConfig, Served, Server};
 pub use spec::{StageKind, StudySpec};
 pub use stats::Summary;

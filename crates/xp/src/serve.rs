@@ -51,7 +51,6 @@ use crate::flow::{
     load_curve_cells, resolved_axes, run_load_curve_cells, run_stage, CurveCell, StageHooks,
     StageTable, StudyError,
 };
-use crate::grid::{kind_code, pattern_code};
 use crate::hash::sha256_hex;
 use crate::json::{self, Value};
 use crate::spec::{ServeMode, ServeSpec, StageKind, StudySpec};
@@ -366,8 +365,8 @@ impl<'h> Server<'h> {
     /// and runs only the delta. `None` when no compatible donor exists.
     fn try_warm(&self, key: &str, canonical: &StudySpec) -> Result<Option<Served>, StudyError> {
         let cells = load_curve_cells(canonical);
-        let index: HashMap<CellId, usize> =
-            cells.iter().enumerate().map(|(i, c)| (cell_id(c), i)).collect();
+        let index: HashMap<Vec<u64>, usize> =
+            cells.iter().enumerate().map(|(i, c)| (c.coords(), i)).collect();
 
         // Best donor = the compatible entry covering the most cells.
         let mut best: Option<(Entry, Vec<CurveCell>)> = None;
@@ -381,9 +380,9 @@ impl<'h> Server<'h> {
             if !warm_compatible(&donor_spec, canonical) {
                 continue;
             }
-            let donor_cells = load_curve_cells(&donor_spec);
+            let donor_cells = load_curve_cells(&resolved_axes(&donor_spec, &self.config.args));
             if donor_cells.is_empty()
-                || !donor_cells.iter().all(|c| index.contains_key(&cell_id(c)))
+                || !donor_cells.iter().all(|c| index.contains_key(&c.coords()))
             {
                 continue;
             }
@@ -404,13 +403,13 @@ impl<'h> Server<'h> {
 
         let donor_csv =
             donor.files.iter().find(|f| f.name.ends_with(".csv")).expect("checked above");
-        let cached_line: HashMap<CellId, &str> = donor_cells
+        let cached_line: HashMap<Vec<u64>, &str> = donor_cells
             .iter()
             .zip(donor_csv.content.lines().skip(1))
-            .map(|(c, line)| (cell_id(c), line))
+            .map(|(c, line)| (c.coords(), line))
             .collect();
         let delta: Vec<CurveCell> =
-            cells.iter().copied().filter(|c| !cached_line.contains_key(&cell_id(c))).collect();
+            cells.iter().copied().filter(|c| !cached_line.contains_key(&c.coords())).collect();
 
         let campaign = Campaign::new(&canonical.name, self.backend_args(canonical));
         let fresh = run_load_curve_cells(canonical, &campaign, &delta)?;
@@ -431,7 +430,7 @@ impl<'h> Server<'h> {
         let mut table =
             Table::new(&fresh.header().iter().map(String::as_str).collect::<Vec<_>>());
         for cell in &cells {
-            let line = match cached_line.get(&cell_id(cell)) {
+            let line = match cached_line.get(&cell.coords()) {
                 Some(line) => line,
                 None => fresh_lines.next().expect("one fresh line per delta cell"),
             };
@@ -510,14 +509,6 @@ fn canonical_spec(spec: &StudySpec, config: &ServeConfig) -> StudySpec {
     canonical.serve = ServeSpec::default();
     canonical.output = Default::default();
     canonical
-}
-
-/// A hashable cell coordinate (rates via their exact bit pattern —
-/// the same rule the seed derivation uses).
-type CellId = (u64, u64, u64, u64);
-
-fn cell_id(cell: &CurveCell) -> CellId {
-    (kind_code(cell.kind), cell.n as u64, cell.rate.to_bits(), pattern_code(cell.pattern))
 }
 
 /// `true` when `donor` produces rows reusable by `target`: the two

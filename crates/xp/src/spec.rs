@@ -2,11 +2,11 @@
 //!
 //! A [`StudySpec`] is a *value* describing an experiment campaign: which
 //! [stage](StageKind) to run, the axes to sweep, parameter overrides, and
-//! output configuration. Specs compile onto the existing
-//! [`crate::grid::Scenario`] / [`crate::grid::Job`] machinery and execute
-//! through [`crate::flow::run_study`] — so a new study is *data* (a TOML
-//! or JSON file fed to the `study` binary, or a value built in code), not
-//! a new hand-wired binary.
+//! output configuration. A spec executes through
+//! [`crate::flow::run_study`], whose stages list their cells from the
+//! resolved axes and run them with [`crate::Campaign::run_cells`] — so a
+//! new study is *data* (a TOML or JSON file fed to the `study` binary, or
+//! a value built in code), not a new hand-wired binary.
 //!
 //! The serialized form has a flat two-level shape shared by TOML
 //! ([`StudySpec::from_toml`]) and JSON ([`StudySpec::from_json`]):
@@ -30,6 +30,7 @@ use nocsim::{
     OutputArbPolicy, RouterModel, RouterModelKind, RoutingKind, TrafficPattern, VcAllocPolicy,
 };
 
+use crate::cli::MAX_REPLICATES;
 use crate::json::Value;
 use crate::toml;
 
@@ -544,9 +545,6 @@ impl StudySpec {
         let mut spec = StudySpec::new(&name, stage);
         spec.seed = u64_field(value, "seed")?;
         spec.replicates = u64_field(value, "replicates")?;
-        if spec.replicates == Some(0) {
-            return Err("`replicates` must be at least 1".to_owned());
-        }
         for (key, section) in entries {
             match key.as_str() {
                 "name" | "stage" | "seed" | "replicates" => {}
@@ -752,27 +750,32 @@ impl StudySpec {
     ///
     /// Returns a message describing the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
-        if let Some(ns) = &self.axes.ns {
-            if ns.is_empty() {
-                return Err("axes.ns must not be empty".to_owned());
+        if self.replicates.is_some_and(|k| !(1..=MAX_REPLICATES).contains(&k)) {
+            return Err(format!("`replicates` must be between 1 and {MAX_REPLICATES}"));
+        }
+        // Each listed value names its own table rows: a repeat would run
+        // every point twice and rank a row against its own duplicate.
+        for (key, problem) in [
+            ("axes.kinds", list_problem(&self.axes.kinds)),
+            ("axes.ns", list_problem(&self.axes.ns)),
+            ("axes.rates", list_problem(&self.axes.rates)),
+            ("axes.patterns", list_problem(&self.axes.patterns)),
+            ("axes.workloads", list_problem(&self.axes.workloads)),
+            ("axes.routers", list_problem(&self.axes.routers)),
+            ("faults.ns", list_problem(&self.faults.ns)),
+            ("faults.link_failures", list_problem(&self.faults.link_failures)),
+        ] {
+            if let Some(problem) = problem {
+                return Err(format!("{key} {problem}"));
             }
+        }
+        if let Some(ns) = &self.axes.ns {
             let floor = match self.stage {
                 StageKind::Proxies | StageKind::Thermal | StageKind::Cost => 1,
                 _ => 2, // simulation needs at least two endpoints
             };
             if let Some(&bad) = ns.iter().find(|&&n| n < floor) {
                 return Err(format!("axes.ns value {bad} is below the stage minimum {floor}"));
-            }
-        }
-        for (key, empty) in [
-            ("kinds", self.axes.kinds.as_ref().is_some_and(Vec::is_empty)),
-            ("rates", self.axes.rates.as_ref().is_some_and(Vec::is_empty)),
-            ("patterns", self.axes.patterns.as_ref().is_some_and(Vec::is_empty)),
-            ("workloads", self.axes.workloads.as_ref().is_some_and(Vec::is_empty)),
-            ("routers", self.axes.routers.as_ref().is_some_and(Vec::is_empty)),
-        ] {
-            if empty {
-                return Err(format!("axes.{key} must not be empty"));
             }
         }
         if let Some(rates) = &self.axes.rates {
@@ -843,16 +846,8 @@ impl StudySpec {
                 return Err(format!("schedule.rate_resolution {res} is outside (0, 1)"));
             }
         }
-        if let Some(ns) = &self.faults.ns {
-            if ns.is_empty() {
-                return Err("faults.ns must not be empty".to_owned());
-            }
-            if let Some(&bad) = ns.iter().find(|&&n| n < 2) {
-                return Err(format!("faults.ns value {bad} is below the simulation minimum 2"));
-            }
-        }
-        if self.faults.link_failures.as_ref().is_some_and(Vec::is_empty) {
-            return Err("faults.link_failures must not be empty".to_owned());
+        if let Some(&bad) = self.faults.ns.iter().flatten().find(|&&n| n < 2) {
+            return Err(format!("faults.ns value {bad} is below the simulation minimum 2"));
         }
         if self.faults.retransmit_timeout == Some(0) {
             return Err("`faults.retransmit_timeout` must be at least 1".to_owned());
@@ -972,6 +967,17 @@ impl StudySpec {
     }
 }
 
+/// What is wrong with a set list, if anything: it is empty, or it
+/// repeats a value.
+fn list_problem<T: PartialEq + std::fmt::Debug>(values: &Option<Vec<T>>) -> Option<String> {
+    let values = values.as_deref()?;
+    if values.is_empty() {
+        return Some("must not be empty".to_owned());
+    }
+    let (_, repeat) = values.iter().enumerate().find(|&(i, v)| values[..i].contains(v))?;
+    Some(format!("repeats the value {repeat:?}"))
+}
+
 /// Inserts `section` into `root` only when non-empty, keeping the
 /// serialized form minimal.
 fn set_section(root: &mut Value, key: &str, section: Value) {
@@ -993,11 +999,21 @@ fn str_field<'a>(obj: &'a Value, key: &str) -> Result<Option<&'a str>, String> {
 fn u64_field(obj: &Value, key: &str) -> Result<Option<u64>, String> {
     match obj.get(key) {
         None => Ok(None),
-        Some(Value::Int(i)) => u64::try_from(*i)
-            .map(Some)
-            .map_err(|_| format!("`{key}` must be a non-negative integer")),
+        Some(Value::Int(i)) => in_range(*i, &format!("`{key}`")).map(Some),
         Some(other) => Err(format!("`{key}` must be an integer, got {other:?}")),
     }
+}
+
+/// A decoded integer as its field type; the error says whether it was
+/// negative or too large for the field.
+fn in_range<T: TryFrom<i128>>(i: i128, what: &str) -> Result<T, String> {
+    T::try_from(i).map_err(|_| {
+        if i < 0 {
+            format!("{what} must not be negative, got {i}")
+        } else {
+            format!("{what} {i} is out of range")
+        }
+    })
 }
 
 fn usize_field(obj: &Value, key: &str) -> Result<Option<usize>, String> {
@@ -1078,9 +1094,7 @@ fn decode_axes(section: &Value) -> Result<Axes, String> {
     Ok(Axes {
         kinds: list_field(section, "kinds", parse_name::<ArrangementKind>)?,
         ns: list_field(section, "ns", |v| match v {
-            Value::Int(i) => {
-                usize::try_from(*i).map_err(|_| "negative chiplet count".to_owned())
-            }
+            Value::Int(i) => in_range(*i, "chiplet count"),
             other => Err(format!("expected an integer, got {other:?}")),
         })?,
         rates: list_field(section, "rates", |v| match v {
@@ -1166,7 +1180,7 @@ fn decode_faults(section: &Value) -> Result<FaultsSpec, String> {
     )?;
     let counts = |key: &str| {
         list_field(section, key, |v| match v {
-            Value::Int(i) => usize::try_from(*i).map_err(|_| "negative count".to_owned()),
+            Value::Int(i) => in_range(*i, "count"),
             other => Err(format!("expected an integer, got {other:?}")),
         })
     };
@@ -1288,6 +1302,27 @@ mod tests {
         assert!(StudySpec::from_toml("name = \"s\"\n").is_err(), "missing stage");
         assert!(StudySpec::from_toml("name = \"a/b\"\nstage = \"traffic\"\n").is_err());
         assert!(StudySpec::from_toml(&format!("{base}replicates = 0\n")).is_err());
+        assert!(StudySpec::from_toml(&format!("{base}replicates = 1001\n")).is_err());
+        assert!(StudySpec::from_toml(&format!("{base}replicates = 1000\n")).is_ok());
+        let huge =
+            StudySpec::from_toml(&format!("{base}[axes]\nns = [99999999999999999999]\n"));
+        assert!(huge.unwrap_err().contains("out of range"), "too large is not negative");
+        // A repeated value would run its rows twice and rank a kind
+        // against its own duplicate.
+        for (stage, section, repeat) in [
+            ("traffic", "axes", "kinds = [\"hexamesh\", \"grid\", \"hexamesh\"]"),
+            ("traffic", "axes", "ns = [7, 7]"),
+            ("load_curve", "axes", "rates = [0.1, 0.2, 0.1]"),
+            ("traffic", "axes", "patterns = [\"tornado\", \"tornado\"]"),
+            ("workload", "axes", "workloads = [\"stencil\", \"stencil\"]"),
+            ("router", "axes", "routers = [\"baseline\", \"baseline\"]"),
+            ("resilience", "faults", "ns = [7, 7]"),
+            ("resilience", "faults", "link_failures = [0, 1, 0]"),
+        ] {
+            let spec = format!("name = \"s\"\nstage = \"{stage}\"\n[{section}]\n{repeat}\n");
+            let err = StudySpec::from_toml(&spec).expect_err(repeat);
+            assert!(err.contains("repeats the value"), "{repeat}: {err}");
+        }
         let schedule = "[schedule]\nwarmup_cycles = 10\nmeasure_cycles = 20\n";
         for res in ["0.05", "0", "-0.01", "1.0", "2.0"] {
             let spec =

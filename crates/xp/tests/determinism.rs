@@ -1,13 +1,13 @@
 //! The engine's headline guarantee: a campaign's result rows are identical
 //! for any `--workers` value — including when the jobs are real
 //! cycle-accurate simulations — because job seeds derive from coordinates
-//! and results return in grid order.
+//! and results return in cell order.
 
 use chiplet_workload::{WorkloadDriver, WorkloadKind};
 use hexamesh::arrangement::{Arrangement, ArrangementKind};
-use nocsim::{SimConfig, Simulator};
+use nocsim::{SimConfig, Simulator, TrafficPattern};
 use xp::cli::{CampaignArgs, OutputFormat};
-use xp::grid::Scenario;
+use xp::grid::{kind_code, point_coords};
 use xp::Campaign;
 
 fn args(workers: usize, seeds: u64) -> CampaignArgs {
@@ -25,36 +25,57 @@ fn args(workers: usize, seeds: u64) -> CampaignArgs {
 
 /// Runs a small real-simulation campaign and returns its rows.
 fn simulate_campaign(workers: usize, seeds: u64) -> Vec<(String, usize, u64, u64, String)> {
-    let scenario =
-        Scenario::new(&ArrangementKind::EVALUATED, &[2, 4, 7]).with_rates(&[0.05, 0.2]);
+    let mut cells = Vec::new();
+    for kind in ArrangementKind::EVALUATED {
+        for n in [2, 4, 7] {
+            cells.extend([0.05, 0.2].map(|rate| (kind, n, rate)));
+        }
+    }
     let campaign = Campaign::new("determinism", args(workers, seeds));
-    let results = campaign.run_grid(&scenario, |job| {
-        let arrangement = Arrangement::build(job.kind, job.n).expect("builds");
-        let config = SimConfig {
-            injection_rate: job.rate.expect("rate axis set"),
-            seed: job.seed,
-            vcs: 4,
-            buffer_depth: 4,
-            ..SimConfig::paper_defaults()
-        };
-        let mut sim = Simulator::new(arrangement.graph(), config).expect("valid");
-        let stats = sim.run_to_window(300, 1_200);
-        (stats.received_flits, stats.offered_packets)
-    });
-    results
-        .into_iter()
-        .map(|(job, (flits, offered))| {
-            (
-                job.kind.label().to_owned(),
-                job.n,
-                job.replicate,
-                flits,
-                // Rate formatted to survive float equality concerns in the
-                // row comparison.
-                format!("{:.3}|{offered}", job.rate.unwrap()),
+    let results = campaign.run_cells(
+        &cells,
+        1,
+        |&(kind, n, rate)| {
+            point_coords(
+                kind_code(kind),
+                n,
+                Some(rate),
+                TrafficPattern::UniformRandom,
+                None,
+                None,
             )
-        })
-        .collect()
+        },
+        |&(_, n, _)| n as u64,
+        |cell| format!("{cell:?}"),
+        |&(kind, n, rate), seed| {
+            let arrangement = Arrangement::build(kind, n).expect("builds");
+            let config = SimConfig {
+                injection_rate: rate,
+                seed,
+                vcs: 4,
+                buffer_depth: 4,
+                ..SimConfig::paper_defaults()
+            };
+            let mut sim = Simulator::new(arrangement.graph(), config).expect("valid");
+            let stats = sim.run_to_window(300, 1_200);
+            (stats.received_flits, stats.offered_packets)
+        },
+    );
+    let mut rows = Vec::new();
+    for ((kind, n, rate), replicates) in cells.iter().zip(results) {
+        for (replicate, (flits, offered)) in replicates.into_iter().enumerate() {
+            // Rate formatted to survive float equality concerns in the
+            // row comparison.
+            rows.push((
+                kind.label().to_owned(),
+                *n,
+                replicate as u64,
+                flits,
+                format!("{rate:.3}|{offered}"),
+            ));
+        }
+    }
+    rows
 }
 
 #[test]
@@ -68,7 +89,7 @@ fn rows_identical_for_any_worker_count() {
 fn rows_identical_for_any_worker_count_with_replicates() {
     let mut one = simulate_campaign(1, 3);
     let mut eight = simulate_campaign(8, 3);
-    assert_eq!(one, eight, "grid order must already match");
+    assert_eq!(one, eight, "cell order must already match");
     // And after sorting (the acceptance criterion's framing).
     one.sort();
     eight.sort();
@@ -78,28 +99,36 @@ fn rows_identical_for_any_worker_count_with_replicates() {
 /// Runs a closed-loop workload campaign (the `workload_comparison`
 /// shape) and returns its makespan/completion rows.
 fn workload_campaign(workers: usize) -> Vec<(String, String, u64, u64)> {
-    let scenario = Scenario::new(&ArrangementKind::ALL, &[7])
-        .with_workloads(&[WorkloadKind::RingAllReduce, WorkloadKind::Stencil]);
+    let mut cells = Vec::new();
+    for kind in ArrangementKind::ALL {
+        cells.extend([WorkloadKind::RingAllReduce, WorkloadKind::Stencil].map(|w| (kind, w)));
+    }
     let campaign = Campaign::new("workload_determinism", args(workers, 1));
-    let results = campaign.run_grid(&scenario, |job| {
-        let arrangement = Arrangement::build(job.kind, job.n).expect("builds");
-        let config = SimConfig { seed: job.seed, ..SimConfig::paper_defaults() };
-        let workload = job.workload.expect("workload axis set").build(job.n * 2);
-        let mut driver =
-            WorkloadDriver::new(arrangement.graph(), config, &workload).expect("valid");
-        let stats = driver.run(10_000_000);
-        assert!(stats.completed);
-        (stats.makespan, stats.delivered_flits)
-    });
-    results
-        .into_iter()
-        .map(|(job, (makespan, flits))| {
-            (
-                job.kind.label().to_owned(),
-                job.workload.expect("set").label().to_owned(),
-                makespan,
-                flits,
-            )
+    let results = campaign.run_cells(
+        &cells,
+        1,
+        |&(kind, w)| {
+            point_coords(kind_code(kind), 7, None, TrafficPattern::UniformRandom, Some(w), None)
+        },
+        |_| 7,
+        |cell| format!("{cell:?}"),
+        |&(kind, w), seed| {
+            let arrangement = Arrangement::build(kind, 7).expect("builds");
+            let config = SimConfig { seed, ..SimConfig::paper_defaults() };
+            let workload = w.build(7 * 2);
+            let mut driver =
+                WorkloadDriver::new(arrangement.graph(), config, &workload).expect("valid");
+            let stats = driver.run(10_000_000);
+            assert!(stats.completed);
+            (stats.makespan, stats.delivered_flits)
+        },
+    );
+    cells
+        .iter()
+        .zip(results)
+        .map(|((kind, w), reps)| {
+            let (makespan, flits) = reps[0];
+            (kind.label().to_owned(), w.label().to_owned(), makespan, flits)
         })
         .collect()
 }

@@ -52,9 +52,13 @@ fn curve_spec(
     if !kinds.is_empty() {
         spec.axes.kinds = Some(kinds);
     }
+    // Axis values must be distinct, so only each drawn value's first
+    // occurrence is kept.
+    let ns = first_occurrences(ns);
     if !ns.is_empty() {
-        spec.axes.ns = Some(ns.to_vec());
+        spec.axes.ns = Some(ns);
     }
+    let rate_steps = first_occurrences(rate_steps);
     if !rate_steps.is_empty() {
         spec.axes.rates = Some(rate_steps.iter().map(|&k| f64::from(k) * 0.02).collect());
     }
@@ -70,6 +74,17 @@ fn curve_spec(
     spec.seed = seed;
     spec.replicates = replicates;
     spec
+}
+
+/// `values` with each value's first occurrence kept, in order.
+fn first_occurrences<T: Copy + PartialEq>(values: &[T]) -> Vec<T> {
+    let mut out = Vec::new();
+    for &v in values {
+        if !out.contains(&v) {
+            out.push(v);
+        }
+    }
+    out
 }
 
 /// Rebuilds `value` with every object's keys in reverse order,
