@@ -477,6 +477,11 @@ fn optimized_graphs(
     axis(&spec.axes.ns).iter().map(|&n| Ok((n, graph_of(n, spec, campaign.args())?))).collect()
 }
 
+/// Every replicate's result per cell, or the first error in cell order.
+fn all_ok<T, E>(cells: Vec<Vec<Result<T, E>>>) -> Result<Vec<Vec<T>>, E> {
+    cells.into_iter().map(|reps| reps.into_iter().collect()).collect()
+}
+
 /// Runs `f` on the graph of family `kind` at `n`: the fixed arrangement,
 /// or for `OPT` the searched graph among `optimized`.
 fn with_graph<R>(
@@ -1200,11 +1205,7 @@ fn workload_stage(
         }
     }
 
-    let stats: Vec<Vec<WorkloadStats>> = results
-        .into_iter()
-        .map(|reps| reps.into_iter().collect::<Result<_, _>>())
-        .collect::<Result<_, _>>()
-        .map_err(StudyError::Stage)?;
+    let stats: Vec<Vec<WorkloadStats>> = all_ok(results).map_err(StudyError::Stage)?;
     let mut table = Table::new(&[
         "workload",
         "n",
@@ -1333,10 +1334,7 @@ fn kite_stage(spec: &StudySpec, campaign: &Campaign) -> Result<StageOutput, Stud
             })
         },
     );
-    let results: Vec<Vec<KiteRow>> = results
-        .into_iter()
-        .map(|reps| reps.into_iter().collect::<Result<_, _>>())
-        .collect::<Result<_, _>>()?;
+    let results: Vec<Vec<KiteRow>> = all_ok(results)?;
 
     let mut table = Table::new(&[
         "n",
@@ -1601,10 +1599,7 @@ fn resilience_stage(spec: &StudySpec, campaign: &Campaign) -> Result<StageOutput
             )
         },
     );
-    let points: Vec<Vec<DegradationPoint>> = points
-        .into_iter()
-        .map(|reps| reps.into_iter().collect::<Result<_, _>>())
-        .collect::<Result<_, _>>()?;
+    let points: Vec<Vec<DegradationPoint>> = all_ok(points)?;
 
     let mut degradation = Table::new(&[
         "n",
