@@ -1582,7 +1582,6 @@ fn resilience_stage(spec: &StudySpec, campaign: &Campaign) -> Result<StageOutput
     let points = campaign.run_cells(
         &cells,
         schedule.shards,
-        // The degradation seed words: kind, n, failures.
         |&(n, kind, failures)| vec![kind_code(kind), n as u64, failures as u64],
         |&(n, _, _)| (n * n) as u64,
         |(n, kind, failures)| format!("{kind} n={n} failures={failures}"),
