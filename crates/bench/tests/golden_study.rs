@@ -391,3 +391,11 @@ fn netview_cells_match_their_fixtures() {
         ],
     );
 }
+
+/// The Fig. 6 proxy sweep behind the abstract's -42% diameter and +130%
+/// bisection claims (HM/G = 0.61 and 2.10 at N = 100).
+#[test]
+fn proxies_cells_match_their_fixture() {
+    let spec = hexamesh_bench::presets::preset("proxies").expect("preset");
+    assert_cells("proxies", &spec, 1, &["proxies.csv"]);
+}

@@ -10,7 +10,8 @@
 # searched (OPT) rows. The `cells` cases at the end pin the paths they
 # miss, from fixtures under golden/cells/: replicate averaging, OPT
 # seeds, the resilience degradation table, router makespan columns, the
-# observability timeline and heatmaps, and non-default axis orders.
+# observability timeline and heatmaps, non-default axis orders, and the
+# Fig. 6 proxies.
 #
 # Usage: scripts/ci_study_diff.sh [target/release]
 set -euo pipefail
@@ -57,8 +58,8 @@ grep -q ",OPT," "$OUT/spec_opt/opt_hotspot_curves.csv"
 echo "   searched-arrangement rows present"
 
 # Replicate cells (see the header): each case runs at --seeds 2 unless
-# it pins an observability artefact, with fixtures under
-# $GOLDEN/cells/CASE/.
+# it pins an observability artefact or a seedless stage, with fixtures
+# under $GOLDEN/cells/CASE/.
 CELLS=(--quick --seed 42 --workers 2 --format csv)
 
 # cells CASE "FILES..." FLAGS...: run study with FLAGS, then compare each
@@ -98,5 +99,6 @@ cells load_curves_axes load_curves.csv --preset load_curves --kinds hexamesh,gri
     --rates 0.1,0.3 --patterns uniform,tornado --seeds 2
 cells fig7_axes "fig7_results.csv fig7_normalized.csv" --preset fig7_simulation \
     --kinds hexamesh,grid,brickwall --ns 4,7 --seeds 2
+cells proxies proxies.csv --preset proxies
 
 echo "study-vs-golden: every preset spec matches its golden fixture"
