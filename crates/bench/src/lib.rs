@@ -9,20 +9,18 @@
 //! | `study`             | **any** — runs a declarative [`xp::spec::StudySpec`] file or [`presets`] preset |
 //! | `fig4_arrangements` | Fig. 4 neighbour/diameter/bisection panel |
 //! | `fig5_shape`        | Fig. 5 / §IV-B shape worked example |
-//! | `fig6_proxies`      | Fig. 6a diameter, Fig. 6b bisection |
 //! | `table1_link_model` | Table I + §VI-B link bandwidth estimates |
 //! | `ablation_interposer` | EXP-A5 C4 vs. micro-bump carrier ablation |
 //! | `phy_sweep`         | EXP-P1 link reach/derating (§II/§V envelopes) |
 //! | `simperf`           | simulator performance tracking (`BENCH_nocsim`) |
-//! | `calibrate`         | BookSim2 cross-check of the simulator |
 //!
-//! Every other experiment — Fig. 7 and each extension study — is a
-//! preset of the declarative study flow (`xp::spec` + `xp::flow`), run as
-//! `study --preset <name>`; [`presets::PRESET_NAMES`] lists them and
+//! Every other experiment — Fig. 6, Fig. 7 and each extension study — is
+//! a preset of the declarative study flow (`xp::spec` + `xp::flow`), run
+//! as `study --preset <name>`; [`presets::PRESET_NAMES`] lists them and
 //! DESIGN.md's "Study specs" documents the stages.
 //!
-//! The `benches/` directory holds Criterion benchmarks exercising reduced
-//! versions of the same code paths for performance regression tracking.
+//! Performance is tracked by `simperf` and by the benchmark under
+//! `perfbench/` (its own workspace, see `BENCHMARK.json`).
 //!
 //! Every sweep runs on the experiment engine (the `xp` crate): a shared
 //! worker pool with large-job-first scheduling, coordinate-derived seeds
