@@ -1265,19 +1265,25 @@ impl Simulator {
     /// event — skipped cycles have nothing to do by construction, so
     /// statistics are unaffected.
     pub fn run(&mut self, cycles: u64) {
-        let target = self.cycle.saturating_add(cycles);
-        if self.reference_stepping {
-            while self.cycle < target {
-                self.obs_sample_if_due();
-                self.service_faults();
-                self.step_reference();
-            }
-            self.obs_sample_if_due();
-            return;
-        }
+        self.advance(self.cycle.saturating_add(cycles), |_| false);
+    }
+
+    /// The one cycle loop behind [`Simulator::run`],
+    /// [`Simulator::run_until_deliveries`] and [`Simulator::drain`]: steps
+    /// until `target` (an absolute cycle) or until `done` holds at the top
+    /// of a cycle, sampling an attached probe at every boundary it passes.
+    /// `done` must not change over idle cycles, which are fast-forwarded.
+    fn advance(&mut self, target: u64, done: impl Fn(&Self) -> bool) {
         while self.cycle < target {
             self.obs_sample_if_due();
+            if done(self) {
+                return;
+            }
             self.service_faults();
+            if self.reference_stepping {
+                self.step_reference();
+                continue;
+            }
             if self.active_routers.is_empty() && self.inject_list.is_empty() {
                 let next = self.next_event_cycle();
                 if next > self.cycle {
@@ -1400,23 +1406,7 @@ impl Simulator {
     /// scheduled injection times (`target`), without ever polling cycles
     /// in between.
     pub fn run_until_deliveries(&mut self, target: u64) -> bool {
-        while self.cycle < target && self.delivery_log.is_empty() {
-            self.service_faults();
-            if !self.reference_stepping
-                && self.active_routers.is_empty()
-                && self.inject_list.is_empty()
-            {
-                let next = self.next_event_cycle();
-                if next > self.cycle {
-                    self.cycle = next.min(target);
-                    if self.cycle >= target {
-                        break;
-                    }
-                    self.service_faults();
-                }
-            }
-            self.step();
-        }
+        self.advance(target, |sim| !sim.delivery_log.is_empty());
         !self.delivery_log.is_empty()
     }
 
@@ -1661,7 +1651,8 @@ impl Simulator {
     }
 
     /// The next sample boundary, or `u64::MAX` without an attached (and
-    /// non-full) probe — [`Simulator::run`] clamps idle fast-forward here.
+    /// non-full) probe — [`Simulator::advance`] clamps idle fast-forward
+    /// here.
     #[inline]
     fn obs_next_sample(&self) -> u64 {
         self.obs.as_deref().map_or(u64::MAX, |o| o.next_sample)
@@ -1751,21 +1742,16 @@ impl Simulator {
     }
 
     /// Stops traffic generation and runs until the network drains or
-    /// `max_cycles` pass. Returns `true` if fully drained.
+    /// `max_cycles` pass. Returns `true` if fully drained. Like
+    /// [`Simulator::run`], it fast-forwards idle stretches and samples an
+    /// attached probe.
     ///
     /// The configured [`SimConfig::injection_rate`] is *not* modified:
     /// [`Simulator::config`] keeps reporting the rate the simulation ran
     /// at before the drain.
     pub fn drain(&mut self, max_cycles: u64) -> bool {
         self.generation_stopped = true;
-        let deadline = self.cycle.saturating_add(max_cycles);
-        while self.cycle < deadline {
-            if self.fully_drained() {
-                return true;
-            }
-            self.service_faults();
-            self.step();
-        }
+        self.advance(self.cycle.saturating_add(max_cycles), Self::fully_drained);
         self.fully_drained()
     }
 
@@ -2363,10 +2349,22 @@ impl Simulator {
     /// only after a global drain: the cycles being unwound moved no flit
     /// anywhere (only residual credit deliveries, which no reported stat
     /// observes), and generation is stopped.
+    ///
+    /// Probe windows ending in the unwound cycles are dropped, as the
+    /// serial drain never reaches them. The probe's counter snapshots
+    /// stay: nothing they count changed in those cycles.
     pub(crate) fn rewind_cycle(&mut self, to: u64) {
         debug_assert!(self.generation_stopped, "rewind is a drain-only operation");
         debug_assert!(to <= self.cycle, "rewind must not advance the clock");
         self.cycle = to;
+        if let Some(obs) = self.obs.as_deref_mut() {
+            let kept = obs.windows.partition_point(|w| w.end_cycle <= to);
+            if let Some(first_dropped) = obs.windows.get(kept) {
+                obs.last_sample_cycle = first_dropped.start_cycle;
+                obs.next_sample = first_dropped.end_cycle;
+                obs.windows.truncate(kept);
+            }
+        }
     }
 
     /// Per-link flit counts since construction (boundary links count on

@@ -68,62 +68,84 @@ fn probe_attached_reference_stepping_matches_event_path() {
 
     assert_eq!(event_stats, reference_stats);
     assert_eq!(event.obs_windows(), reference.obs_windows());
+
+    // The event path's drain fast-forwards idle stretches; the probe still
+    // samples at every boundary the polling drain steps through.
+    assert_eq!(event.drain(20_000), reference.drain(20_000));
+    assert_eq!(event.cycle(), reference.cycle());
+    assert_eq!(event.obs_windows(), reference.obs_windows());
 }
 
 #[test]
 fn window_series_merges_to_serial_under_shard_counts() {
     let g = gen::grid(4, 4);
-    let cfg = config(0.1);
-    let probe = Probe::new(250, 64);
+    // (seed, sample period). Each run measures, then drains: to cycle
+    // 4 744 with seed 0xB0B and 4 397 with seed 7. A sharded drain runs
+    // whole lookahead windows past that cycle before rewinding to it, so
+    // it passes the next sample boundary (4 750, 4 400) that the serial
+    // drain never reaches.
+    for (seed, every) in [(0xB0B, 250), (7, 50)] {
+        let cfg = SimConfig { seed, ..config(0.1) };
+        let probe = Probe::new(every, Probe::capacity_for(every, 22_600));
 
-    let mut serial = Simulator::new(&g, cfg).unwrap();
-    serial.attach_probe(probe);
-    let serial_stats = serial.run_to_window(600, 2_000);
-    let serial_windows = serial.obs_windows().to_vec();
-    assert!(!serial_windows.is_empty());
+        let mut serial = Simulator::new(&g, cfg).unwrap();
+        serial.attach_probe(probe);
+        let serial_stats = serial.run_to_window(600, 2_000);
+        assert!(serial.drain(20_000), "seed {seed}");
+        let serial_windows = serial.obs_windows().to_vec();
+        assert_eq!(
+            serial_windows.len() as u64,
+            serial.cycle() / every,
+            "seed {seed}: the drain samples every boundary it passes"
+        );
 
-    for shards in [1, 2, 4, 8] {
-        let mut sharded = ShardedSimulator::new(&g, cfg, shards).unwrap();
-        sharded.attach_probe(probe);
-        let stats = sharded.run_to_window(600, 2_000);
-        assert_eq!(stats, serial_stats, "{shards} shards");
+        for shards in [1, 2, 4, 8] {
+            let case = format!("seed {seed}, period {every}, {shards} shards");
+            let mut sharded = ShardedSimulator::new(&g, cfg, shards).unwrap();
+            sharded.attach_probe(probe);
+            let stats = sharded.run_to_window(600, 2_000);
+            assert_eq!(stats, serial_stats, "{case}");
+            assert!(sharded.drain(20_000), "{case}");
+            assert_eq!(sharded.cycle(), serial.cycle(), "{case}");
 
-        let merged = sharded.obs_windows();
-        if shards == 1 {
-            // One shard is the serial engine itself: everything is equal,
-            // the in-network gauge included.
-            assert_eq!(merged, serial_windows);
-            assert_eq!(sharded.channel_loads(), serial.channel_loads());
-            assert_eq!(
-                sharded.latency_percentiles(&[0.5, 0.95, 0.99]),
-                serial.latency_percentiles(&[0.5, 0.95, 0.99])
-            );
-            assert_eq!(sharded.deadlock_suspected(), serial.deadlock_suspected());
-        }
-        assert_eq!(merged.len(), serial_windows.len(), "{shards} shards");
-        for (m, s) in merged.iter().zip(&serial_windows) {
-            // Merge order: ascending window index, aligned boundaries.
-            assert_eq!(m.window, s.window, "{shards} shards");
-            assert_eq!(m.start_cycle, s.start_cycle, "{shards} shards");
-            assert_eq!(m.end_cycle, s.end_cycle, "{shards} shards");
-            // Endpoint-local counters and per-router / per-link tallies
-            // are exact: every endpoint, router, and (source-counted)
-            // link lives in exactly one shard and evolves bit-identically
-            // to the serial run.
-            assert_eq!(m.offered_packets, s.offered_packets, "{shards} shards");
-            assert_eq!(m.accepted_packets, s.accepted_packets, "{shards} shards");
-            assert_eq!(m.received_flits, s.received_flits, "{shards} shards");
-            assert_eq!(m.received_packets, s.received_packets, "{shards} shards");
-            assert_eq!(m.measured_packets, s.measured_packets, "{shards} shards");
-            assert_eq!(m.latency_sum, s.latency_sum, "{shards} shards");
-            assert_eq!(m.stalls, s.stalls, "{shards} shards");
-            assert_eq!(m.link_flits, s.link_flits, "{shards} shards");
-            assert_eq!(m.max_link_flits, s.max_link_flits, "{shards} shards");
-            assert_eq!(m.buffered_flits, s.buffered_flits, "{shards} shards");
-            // The in-network gauge sums each shard's owned region; a flit
-            // mid-handoff between shards is attributed to neither, so the
-            // merged gauge can only undercount the serial one.
-            assert!(m.flits_in_network <= s.flits_in_network, "{shards} shards");
+            let merged = sharded.obs_windows();
+            if shards == 1 {
+                // One shard is the serial engine itself: everything is
+                // equal, the in-network gauge included.
+                assert_eq!(merged, serial_windows);
+                assert_eq!(sharded.channel_loads(), serial.channel_loads());
+                assert_eq!(
+                    sharded.latency_percentiles(&[0.5, 0.95, 0.99]),
+                    serial.latency_percentiles(&[0.5, 0.95, 0.99])
+                );
+                assert_eq!(sharded.deadlock_suspected(), serial.deadlock_suspected());
+            }
+            assert_eq!(merged.len(), serial_windows.len(), "{case}");
+            for (m, s) in merged.iter().zip(&serial_windows) {
+                // Merge order: ascending window index, aligned boundaries.
+                assert_eq!(m.window, s.window, "{case}");
+                assert_eq!(m.start_cycle, s.start_cycle, "{case}");
+                assert_eq!(m.end_cycle, s.end_cycle, "{case}");
+                // Endpoint-local counters and per-router / per-link
+                // tallies are exact: every endpoint, router, and
+                // (source-counted) link lives in exactly one shard and
+                // evolves bit-identically to the serial run.
+                assert_eq!(m.offered_packets, s.offered_packets, "{case}");
+                assert_eq!(m.accepted_packets, s.accepted_packets, "{case}");
+                assert_eq!(m.received_flits, s.received_flits, "{case}");
+                assert_eq!(m.received_packets, s.received_packets, "{case}");
+                assert_eq!(m.measured_packets, s.measured_packets, "{case}");
+                assert_eq!(m.latency_sum, s.latency_sum, "{case}");
+                assert_eq!(m.stalls, s.stalls, "{case}");
+                assert_eq!(m.link_flits, s.link_flits, "{case}");
+                assert_eq!(m.max_link_flits, s.max_link_flits, "{case}");
+                assert_eq!(m.buffered_flits, s.buffered_flits, "{case}");
+                // The in-network gauge sums each shard's owned region; a
+                // flit mid-handoff between shards is attributed to
+                // neither, so the merged gauge can only undercount the
+                // serial one.
+                assert!(m.flits_in_network <= s.flits_in_network, "{case}");
+            }
         }
     }
 }
