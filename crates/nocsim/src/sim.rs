@@ -1232,15 +1232,6 @@ impl Simulator {
         self.cycle = t + 1;
     }
 
-    /// Advances the simulation by one cycle.
-    pub fn step(&mut self) {
-        if self.reference_stepping {
-            self.step_reference();
-        } else {
-            self.step_event();
-        }
-    }
-
     /// The earliest cycle at which anything is scheduled to happen
     /// ([`IDLE`] if nothing is).
     fn next_event_cycle(&self) -> u64 {

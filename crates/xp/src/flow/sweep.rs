@@ -1,5 +1,5 @@
-//! Sweep runners shared by the study stages and the figure binaries —
-//! the engine-pool decompositions of the paper's evaluation pipeline.
+//! Sweep runners shared by the study stages — the engine-pool
+//! decompositions of the paper's evaluation pipeline.
 
 use chiplet_partition::BisectionConfig;
 use hexamesh::arrangement::{Arrangement, ArrangementKind};
