@@ -426,6 +426,16 @@ fn out_of_range_resolution_is_an_error_event_and_serving_continues() {
         ]
         .map(str::to_owned),
     );
+    // `[sim]` values the engine would refuse mid-run.
+    bad.extend(["\"vcs\":0", "\"vcs\":1", "\"buffer_depth\":0"].map(|sim| {
+        format!(
+            concat!(
+                r#"{{"name":"bad","stage":"load_curve","axes":{{"kinds":["hexamesh"],"#,
+                r#""ns":[4],"rates":[0.1]}},"sim":{{{sim}}}}}"#,
+            ),
+            sim = sim,
+        )
+    }));
     let mut request = String::new();
     for (i, spec) in bad.iter().enumerate() {
         request.push_str(&format!("{{\"id\":\"bad{i}\",\"spec\":{spec}}}\n"));

@@ -44,6 +44,33 @@ fn invalid_overrides_exit_2_before_any_job_runs() {
 }
 
 #[test]
+fn bad_sim_values_in_a_spec_exit_2_before_any_job_runs() {
+    let cases = [
+        ("load_curve", "vcs = 0"),
+        ("load_curve", "vcs = 1"),
+        ("saturation", "buffer_depth = 0"),
+        ("router", "buffer_depth = 1"),
+    ];
+    for (i, (stage, sim)) in cases.iter().enumerate() {
+        let spec = std::env::temp_dir()
+            .join(format!("study_cli_badsim{i}_{}.toml", std::process::id()));
+        let axes = "[axes]\nkinds = [\"hexamesh\"]\nns = [4]\n";
+        std::fs::write(
+            &spec,
+            format!("name = \"bad\"\nstage = \"{stage}\"\n{axes}[sim]\n{sim}\n"),
+        )
+        .expect("spec written");
+        let flags = ["--spec", spec.to_str().unwrap(), "--quick"];
+        let (output, out) = study(&format!("badsim{i}"), &flags);
+        let _ = std::fs::remove_file(&spec);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{stage} {sim}: {stderr}");
+        assert!(stderr.lines().any(|l| l.starts_with("error: ")), "{stage} {sim}: {stderr}");
+        assert!(!out.exists(), "{stage} {sim} wrote into --out");
+    }
+}
+
+#[test]
 fn a_valid_override_runs_only_the_requested_counts() {
     let (output, out) = study("cost", &["--preset", "cost_model", "--ns", "4"]);
     assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));

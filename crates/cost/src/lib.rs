@@ -4,8 +4,8 @@
 //! cost model could be applied together with our evaluation methodology to
 //! compare architectures both in terms of cost and performance."
 //!
-//! The model covers the recurring and non-recurring cost mechanics §I of the
-//! paper argues motivate disaggregation:
+//! The model covers the recurring cost mechanics §I of the paper argues
+//! motivate disaggregation:
 //!
 //! * [`wafer`] — wafer geometry: gross dies per wafer,
 //! * [`yield_model`] — fabrication yield vs. die area (Poisson, Murphy,
@@ -13,8 +13,6 @@
 //! * [`die`] — recurring die cost including known-good-die (KGD) testing,
 //! * [`packaging`] — package substrate / silicon interposer and bonding
 //!   yield,
-//! * [`nre`] — non-recurring engineering: mask sets and design cost,
-//!   amortised over volume, with chiplet-reuse discounts,
 //! * [`system`] — putting it together: monolithic vs. 2.5D system cost and
 //!   the disaggregation break-even.
 //!
@@ -35,9 +33,7 @@
 
 pub mod binning;
 pub mod die;
-pub mod nre;
 pub mod packaging;
-pub mod portfolio;
 pub mod system;
 pub mod wafer;
 pub mod yield_model;

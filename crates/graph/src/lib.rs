@@ -41,7 +41,6 @@ pub mod bfs;
 pub mod centrality;
 pub mod csr;
 pub mod cut;
-pub mod dot;
 pub mod gen;
 pub mod metrics;
 pub mod resilience;

@@ -203,41 +203,22 @@ impl Endpoint {
 
     /// Generates the packet scheduled for `cycle` (offering it to the
     /// source queue, which may refuse it when full), then samples the next
-    /// arrival. Returns the new [`Endpoint::next_arrival`].
+    /// arrival. Returns the new [`Endpoint::next_arrival`] and whether the
+    /// packet was squelched.
+    ///
+    /// The destination is sampled whatever the network state, so the RNG
+    /// consumes the same draws on a healthy and a degraded network, and a
+    /// run whose fault plan never fires stays bit-identical to an unfaulted
+    /// one. It is then checked against `deliverable`: packets toward a dead
+    /// or partitioned destination are *squelched* (never enqueued). On
+    /// acceptance, `accepted` receives `(id, dest, size)` so the simulator
+    /// can register the packet for retransmission tracking. A healthy
+    /// network passes `|_| true` and a no-op `accepted`.
     ///
     /// # Panics
     ///
     /// Debug-panics if `cycle` is not the scheduled arrival cycle.
     pub fn generate_due(
-        &mut self,
-        cycle: u64,
-        process: InjectionProcess,
-        pattern: TrafficPattern,
-    ) -> u64 {
-        debug_assert_eq!(cycle, self.next_arrival, "generation fired off schedule");
-        if cycle >= self.window_start {
-            self.stats.offered_packets += 1;
-        }
-        if self.source_queue.len() + process.packet_size <= self.source_queue_cap_flits {
-            let dest = pattern.destination(self.id, self.num_endpoints, &mut self.rng);
-            self.enqueue(cycle, dest, process.packet_size);
-            if cycle >= self.window_start {
-                self.stats.accepted_packets += 1;
-            }
-        } // else refused: source queue full (network saturated)
-        self.schedule_arrival(cycle + 1, process);
-        self.next_arrival
-    }
-
-    /// Like [`Self::generate_due`], but for a (potentially) degraded
-    /// network. The destination is sampled exactly as in the healthy path —
-    /// the RNG consumes the same draws, so a run whose fault plan never
-    /// fires stays bit-identical to an unfaulted one — and then checked
-    /// against `deliverable`: packets toward a dead or partitioned
-    /// destination are *squelched* (never enqueued; the second return value
-    /// is `true`). On acceptance, `accepted` receives `(id, dest, size)` so
-    /// the simulator can register the packet for retransmission tracking.
-    pub fn generate_due_degraded(
         &mut self,
         cycle: u64,
         process: InjectionProcess,
@@ -519,7 +500,13 @@ mod tests {
         e.schedule_arrival(0, proc);
         for cycle in 0..cycles {
             if e.next_arrival() == cycle {
-                e.generate_due(cycle, proc, TrafficPattern::UniformRandom);
+                e.generate_due(
+                    cycle,
+                    proc,
+                    TrafficPattern::UniformRandom,
+                    |_| true,
+                    &mut |_, _, _| {},
+                );
             }
         }
     }

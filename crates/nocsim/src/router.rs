@@ -8,7 +8,8 @@
 //! * per-packet VC allocation (wormhole switching: the head flit routes and
 //!   allocates; body flits inherit the allocation; the tail releases it),
 //! * separable input-first switch allocation with round-robin arbiters,
-//! * a configurable pipeline latency applied to every traversing flit.
+//! * a configurable pipeline latency applied to every traversing flit (the
+//!   simulator schedules it, from [`crate::SimConfig::pipeline_cycles`]).
 //!
 //! The router never drops flits; credits make buffer overflow impossible and
 //! an assertion enforces it.
@@ -25,24 +26,11 @@ pub struct RouterParams {
     pub vcs: usize,
     /// Buffer depth (flits) per virtual channel.
     pub buffer_depth: usize,
-    /// Pipeline latency in cycles added to every flit that traverses the
-    /// router (3 in the paper's configuration, plus the model's crossbar
-    /// depth).
-    pub pipeline_latency: u64,
     /// Microarchitecture policies (see [`crate::rmodel`]).
     pub model: RouterModel,
     /// Run seed; each router derives its own deterministic policy-RNG
     /// stream from it (only the [`VcAllocPolicy::Random`] model draws).
     pub seed: u64,
-}
-
-/// Where an output port leads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PortTarget {
-    /// A link toward another router.
-    Router(RouterId),
-    /// An ejection link toward a locally attached endpoint.
-    Endpoint(usize),
 }
 
 /// A flit leaving the router this cycle through `out_port`.
@@ -795,12 +783,6 @@ impl Router {
         count
     }
 
-    /// Flits currently buffered in input VC `vc` of `port`.
-    #[must_use]
-    pub fn input_occupancy(&self, port: usize, vc: VcId) -> usize {
-        self.inputs[port * self.params.vcs + vc].buffer.len()
-    }
-
     /// Recomputes `buffered`, `unbound_heads` and `sa_candidates` from the
     /// input VC state (the non-debug twin of [`Self::debug_check_counters`],
     /// used after a fault purge invalidates the incremental counts).
@@ -854,12 +836,6 @@ impl Router {
     pub fn has_buffered(&self) -> bool {
         self.buffered > 0
     }
-
-    /// Pipeline latency applied to traversing flits.
-    #[must_use]
-    pub fn pipeline_latency(&self) -> u64 {
-        self.params.pipeline_latency
-    }
 }
 
 #[cfg(test)]
@@ -868,13 +844,7 @@ mod tests {
     use chiplet_graph::gen;
 
     fn params() -> RouterParams {
-        RouterParams {
-            vcs: 2,
-            buffer_depth: 4,
-            pipeline_latency: 3,
-            model: RouterModel::default(),
-            seed: 0xBEEF,
-        }
+        RouterParams { vcs: 2, buffer_depth: 4, model: RouterModel::default(), seed: 0xBEEF }
     }
 
     fn tables(g: &chiplet_graph::Graph, kind: RoutingKind) -> RoutingTables {

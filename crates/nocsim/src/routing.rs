@@ -124,28 +124,10 @@ impl RoutingTables {
 
         let dist = bfs::all_pairs_distances(g);
 
-        // Minimal next-hop ports: neighbour u of r is on a minimal path to d
-        // iff dist(u, d) + 1 == dist(r, d).
-        let mut minimal = vec![Vec::new(); n * n];
-        for r in 0..n {
-            for d in 0..n {
-                if r == d {
-                    continue;
-                }
-                let target = dist[r * n + d];
-                let ports = g
-                    .neighbors(r)
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &u)| dist[u * n + d] + 1 == target)
-                    .map(|(p, _)| u16::try_from(p).expect("port fits u16"))
-                    .collect();
-                minimal[r * n + d] = ports;
-            }
-        }
+        let minimal = minimal_ports(g, &dist, |_, _| true);
 
-        // Spanning tree rooted at router 0 (BFS parents), then per-destination
-        // next hops along the unique tree path.
+        // Spanning tree rooted at router 0 (BFS parents): each router's
+        // parent is its lowest-numbered predecessor.
         let (_, parent) = bfs::distances_with_parents(g, 0);
         let mut tree_adj: Vec<Vec<RouterId>> = vec![Vec::new(); n];
         for v in 1..n {
@@ -153,33 +135,7 @@ impl RoutingTables {
             tree_adj[v].push(p);
             tree_adj[p].push(v);
         }
-        let mut escape = vec![u16::MAX; n * n];
-        for d in 0..n {
-            // BFS from d over the tree; first hop back toward d is the parent
-            // in this BFS.
-            let mut next_toward_d: Vec<Option<RouterId>> = vec![None; n];
-            let mut queue = std::collections::VecDeque::from([d]);
-            let mut seen = vec![false; n];
-            seen[d] = true;
-            while let Some(u) = queue.pop_front() {
-                for &w in &tree_adj[u] {
-                    if !seen[w] {
-                        seen[w] = true;
-                        next_toward_d[w] = Some(u);
-                        queue.push_back(w);
-                    }
-                }
-            }
-            for r in 0..n {
-                if r == d {
-                    continue;
-                }
-                let hop = next_toward_d[r].expect("tree spans all routers");
-                let port =
-                    g.neighbors(r).binary_search(&hop).expect("tree edge exists in graph");
-                escape[r * n + d] = u16::try_from(port).expect("port fits u16");
-            }
-        }
+        let escape = escape_ports(g, &tree_adj, &vec![false; n]);
 
         Ok(Self { kind, num_routers: n, dist, minimal, escape })
     }
@@ -235,29 +191,11 @@ impl RoutingTables {
             }
         }
 
-        let mut minimal = vec![Vec::new(); n * n];
-        for r in 0..n {
-            for d in 0..n {
-                if r == d || dist[r * n + d] == u32::MAX {
-                    continue;
-                }
-                let target = dist[r * n + d];
-                let ports = g
-                    .neighbors(r)
-                    .iter()
-                    .zip(&live_port[r])
-                    .enumerate()
-                    .filter(|&(_, (&u, &live))| {
-                        live && dist[u * n + d] != u32::MAX && dist[u * n + d] + 1 == target
-                    })
-                    .map(|(p, _)| u16::try_from(p).expect("port fits u16"))
-                    .collect();
-                minimal[r * n + d] = ports;
-            }
-        }
+        let minimal = minimal_ports(g, &dist, |r, p| live_port[r][p]);
 
         // Per-component spanning forest: each component's tree is rooted at
-        // its lowest live router id (BFS parents over live edges).
+        // its lowest live router id, and each router's parent is the live
+        // neighbour BFS discovered it from.
         let mut tree_adj: Vec<Vec<RouterId>> = vec![Vec::new(); n];
         let mut in_tree = vec![false; n];
         for root in 0..n {
@@ -278,37 +216,7 @@ impl RoutingTables {
                 }
             }
         }
-        let mut escape = vec![u16::MAX; n * n];
-        let mut next_toward_d: Vec<Option<RouterId>> = vec![None; n];
-        let mut seen = vec![false; n];
-        for d in 0..n {
-            if dead_router[d] {
-                continue;
-            }
-            next_toward_d.iter_mut().for_each(|x| *x = None);
-            seen.iter_mut().for_each(|x| *x = false);
-            seen[d] = true;
-            queue.clear();
-            queue.push_back(d);
-            while let Some(u) = queue.pop_front() {
-                for &w in &tree_adj[u] {
-                    if !seen[w] {
-                        seen[w] = true;
-                        next_toward_d[w] = Some(u);
-                        queue.push_back(w);
-                    }
-                }
-            }
-            for r in 0..n {
-                if r == d {
-                    continue;
-                }
-                let Some(hop) = next_toward_d[r] else { continue };
-                let port =
-                    g.neighbors(r).binary_search(&hop).expect("tree edge exists in graph");
-                escape[r * n + d] = u16::try_from(port).expect("port fits u16");
-            }
-        }
+        let escape = escape_ports(g, &tree_adj, dead_router);
 
         Self { kind, num_routers: n, dist, minimal, escape }
     }
@@ -379,10 +287,86 @@ impl RoutingTables {
     }
 }
 
+/// Minimal next-hop ports per (router, destination), row-major like
+/// `dist`: port `p` of `r`, leading to neighbour `u`, is minimal toward `d`
+/// iff `live_port(r, p)` and `dist(u, d) + 1 == dist(r, d)`. Unreachable
+/// pairs (`u32::MAX` distance) get no ports.
+fn minimal_ports(
+    g: &Graph,
+    dist: &[u32],
+    live_port: impl Fn(RouterId, usize) -> bool,
+) -> Vec<Vec<u16>> {
+    let n = g.num_vertices();
+    let mut minimal = vec![Vec::new(); n * n];
+    for r in 0..n {
+        for d in 0..n {
+            let target = dist[r * n + d];
+            if r == d || target == u32::MAX {
+                continue;
+            }
+            minimal[r * n + d] = g
+                .neighbors(r)
+                .iter()
+                .enumerate()
+                .filter(|&(p, &u)| {
+                    live_port(r, p)
+                        && dist[u * n + d] != u32::MAX
+                        && dist[u * n + d] + 1 == target
+                })
+                .map(|(p, _)| u16::try_from(p).expect("port fits u16"))
+                .collect();
+        }
+    }
+    minimal
+}
+
+/// Escape ports per (router, destination) along the spanning forest
+/// `tree_adj`: the first hop of the unique tree path from `r` to `d`, or
+/// `u16::MAX` when `r == d`, `d` is dead, or `r` lies in another tree.
+fn escape_ports(g: &Graph, tree_adj: &[Vec<RouterId>], dead_router: &[bool]) -> Vec<u16> {
+    let n = g.num_vertices();
+    let mut escape = vec![u16::MAX; n * n];
+    let mut next_toward_d: Vec<Option<RouterId>> = vec![None; n];
+    let mut seen = vec![false; n];
+    let mut queue = std::collections::VecDeque::new();
+    for d in 0..n {
+        if dead_router[d] {
+            continue;
+        }
+        // BFS from d over the tree; the first hop back toward d is the
+        // parent in this BFS.
+        next_toward_d.iter_mut().for_each(|x| *x = None);
+        seen.iter_mut().for_each(|x| *x = false);
+        seen[d] = true;
+        queue.clear();
+        queue.push_back(d);
+        while let Some(u) = queue.pop_front() {
+            for &w in &tree_adj[u] {
+                if !seen[w] {
+                    seen[w] = true;
+                    next_toward_d[w] = Some(u);
+                    queue.push_back(w);
+                }
+            }
+        }
+        for r in 0..n {
+            if r == d {
+                continue;
+            }
+            let Some(hop) = next_toward_d[r] else { continue };
+            let port = g.neighbors(r).binary_search(&hop).expect("tree edge exists in graph");
+            escape[r * n + d] = u16::try_from(port).expect("port fits u16");
+        }
+    }
+    escape
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use chiplet_graph::gen;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn rejects_bad_topologies() {
@@ -496,18 +480,32 @@ mod tests {
 
     #[test]
     fn degraded_with_no_faults_matches_pristine_tables() {
-        let g = gen::grid(4, 4);
-        let dead = vec![false; 16];
-        let a = RoutingTables::new(&g, RoutingKind::MinimalAdaptiveEscape).unwrap();
-        let b = RoutingTables::new_degraded(
-            &g,
-            RoutingKind::MinimalAdaptiveEscape,
-            &dead,
-            |_, _| false,
-        );
-        assert_eq!(a.dist, b.dist);
-        assert_eq!(a.minimal, b.minimal);
+        let pristine_and_degraded = |g: &Graph| {
+            let dead = vec![false; g.num_vertices()];
+            let kind = RoutingKind::MinimalAdaptiveEscape;
+            let a = RoutingTables::new(g, kind).unwrap();
+            let b = RoutingTables::new_degraded(g, kind, &dead, |_, _| false);
+            assert_eq!(a.dist, b.dist);
+            assert_eq!(a.minimal, b.minimal);
+            (a, b)
+        };
+        let (a, b) = pristine_and_degraded(&gen::grid(4, 4));
+        // The two builders pick escape-tree parents by different rules
+        // (lowest-numbered predecessor vs BFS discovery order), which agree
+        // on a grid but not on every graph.
         assert_eq!(a.escape, b.escape);
+
+        // Random connected graphs, drawn like `tests/conservation.rs`:
+        // 2..=12 routers, each pair linked with probability 0.35, plus a
+        // spanning path.
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        for _ in 0..200 {
+            let n = rng.gen_range(2usize..=12);
+            let coin = gen::from_coin(n, |_, _| rng.gen_range(0u8..100) < 35);
+            let mut edges: Vec<_> = coin.edges().collect();
+            edges.extend((1..n).map(|i| (i - 1, i)).filter(|&(u, v)| !coin.has_edge(u, v)));
+            pristine_and_degraded(&Graph::from_edges(n, &edges).expect("still simple"));
+        }
     }
 
     #[test]

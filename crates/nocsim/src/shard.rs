@@ -323,8 +323,6 @@ pub struct ShardedSimulator {
     workers: Vec<JoinHandle<()>>,
     /// Shard `k` owns routers `cuts[k]..cuts[k + 1]`.
     cuts: Vec<usize>,
-    /// Bounded-lag window `W` (minimum boundary link latency).
-    window: u64,
     cycle: u64,
     window_start: u64,
     num_endpoints: usize,
@@ -335,7 +333,6 @@ impl std::fmt::Debug for ShardedSimulator {
         f.debug_struct("ShardedSimulator")
             .field("shards", &self.shards.len())
             .field("cuts", &self.cuts)
-            .field("window", &self.window)
             .field("cycle", &self.cycle)
             .finish_non_exhaustive()
     }
@@ -406,7 +403,6 @@ impl ShardedSimulator {
                 shared: None,
                 workers: Vec::new(),
                 cuts: cuts.to_vec(),
-                window: u64::MAX,
                 cycle: 0,
                 window_start: u64::MAX,
             });
@@ -505,7 +501,6 @@ impl ShardedSimulator {
             shared: Some(shared),
             workers,
             cuts: cuts.to_vec(),
-            window,
             cycle: 0,
             window_start: u64::MAX,
             num_endpoints,
@@ -558,13 +553,6 @@ impl ShardedSimulator {
     #[must_use]
     pub fn num_endpoints(&self) -> usize {
         self.num_endpoints
-    }
-
-    /// The bounded-lag window `W` in cycles ([`u64::MAX`] in single-shard
-    /// mode: no barriers at all).
-    #[must_use]
-    pub fn lookahead_window(&self) -> u64 {
-        self.window
     }
 
     /// Runs `cycles` simulation cycles across all shards.
@@ -647,16 +635,6 @@ impl ShardedSimulator {
             total += lock(shard).add_latency_histogram(&mut merged);
         }
         percentiles_from_histogram(ps, &merged, total)
-    }
-
-    /// Single latency percentile; see [`Simulator::latency_percentile`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `(0, 1]`.
-    #[must_use]
-    pub fn latency_percentile(&self, p: f64) -> Option<f64> {
-        self.latency_percentiles(&[p])[0]
     }
 
     /// Per-channel traffic counts since construction, summed across

@@ -97,6 +97,56 @@ impl SimConfig {
     pub fn pipeline_cycles(&self) -> u64 {
         self.router_latency + self.router.crossbar_depth
     }
+
+    /// Checks every field against the range the engine supports. The
+    /// simulator constructors run it; callers that take a configuration
+    /// from outside the process run it before building anything.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::InvalidConfig`] naming the first bad field.
+    pub fn validate(&self) -> Result<(), SimError> {
+        if self.vcs == 0 {
+            return Err(SimError::InvalidConfig("vcs must be at least 1"));
+        }
+        if self.routing == RoutingKind::MinimalAdaptiveEscape && self.vcs < 2 {
+            return Err(SimError::InvalidConfig(
+                "adaptive routing with escape needs at least 2 VCs (VC 0 is the escape)",
+            ));
+        }
+        if self.buffer_depth == 0 {
+            return Err(SimError::InvalidConfig("buffer_depth must be at least 1"));
+        }
+        if self.packet_size == 0 {
+            return Err(SimError::InvalidConfig("packet_size must be at least 1"));
+        }
+        if self.endpoints_per_router == 0 {
+            return Err(SimError::InvalidConfig("endpoints_per_router must be at least 1"));
+        }
+        if !(0.0..=1.0).contains(&self.injection_rate) {
+            return Err(SimError::InvalidConfig("injection_rate must be within [0, 1]"));
+        }
+        if self.source_queue_cap == 0 {
+            return Err(SimError::InvalidConfig("source_queue_cap must be at least 1"));
+        }
+        if self.router.bubble_escape && self.buffer_depth < 2 {
+            return Err(SimError::InvalidConfig(
+                "bubble flow control needs buffer_depth >= 2 (entry requires two free slots)",
+            ));
+        }
+        // VC buffers and the event wheel's horizon are sized from these;
+        // cap them so a typo cannot allocate an absurd amount of memory.
+        if self.vcs > 64 {
+            return Err(SimError::InvalidConfig("vcs must be at most 64"));
+        }
+        if self.buffer_depth > 256 {
+            return Err(SimError::InvalidConfig("buffer_depth must be at most 256"));
+        }
+        if self.router.crossbar_depth > 256 {
+            return Err(SimError::InvalidConfig("crossbar_depth must be at most 256"));
+        }
+        Ok(())
+    }
 }
 
 impl Default for SimConfig {
@@ -531,7 +581,7 @@ impl Simulator {
     /// * [`SimError::Routing`] if `g` is empty or disconnected,
     /// * [`SimError::InvalidConfig`] for out-of-range parameters (zero VCs or
     ///   buffers, adaptive routing with fewer than 2 VCs, injection rate
-    ///   outside `[0, 1]`, …).
+    ///   outside `[0, 1]`, …; see [`SimConfig::validate`]).
     pub fn new(g: &Graph, config: SimConfig) -> Result<Self, SimError> {
         let latency = config.link_latency;
         Self::with_link_specs(g, config, |_, _| LinkSpec::uniform(latency))
@@ -580,13 +630,12 @@ impl Simulator {
         spec: impl Fn(RouterId, RouterId) -> LinkSpec,
         shard: Option<((usize, usize), usize)>,
     ) -> Result<Self, SimError> {
-        validate(g, &config)?;
+        config.validate()?;
         let tables = RoutingTables::new(g, config.routing)?;
         let n = g.num_vertices();
         let params = RouterParams {
             vcs: config.vcs,
             buffer_depth: config.buffer_depth,
-            pipeline_latency: config.pipeline_cycles(),
             model: config.router,
             seed: config.seed,
         };
@@ -757,12 +806,6 @@ impl Simulator {
     #[must_use]
     pub fn config(&self) -> &SimConfig {
         &self.config
-    }
-
-    /// The routing tables in use.
-    #[must_use]
-    pub fn tables(&self) -> &RoutingTables {
-        &self.tables
     }
 
     /// Current cycle.
@@ -1089,7 +1132,7 @@ impl Simulator {
             let dead_endpoint = &f.dead_endpoint;
             let retransmit = f.plan.retransmit.is_some();
             let outstanding = &mut f.outstanding;
-            let (next, squelched) = self.endpoints[e].generate_due_degraded(
+            let (next, squelched) = self.endpoints[e].generate_due(
                 t,
                 process,
                 self.config.pattern,
@@ -1115,7 +1158,9 @@ impl Simulator {
             }
             next
         } else {
-            self.endpoints[e].generate_due(t, process, self.config.pattern)
+            self.endpoints[e]
+                .generate_due(t, process, self.config.pattern, |_| true, &mut |_, _, _| {})
+                .0
         };
         if !self.reference_stepping {
             if next != IDLE {
@@ -1553,31 +1598,6 @@ impl Simulator {
             }
         }
         out
-    }
-
-    /// Jain's fairness index over per-endpoint delivered flits in the
-    /// measurement window: `(Σxᵢ)² / (n·Σxᵢ²)`, 1.0 when every endpoint
-    /// receives equally, approaching `1/n` when one endpoint hogs the
-    /// network. `None` if nothing was delivered.
-    ///
-    /// Under uniform traffic a healthy network sits near 1; hotspot
-    /// patterns (or unfair allocators) push it down — a companion metric
-    /// to aggregate saturation throughput.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no measurement window was opened.
-    #[must_use]
-    pub fn fairness_index(&self) -> Option<f64> {
-        assert!(self.window_start != u64::MAX, "open a measurement window first");
-        let received: Vec<f64> =
-            self.endpoints.iter().map(|e| e.stats().received_flits as f64).collect();
-        let sum: f64 = received.iter().sum();
-        if sum == 0.0 {
-            return None;
-        }
-        let sum_sq: f64 = received.iter().map(|x| x * x).sum();
-        Some(sum * sum / (received.len() as f64 * sum_sq))
     }
 
     /// Per-channel traffic counts since construction: one entry per
@@ -2490,44 +2510,6 @@ fn push_line<T>(
     }
 }
 
-fn validate(g: &Graph, config: &SimConfig) -> Result<(), SimError> {
-    if config.vcs == 0 {
-        return Err(SimError::InvalidConfig("vcs must be at least 1"));
-    }
-    if config.routing == RoutingKind::MinimalAdaptiveEscape && config.vcs < 2 {
-        return Err(SimError::InvalidConfig(
-            "adaptive routing with escape needs at least 2 VCs (VC 0 is the escape)",
-        ));
-    }
-    if config.buffer_depth == 0 {
-        return Err(SimError::InvalidConfig("buffer_depth must be at least 1"));
-    }
-    if config.packet_size == 0 {
-        return Err(SimError::InvalidConfig("packet_size must be at least 1"));
-    }
-    if config.endpoints_per_router == 0 {
-        return Err(SimError::InvalidConfig("endpoints_per_router must be at least 1"));
-    }
-    if !(0.0..=1.0).contains(&config.injection_rate) {
-        return Err(SimError::InvalidConfig("injection_rate must be within [0, 1]"));
-    }
-    if config.source_queue_cap == 0 {
-        return Err(SimError::InvalidConfig("source_queue_cap must be at least 1"));
-    }
-    if config.router.bubble_escape && config.buffer_depth < 2 {
-        return Err(SimError::InvalidConfig(
-            "bubble flow control needs buffer_depth >= 2 (entry requires two free slots)",
-        ));
-    }
-    // The event wheel's horizon grows with the pipeline; cap the crossbar
-    // depth so a typo cannot allocate an absurd wheel.
-    if config.router.crossbar_depth > 256 {
-        return Err(SimError::InvalidConfig("crossbar_depth must be at most 256"));
-    }
-    let _ = g;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2561,6 +2543,15 @@ mod tests {
         let bad = SimConfig { vcs: 1, ..small_config(0.1) };
         assert!(matches!(Simulator::new(&g, bad), Err(SimError::InvalidConfig(_))));
         let bad = SimConfig { injection_rate: 1.5, ..small_config(0.1) };
+        assert!(matches!(Simulator::new(&g, bad), Err(SimError::InvalidConfig(_))));
+        // Buffers are sized from these, so absurd values are refused
+        // before anything is allocated.
+        assert!(SimConfig { vcs: 64, buffer_depth: 256, ..small_config(0.1) }
+            .validate()
+            .is_ok());
+        let bad = SimConfig { vcs: 65, ..small_config(0.1) };
+        assert!(matches!(Simulator::new(&g, bad), Err(SimError::InvalidConfig(_))));
+        let bad = SimConfig { buffer_depth: 1_000_000_000_000, ..small_config(0.1) };
         assert!(matches!(Simulator::new(&g, bad), Err(SimError::InvalidConfig(_))));
         let disconnected = Graph::from_edges(3, &[(0, 1)]).unwrap();
         assert!(matches!(
@@ -2850,34 +2841,6 @@ mod tests {
         let zero_interval =
             Simulator::with_link_specs(&g, cfg, |_, _| LinkSpec { latency: 27, interval: 0 });
         assert!(matches!(zero_interval, Err(SimError::InvalidConfig(_))));
-    }
-
-    #[test]
-    fn fairness_index_separates_uniform_from_hotspot() {
-        let g = gen::grid(3, 3);
-        let run = |pattern: TrafficPattern| -> f64 {
-            let cfg = SimConfig { pattern, ..small_config(0.1) };
-            let mut sim = Simulator::new(&g, cfg).unwrap();
-            sim.run(1_000);
-            sim.open_measurement_window();
-            sim.run(8_000);
-            sim.fairness_index().expect("packets delivered")
-        };
-        let uniform = run(TrafficPattern::UniformRandom);
-        let hotspot = run(TrafficPattern::Hotspot { num_hotspots: 1, fraction_permille: 900 });
-        assert!(uniform > 0.95, "uniform fairness {uniform}");
-        // 90% of traffic lands on one of 18 endpoints: index near 1/n.
-        assert!(hotspot < 0.3, "hotspot fairness {hotspot}");
-        assert!(uniform > hotspot);
-    }
-
-    #[test]
-    fn fairness_index_none_without_deliveries() {
-        let g = gen::grid(2, 2);
-        let mut sim = Simulator::new(&g, small_config(0.0)).unwrap();
-        sim.open_measurement_window();
-        sim.run(100);
-        assert_eq!(sim.fairness_index(), None);
     }
 
     #[test]

@@ -40,7 +40,6 @@ pub mod exact;
 pub mod fm;
 pub mod greedy;
 pub mod kway;
-pub mod spectral;
 
 use chiplet_graph::cut::Bipartition;
 use chiplet_graph::Graph;
@@ -50,7 +49,6 @@ use std::fmt;
 
 pub use coarsen::WeightedGraph;
 pub use kway::{partition_kway, KwayError, KwayPartition};
-pub use spectral::{fiedler_vector, spectral_bisection, SpectralConfig};
 
 /// Errors produced by the bisection search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -83,8 +81,6 @@ pub enum Method {
     Exact,
     /// Multilevel heuristic (coarsen → grow → FM refine, with restarts).
     Multilevel,
-    /// Median split of the Fiedler-vector embedding ([`spectral`]).
-    Spectral,
 }
 
 /// Tunables for [`bisect`].

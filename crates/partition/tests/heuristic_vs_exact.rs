@@ -94,27 +94,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn spectral_is_balanced_and_within_reach_of_exact(g in arb_small_connected()) {
-        let (_, optimal) = exact::exact_bisection(&g);
-        let spectral = chiplet_partition::spectral_bisection(
-            &g,
-            &chiplet_partition::SpectralConfig::default(),
-        )
-        .unwrap();
-        prop_assert!(spectral.partition.is_balanced(balance_tolerance(g.num_vertices())));
-        prop_assert!(spectral.cut >= optimal, "spectral beat the optimum?!");
-        // Spectral median splits are approximate; on dense random graphs a
-        // factor-2 + slack envelope holds comfortably and still catches
-        // regressions (a broken eigen-solver produces near-random cuts).
-        prop_assert!(
-            spectral.cut <= optimal * 2 + 4,
-            "spectral {} far from optimal {}",
-            spectral.cut,
-            optimal
-        );
-    }
-
-    #[test]
     fn kway_partitions_are_balanced_and_exhaustive(g in arb_small_connected(), k in 2usize..5) {
         let p = chiplet_partition::partition_kway(&g, k).unwrap();
         prop_assert!(p.is_balanced(0), "sizes {:?}", p.sizes());

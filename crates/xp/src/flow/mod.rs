@@ -434,27 +434,6 @@ fn measure_for(spec: &StudySpec, args: &CampaignArgs) -> MeasureConfig {
     schedule
 }
 
-/// Paper-default [`SimConfig`] with the spec's overrides applied.
-fn base_sim(spec: &StudySpec) -> SimConfig {
-    let mut sim = SimConfig::paper_defaults();
-    if let Some(routing) = spec.sim.routing {
-        sim.routing = routing;
-    }
-    if let Some(vcs) = spec.sim.vcs {
-        sim.vcs = vcs;
-    }
-    if let Some(depth) = spec.sim.buffer_depth {
-        sim.buffer_depth = depth;
-    }
-    // A named model and a non-neutral `[router]` section are mutually
-    // exclusive (validated), so applying both in sequence is exact.
-    if let Some(kind) = spec.sim.router {
-        sim.router = kind.model();
-    }
-    sim.router = spec.router.apply(sim.router);
-    sim
-}
-
 /// The searched (`OPT`) arrangement's graph at every resolved `n`, for
 /// the `optimized` axis of the load-curve and workload stages; empty
 /// when the axis is off.
@@ -532,7 +511,7 @@ fn saturation_stage(spec: &StudySpec, campaign: &Campaign) -> Result<StageOutput
     let pattern = axis(&spec.axes.patterns)[0];
     let fanout = spec.saturation.fanout.unwrap_or(1).max(1);
     let mut params = EvalParams::paper_defaults();
-    params.sim = base_sim(spec);
+    params.sim = spec.base_sim();
     params.sim.pattern = pattern;
     params.measure = measure_for(spec, campaign.args());
     let args = campaign.args();
@@ -678,7 +657,7 @@ const DEFAULT_TRAFFIC_PATTERNS: [TrafficPattern; 5] = [
 fn traffic_stage(spec: &StudySpec, campaign: &Campaign) -> Result<StageOutput, StudyError> {
     let kinds = axis(&spec.axes.kinds);
     let schedule = measure_for(spec, campaign.args());
-    let sim = base_sim(spec);
+    let sim = spec.base_sim();
 
     // Pattern-major rows: pattern, then n, then kind.
     let mut cells = Vec::new();
@@ -873,7 +852,7 @@ fn run_curves(
     optimized: &[(usize, Graph)],
 ) -> (Table, Vec<ObservedPoint>) {
     let windows = curve_windows(spec, campaign.args());
-    let sim = base_sim(spec);
+    let sim = spec.base_sim();
     let shards = spec.sim.shards.unwrap_or(1);
     // `[observe]`: probes ride along with every job (recording into
     // preallocated buffers, never changing a row) and feed the timeline
@@ -1110,7 +1089,7 @@ fn load_curve_stage(
     )];
     let mut tables = vec![StageTable::main(table)];
     if spec.observe.timeline {
-        let timeline = timeline_table(&observed_points, base_sim(spec).endpoints_per_router);
+        let timeline = timeline_table(&observed_points, spec.base_sim().endpoints_per_router);
         summary.push(format!("timeline: {} windowed samples", timeline.len()));
         tables.push(StageTable { stem: Some("timeline".to_owned()), table: timeline });
     }
@@ -1141,7 +1120,7 @@ fn workload_stage(
     let workloads = axis(&spec.axes.workloads);
     let ns = axis(&spec.axes.ns);
     let max_cycles = spec.workload.max_cycles.unwrap_or(DEFAULT_MAX_CYCLES);
-    let sim = base_sim(spec);
+    let sim = spec.base_sim();
     let optimized = optimized_graphs(spec, campaign, hooks)?;
 
     // Rows read workload, then n, then kind; each (workload, n) group is
@@ -1567,7 +1546,7 @@ fn resilience_stage(spec: &StudySpec, campaign: &Campaign) -> Result<StageOutput
     let failure_counts = spec.faults.link_failures.clone().unwrap_or_else(|| vec![0, 1, 2, 4]);
     let schedule = measure_for(spec, campaign.args());
     let fault_cycle = spec.faults.fault_cycle.unwrap_or(schedule.warmup_cycles / 2);
-    let sim = base_sim(spec);
+    let sim = spec.base_sim();
     let mut retransmit = nocsim::RetransmitConfig::default();
     if let Some(timeout) = spec.faults.retransmit_timeout {
         retransmit.timeout = timeout;
@@ -1662,7 +1641,7 @@ fn router_stage(spec: &StudySpec, campaign: &Campaign) -> Result<StageOutput, St
     // the table gains per-kernel makespan + rank columns.
     let workloads = spec.axes.workloads.clone().unwrap_or_default();
     let schedule = measure_for(spec, campaign.args());
-    let sim = base_sim(spec);
+    let sim = spec.base_sim();
 
     eprintln!(
         "{}: {} router models x {} kinds x {} chiplet counts ({} workloads) on {} workers",

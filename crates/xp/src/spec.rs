@@ -27,7 +27,8 @@ use std::str::FromStr;
 use chiplet_workload::WorkloadKind;
 use hexamesh::arrangement::ArrangementKind;
 use nocsim::{
-    OutputArbPolicy, RouterModel, RouterModelKind, RoutingKind, TrafficPattern, VcAllocPolicy,
+    OutputArbPolicy, RouterModel, RouterModelKind, RoutingKind, SimConfig, TrafficPattern,
+    VcAllocPolicy,
 };
 
 use crate::cli::MAX_REPLICATES;
@@ -896,7 +897,45 @@ impl StudySpec {
                     .to_owned(),
             );
         }
-        self.reject_settings_the_stage_ignores()
+        self.reject_settings_the_stage_ignores()?;
+        // Every configuration a stage will simulate must pass the engine's
+        // own check here, before any job runs: a bad `[sim]` value is a
+        // spec error, not a panic mid-campaign. The router stage sets the
+        // model per row, and its axis defaults to every model.
+        let sim = self.base_sim();
+        sim.validate().map_err(|e| format!("`[sim]`: {e}"))?;
+        let routers: &[RouterModelKind] = match self.stage {
+            StageKind::Router => self.axes.routers.as_deref().unwrap_or(&RouterModelKind::ALL),
+            _ => &[],
+        };
+        for &kind in routers {
+            SimConfig { router: kind.model(), ..sim }
+                .validate()
+                .map_err(|e| format!("`[sim]` under router model {kind}: {e}"))?;
+        }
+        Ok(())
+    }
+
+    /// Paper-default [`SimConfig`] with the spec's `[sim]` and `[router]`
+    /// overrides applied.
+    pub(crate) fn base_sim(&self) -> SimConfig {
+        let mut sim = SimConfig::paper_defaults();
+        if let Some(routing) = self.sim.routing {
+            sim.routing = routing;
+        }
+        if let Some(vcs) = self.sim.vcs {
+            sim.vcs = vcs;
+        }
+        if let Some(depth) = self.sim.buffer_depth {
+            sim.buffer_depth = depth;
+        }
+        // A named model and a non-neutral `[router]` section are mutually
+        // exclusive (validated), so applying both in sequence is exact.
+        if let Some(kind) = self.sim.router {
+            sim.router = kind.model();
+        }
+        sim.router = self.router.apply(sim.router);
+        sim
     }
 
     /// A set axis or section the running stage would not read is an
@@ -1343,6 +1382,27 @@ mod tests {
             let bad = StudySpec::from_toml(&format!("{head}[axes]\n{axes}\n{extra}"));
             assert!(bad.is_err(), "{stage}: {axes}");
             assert!(StudySpec::from_toml(&format!("{head}{extra}")).is_ok(), "{stage}");
+        }
+        // `[sim]` values go through the engine's own configuration check
+        // (caps included) before any job runs, under every router model
+        // the stage will use.
+        for (stage, sim) in [
+            ("load_curve", "vcs = 0"),
+            ("load_curve", "vcs = 1"),
+            ("saturation", "buffer_depth = 0"),
+            ("workload", "vcs = 65"),
+            ("resilience", "buffer_depth = 1000000000000"),
+            ("router", "buffer_depth = 1"),
+        ] {
+            let spec = format!("name = \"s\"\nstage = \"{stage}\"\n[sim]\n{sim}\n");
+            let err = StudySpec::from_toml(&spec).expect_err(sim);
+            assert!(err.contains("invalid configuration"), "{sim}: {err}");
+        }
+        for ok in [
+            "stage = \"load_curve\"\n[sim]\nvcs = 1\nrouting = \"deterministic\"\n",
+            "stage = \"router\"\n[axes]\nrouters = [\"baseline\"]\n[sim]\nbuffer_depth = 1\n",
+        ] {
+            assert!(StudySpec::from_toml(&format!("name = \"s\"\n{ok}")).is_ok(), "{ok}");
         }
     }
 

@@ -60,7 +60,6 @@ fn public_types_implement_debug() {
     assert_debug::<hexamesh_repro::thermal::ThermalParams>();
     assert_debug::<hexamesh_repro::topo::LinkEdge>();
     assert_debug::<hexamesh_repro::topo::EvalOptions>();
-    assert_debug::<hexamesh_repro::partition::SpectralConfig>();
     assert_debug::<nocsim::LinkSpec>();
 }
 
