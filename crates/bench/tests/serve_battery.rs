@@ -26,7 +26,7 @@ use xp::cli::{CampaignArgs, OutputFormat};
 use xp::json::{self, Value};
 use xp::serve::{serve_lines, Outcome, ServeConfig};
 use xp::spec::{Schedule, StageKind, StudySpec};
-use xp::Server;
+use xp::{Server, StageHooks};
 
 const VERSION: &str = "battery-v1";
 
@@ -464,4 +464,54 @@ fn out_of_range_resolution_is_an_error_event_and_serving_continues() {
         assert!(has(&format!("bad{i}"), "error"), "{spec}: error event");
     }
     assert!(has("good", "done"), "the stream keeps serving after the bad lines");
+}
+
+fn exploding_search(
+    _: &StudySpec,
+    _: &xp::Campaign,
+) -> Result<xp::flow::StageOutput, xp::StudyError> {
+    panic!("search hook exploded")
+}
+
+/// A job that panics costs only its own request: the server answers it
+/// with an `error` event naming the panic, serves the next request to
+/// `done`, and `serve_lines` returns normally.
+#[test]
+fn a_panicking_job_is_an_error_event_and_serving_continues() {
+    let dir = temp_dir("panic");
+    let hooks = StageHooks { search: Some(&exploding_search), optimized_graph: None };
+    let config = ServeConfig { args: args(2), version: VERSION.to_owned() };
+    let srv = Server::new(&dir, config, hooks);
+    let mut request = String::from(concat!(
+        r#"{"id":"boom","spec":{"name":"boom","stage":"search","axes":{"ns":[7]},"#,
+        r#""search":{"restarts":1,"iterations":10}}}"#,
+        "\n",
+    ));
+    let mut good = Value::object();
+    good.set("id", "good");
+    good.set("spec", curve_spec("after_panic", &[5], &[0.08]).to_value());
+    request.push_str(&good.to_json());
+    request.push('\n');
+
+    let mut output = Vec::new();
+    let stats = serve_lines(&srv, request.as_bytes(), &mut output).expect("stream serves");
+    assert_eq!(stats.requests, 2);
+    let events: Vec<Value> = String::from_utf8(output)
+        .expect("stream is UTF-8")
+        .lines()
+        .map(|line| json::parse(line).expect("every stream line is standalone JSON"))
+        .collect();
+    let find = |id: &str, kind: &str| {
+        events.iter().find(|e| {
+            e.get("id") == Some(&Value::Str(id.into()))
+                && e.get("event") == Some(&Value::Str(kind.into()))
+        })
+    };
+    let error = find("boom", "error").expect("the panicking request gets an error event");
+    assert_eq!(
+        error.get("message"),
+        Some(&Value::Str("backend run panicked: search hook exploded".into()))
+    );
+    assert!(find("boom", "done").is_none());
+    assert!(find("good", "done").is_some(), "the stream keeps serving after the panic");
 }

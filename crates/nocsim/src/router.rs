@@ -148,14 +148,52 @@ impl StallCounters {
     }
 }
 
+/// Allocation state of one port, in both of its roles: as an input (the
+/// heads it holds that await VC allocation, its switch-allocation
+/// candidates and VC pointer) and as an output (its allocatable VCs and
+/// its input-port pointer). One flat vector of these per router keeps the
+/// receive paths on a single heap block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PortState {
+    /// Output role: bit `v` is set while output VC `v` is unowned and holds
+    /// at least one credit, i.e. a head could bind it.
+    free_vcs: u64,
+    /// Input role: bit `v` is set while input VC `v` is non-empty and
+    /// unbound, i.e. its head flit awaits VC allocation.
+    waiting: u64,
+    /// Output role: switch-allocation round-robin pointer over input ports.
+    sa_in_rr: u32,
+    /// Input role: switch-allocation round-robin pointer over this port's
+    /// VCs.
+    sa_vc_rr: u16,
+    /// Input role: bound input VCs holding at least one flit (switch
+    /// allocation candidates before the credit check).
+    sa_candidates: u16,
+}
+
 /// An input-queued VC router.
 ///
 /// Input and output VC state is stored flat (`port * vcs + vc`) for cache
-/// locality, and two incremental counters let the allocation phases skip
-/// work that cannot do anything: `unbound_heads` (input VCs whose head
-/// flit awaits an output binding — VC allocation exits immediately at
-/// zero) and `sa_candidates[port]` (bound input VCs with buffered flits —
-/// switch allocation skips ports at zero).
+/// locality. Per-port bitmasks ([`PortState`]) and two incremental counts
+/// let the allocation phases skip work that cannot do anything:
+///
+/// * `unbound_heads` counts the heads awaiting VC allocation: VC
+///   allocation exits immediately at zero, and otherwise visits only the
+///   set bits of the `waiting` masks.
+/// * `va_dirty` records whether anything that can let a head bind has
+///   happened since the last full VC-allocation pass: a credit reaching an
+///   unowned output VC, a tail releasing an output VC that still holds a
+///   credit, a new head (a flit landing in an empty unbound VC, or the one
+///   behind a departed tail) or a fault purge. Without one, every waiting
+///   head failed in that pass against at least the VCs free now — binding
+///   and sending only shrink the allocatable set — so it fails again under
+///   every routing kind and VC policy, and the pass reduces to its side
+///   effects: one round-robin step and one `vc_starved` per waiting head
+///   (a failing head never draws from the policy RNG).
+/// * `free_vcs` masks the allocatable output VCs, so output selection
+///   tests bits instead of scanning `OutputVc`s.
+/// * `sa_candidates` counts bound, non-empty input VCs: switch allocation
+///   skips ports at zero.
 #[derive(Debug, Clone)]
 pub struct Router {
     id: RouterId,
@@ -164,20 +202,18 @@ pub struct Router {
     num_ports: usize,
     inputs: Vec<InputVc>,
     outputs: Vec<OutputVc>,
-    /// Round-robin pointers: VA start offset, per-input-port SA VC pointer,
-    /// per-output-port SA input pointer.
+    ports: Vec<PortState>,
+    /// VC-allocation round-robin start offset over `port * vcs + vc`.
     va_rr: usize,
-    sa_vc_rr: Vec<usize>,
-    sa_in_rr: Vec<usize>,
     /// Flits currently buffered across all input VCs (incremental; the
     /// active-set scheduler polls this every cycle).
     buffered: usize,
-    /// Input VCs that are non-empty and unbound (head awaiting VC
-    /// allocation).
+    /// Input VCs that are non-empty and unbound (the set bits of every
+    /// port's `waiting` mask).
     unbound_heads: usize,
-    /// Per input port: bound input VCs holding at least one flit (switch
-    /// allocation candidates before the credit check).
-    sa_candidates: Vec<u16>,
+    /// Something may let a waiting head bind since the last full
+    /// VC-allocation pass (see the type docs).
+    va_dirty: bool,
     /// Switch-allocation scratch (reused every cycle so the steady-state
     /// hot path never allocates).
     nominees: Vec<Nominee>,
@@ -191,12 +227,29 @@ pub struct Router {
     rng: u64,
 }
 
+/// Indices of the set bits of `mask`, lowest first.
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let bit = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            bit
+        })
+    })
+}
+
 impl Router {
     /// Creates a router with `num_net_ports` network ports followed by
     /// `num_endpoint_ports` injection/ejection ports.
     ///
     /// Output credits start at `buffer_depth` for every output VC (paired
     /// buffers are sized identically network-wide).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `params.vcs` is within `1..=64` (one bit per VC in the
+    /// per-port masks; [`crate::SimConfig::validate`] enforces the same
+    /// range).
     #[must_use]
     pub fn new(
         id: RouterId,
@@ -204,12 +257,21 @@ impl Router {
         num_endpoint_ports: usize,
         params: RouterParams,
     ) -> Self {
+        assert!((1..=64).contains(&params.vcs), "a router needs 1 to 64 VCs per port");
         let num_ports = num_net_ports + num_endpoint_ports;
         let inputs =
             (0..num_ports * params.vcs).map(|_| InputVc::new(params.buffer_depth)).collect();
         let outputs = (0..num_ports * params.vcs)
             .map(|_| OutputVc { credits: params.buffer_depth, owner: None })
             .collect();
+        let all_vcs = u64::MAX >> (64 - params.vcs);
+        let port = PortState {
+            free_vcs: if params.buffer_depth > 0 { all_vcs } else { 0 },
+            waiting: 0,
+            sa_in_rr: 0,
+            sa_vc_rr: 0,
+            sa_candidates: 0,
+        };
         Self {
             id,
             params,
@@ -217,12 +279,11 @@ impl Router {
             num_ports,
             inputs,
             outputs,
+            ports: vec![port; num_ports],
             va_rr: 0,
-            sa_vc_rr: vec![0; num_ports],
-            sa_in_rr: vec![0; num_ports],
             buffered: 0,
             unbound_heads: 0,
-            sa_candidates: vec![0; num_ports],
+            va_dirty: false,
             nominees: Vec::with_capacity(num_ports),
             stalls: StallCounters::default(),
             rng: params.seed ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
@@ -284,9 +345,11 @@ impl Router {
         );
         if self.inputs[idx].buffer.is_empty() {
             if self.inputs[idx].bound.is_some() {
-                self.sa_candidates[in_port] += 1;
+                self.ports[in_port].sa_candidates += 1;
             } else {
+                self.ports[in_port].waiting |= 1 << flit.vc;
                 self.unbound_heads += 1;
+                self.va_dirty = true;
             }
         }
         self.inputs[idx].buffer.push_back(flit);
@@ -307,58 +370,71 @@ impl Router {
             self.id,
             credit.vc
         );
+        if out.owner.is_none() {
+            self.ports[out_port].free_vcs |= 1 << credit.vc;
+            self.va_dirty = true;
+        }
     }
 
     /// Virtual-channel allocation: every input VC whose head flit is a
-    /// packet head without an output binding tries to claim an output VC.
+    /// packet head without an output binding tries to claim an output VC,
+    /// in round-robin order from `va_rr`.
     ///
     /// Exits immediately when no head awaits a binding (the common steady
-    /// state for a busy router streaming body flits), and stops scanning
-    /// once every waiting head has been visited.
+    /// state for a busy router streaming body flits), costs O(1) when no
+    /// waiting head can bind (see [`Router`]), and otherwise visits only
+    /// the waiting heads.
     pub fn allocate_vcs(&mut self, ctx: RouteContext<'_>) {
         if self.unbound_heads == 0 {
             return;
         }
-        let total_vcs = self.num_ports * self.params.vcs;
+        let vcs = self.params.vcs;
         let start = self.va_rr;
         self.va_rr += 1;
-        if self.va_rr >= total_vcs {
+        if self.va_rr == self.num_ports * vcs {
             self.va_rr = 0;
         }
-        let mut remaining = self.unbound_heads;
-        let mut idx = start;
-        for _ in 0..total_vcs {
-            let state = &self.inputs[idx];
-            if state.bound.is_none() {
-                if let Some(&head) = state.buffer.front() {
-                    // A packet's allocation is only released by its tail
-                    // leaving, so this state is a flow-control bug — abort
-                    // in release too rather than route corrupt state.
-                    assert!(head.is_head, "body flit at head of an unbound VC");
-                    remaining -= 1;
-                    if let Some((out_port, out_vc, escape)) = self.select_output(ctx, &head) {
-                        let (port, vc) = (idx / self.params.vcs, idx % self.params.vcs);
-                        self.outputs[out_port * self.params.vcs + out_vc].owner =
-                            Some((port, vc));
-                        let packet = head.packet;
-                        let state = &mut self.inputs[idx];
-                        state.bound = Some((out_port, out_vc));
-                        state.bound_packet = Some(packet);
-                        state.escape_committed = escape;
-                        self.unbound_heads -= 1;
-                        self.sa_candidates[port] += 1;
-                    } else {
-                        self.stalls.vc_starved += 1;
-                    }
-                    if remaining == 0 {
-                        break;
-                    }
-                }
-            }
-            idx += 1;
-            if idx == total_vcs {
-                idx = 0;
-            }
+        if !self.va_dirty {
+            self.stalls.vc_starved += self.unbound_heads as u64;
+            return;
+        }
+        self.va_dirty = false;
+        // Cyclic order over `port * vcs + vc` from `start`: the start
+        // port's VCs from `start_vc` up, the following ports, the ports
+        // before it, then the start port's VCs below `start_vc`.
+        let (start_port, start_vc) = (start / vcs, start % vcs);
+        let upper = u64::MAX << start_vc;
+        self.allocate_port_vcs(ctx, start_port, upper);
+        for port in (start_port + 1..self.num_ports).chain(0..start_port) {
+            self.allocate_port_vcs(ctx, port, u64::MAX);
+        }
+        self.allocate_port_vcs(ctx, start_port, !upper);
+    }
+
+    /// VC allocation for the waiting heads of input `port` selected by
+    /// `filter`, lowest VC first.
+    fn allocate_port_vcs(&mut self, ctx: RouteContext<'_>, port: usize, filter: u64) {
+        let vcs = self.params.vcs;
+        for vc in bits(self.ports[port].waiting & filter) {
+            let idx = port * vcs + vc;
+            let head = *self.inputs[idx].buffer.front().expect("a waiting VC holds a flit");
+            // A packet's allocation is only released by its tail leaving,
+            // so this state is a flow-control bug — abort in release too
+            // rather than route corrupt state.
+            assert!(head.is_head, "body flit at head of an unbound VC");
+            let Some((out_port, out_vc, escape)) = self.select_output(ctx, &head) else {
+                self.stalls.vc_starved += 1;
+                continue;
+            };
+            self.outputs[out_port * vcs + out_vc].owner = Some((port, vc));
+            self.ports[out_port].free_vcs &= !(1 << out_vc);
+            let state = &mut self.inputs[idx];
+            state.bound = Some((out_port, out_vc));
+            state.bound_packet = Some(head.packet);
+            state.escape_committed = escape;
+            self.ports[port].waiting &= !(1 << vc);
+            self.ports[port].sa_candidates += 1;
+            self.unbound_heads -= 1;
         }
     }
 
@@ -422,7 +498,7 @@ impl Router {
         let vcs = self.params.vcs;
         match self.params.model.vc_alloc {
             // The paper's allocator: the (port, vc) with the most
-            // downstream credits, first-found winning ties.
+            // downstream credits, first-found port winning ties.
             VcAllocPolicy::RoundRobin => {
                 let mut best: Option<(usize, VcId, usize)> = None;
                 for &p in ctx.tables.minimal_ports(self.id, dest_router) {
@@ -444,13 +520,10 @@ impl Router {
                 let mut seen: u64 = 0;
                 for &p in ctx.tables.minimal_ports(self.id, dest_router) {
                     let port = usize::from(p);
-                    for v in 1..vcs {
-                        let out = &self.outputs[port * vcs + v];
-                        if out.owner.is_none() && out.credits > 0 {
-                            seen += 1;
-                            if self.next_rand().is_multiple_of(seen) {
-                                chosen = Some((port, v));
-                            }
+                    for v in bits(self.ports[port].free_vcs & !1) {
+                        seen += 1;
+                        if self.next_rand().is_multiple_of(seen) {
+                            chosen = Some((port, v));
                         }
                     }
                 }
@@ -463,13 +536,13 @@ impl Router {
                 let mut best: Option<(usize, usize)> = None;
                 for &p in ctx.tables.minimal_ports(self.id, dest_router) {
                     let port = usize::from(p);
-                    if self.best_free_vc(port, 1).is_none() {
+                    let free_vcs = self.ports[port].free_vcs & !1;
+                    if free_vcs == 0 {
                         continue;
                     }
-                    let free: usize = (1..vcs)
-                        .filter(|&v| self.outputs[port * vcs + v].owner.is_none())
-                        .map(|v| self.outputs[port * vcs + v].credits)
-                        .sum();
+                    // Owned and credit-less VCs would add nothing here.
+                    let free: usize =
+                        bits(free_vcs).map(|v| self.outputs[port * vcs + v].credits).sum();
                     if best.is_none_or(|(_, f)| free > f) {
                         best = Some((port, free));
                     }
@@ -489,16 +562,12 @@ impl Router {
                 self.best_free_vc(port, min_vc)
             }
             VcAllocPolicy::Random => {
-                let base = port * self.params.vcs;
                 let mut chosen = None;
                 let mut seen: u64 = 0;
-                for v in min_vc..self.params.vcs {
-                    let out = &self.outputs[base + v];
-                    if out.owner.is_none() && out.credits > 0 {
-                        seen += 1;
-                        if self.next_rand().is_multiple_of(seen) {
-                            chosen = Some(v);
-                        }
+                for v in bits(self.ports[port].free_vcs & (u64::MAX << min_vc)) {
+                    seen += 1;
+                    if self.next_rand().is_multiple_of(seen) {
+                        chosen = Some(v);
                     }
                 }
                 chosen
@@ -507,7 +576,7 @@ impl Router {
     }
 
     /// Allocatable output VC on `port` with the most credits, searching
-    /// VCs `min_vc..`.
+    /// VCs `min_vc..`; the highest such VC wins a tie.
     ///
     /// An output VC is allocatable only when it is unowned **and** holds at
     /// least one credit. Binding a header to a channel whose downstream
@@ -519,17 +588,12 @@ impl Router {
     /// zero-credit adaptive bindings, deadlocked despite the escape layer.
     fn best_free_vc(&self, port: usize, min_vc: usize) -> Option<VcId> {
         let base = port * self.params.vcs;
-        (min_vc..self.params.vcs)
-            .filter(|&v| {
-                let out = &self.outputs[base + v];
-                out.owner.is_none() && out.credits > 0
-            })
+        bits(self.ports[port].free_vcs & (u64::MAX << min_vc))
             .max_by_key(|&v| self.outputs[base + v].credits)
     }
 
     fn free_output(&self, port: usize, vc: VcId) -> bool {
-        let out = &self.outputs[port * self.params.vcs + vc];
-        out.owner.is_none() && out.credits > 0
+        self.ports[port].free_vcs >> vc & 1 == 1
     }
 
     /// Diagnostic snapshot of every non-empty input VC: `(in_port, vc,
@@ -583,10 +647,10 @@ impl Router {
         // ports without a bound, non-empty VC are skipped outright.
         self.nominees.clear();
         for port in 0..self.num_ports {
-            if self.sa_candidates[port] == 0 {
+            if self.ports[port].sa_candidates == 0 {
                 continue;
             }
-            let mut vc = self.sa_vc_rr[port];
+            let mut vc = usize::from(self.ports[port].sa_vc_rr);
             for _ in 0..vcs {
                 let ivc = &self.inputs[port * vcs + vc];
                 if let Some((out_port, out_vc)) = ivc.bound {
@@ -623,7 +687,7 @@ impl Router {
             }
             granted += 1;
             let out_port = op as usize;
-            let start = self.sa_in_rr[out_port];
+            let start = self.ports[out_port].sa_in_rr as usize;
             let p = self.num_ports;
             // Policy-dispatched grant: minimise a per-nominee rank key.
             // Round-robin ranks by distance from the port's pointer;
@@ -649,7 +713,7 @@ impl Router {
                 }
             }
             let n = self.nominees[best.1];
-            self.sa_in_rr[out_port] = (n.in_port as usize + 1) % p;
+            self.ports[out_port].sa_in_rr = (n.in_port + 1) % p as u32;
 
             // Traversal: move the granted flit.
             let (in_port, vc) = (n.in_port as usize, n.vc as usize);
@@ -659,28 +723,35 @@ impl Router {
             let mut flit =
                 self.inputs[in_idx].buffer.pop_front().expect("granted VC non-empty");
             self.buffered -= 1;
-            self.sa_vc_rr[in_port] = if vc + 1 == vcs { 0 } else { vc + 1 };
+            self.ports[in_port].sa_vc_rr = if vc + 1 == vcs { 0 } else { vc as u16 + 1 };
 
             // Rewrite per-hop flit fields.
             let in_vc = flit.vc;
             flit.vc = out_vc;
             flit.escape = escape;
-            self.outputs[out_idx].credits -= 1;
+            let out = &mut self.outputs[out_idx];
+            out.credits -= 1;
             if flit.is_tail {
-                self.outputs[out_idx].owner = None;
+                out.owner = None;
+                if out.credits > 0 {
+                    self.ports[out_port].free_vcs |= 1 << out_vc;
+                    self.va_dirty = true;
+                }
                 self.inputs[in_idx].bound = None;
                 self.inputs[in_idx].bound_packet = None;
                 self.inputs[in_idx].escape_committed = false;
-                self.sa_candidates[in_port] -= 1;
+                self.ports[in_port].sa_candidates -= 1;
                 if !self.inputs[in_idx].buffer.is_empty() {
                     // Wormhole invariant: the flit behind a departed tail
                     // is the next packet's head, now awaiting allocation.
+                    self.ports[in_port].waiting |= 1 << vc;
                     self.unbound_heads += 1;
+                    self.va_dirty = true;
                 }
             } else if self.inputs[in_idx].buffer.is_empty() {
                 // Bound but starved mid-packet; receive_flit re-arms the
                 // candidate count when the next body flit lands.
-                self.sa_candidates[in_port] -= 1;
+                self.ports[in_port].sa_candidates -= 1;
             }
             sent.push(SentFlit { out_port, flit });
             credits.push(SentCredit { in_port, credit: Credit { vc: in_vc } });
@@ -688,31 +759,23 @@ impl Router {
         self.stalls.switch_lost += (self.nominees.len() - granted) as u64;
     }
 
-    /// Debug-only audit of the incremental allocation counters against a
-    /// full recount.
+    /// Debug-only audit of the incremental allocation counters and masks
+    /// against a full recount.
     fn debug_check_counters(&self) {
         #[cfg(debug_assertions)]
         {
-            let vcs = self.params.vcs;
-            let heads = self
-                .inputs
-                .iter()
-                .filter(|s| s.bound.is_none() && !s.buffer.is_empty())
-                .count();
-            debug_assert_eq!(heads, self.unbound_heads, "unbound-head counter out of sync");
             for port in 0..self.num_ports {
-                let cands = (0..vcs)
-                    .filter(|&v| {
-                        let s = &self.inputs[port * vcs + v];
-                        s.bound.is_some() && !s.buffer.is_empty()
-                    })
-                    .count();
                 debug_assert_eq!(
-                    cands,
-                    usize::from(self.sa_candidates[port]),
-                    "switch-candidate counter out of sync on port {port}"
+                    self.ports[port],
+                    self.recount_port(port),
+                    "allocation state of port {port} out of sync"
                 );
             }
+            let heads: u32 = self.ports.iter().map(|p| p.waiting.count_ones()).sum();
+            debug_assert_eq!(
+                heads as usize, self.unbound_heads,
+                "unbound-head counter out of sync"
+            );
         }
     }
 
@@ -745,7 +808,7 @@ impl Router {
     /// Fault handling: removes every buffered flit whose packet id is
     /// doomed and releases every binding (input side and output owner)
     /// held by a doomed packet, then recounts the incremental allocation
-    /// counters from scratch. `removed` is called with `(in_port, flit)`
+    /// counters and masks from scratch. `removed` is called with `(in_port, flit)`
     /// for each dropped flit so the simulator can return the freed buffer
     /// slot's credit to whoever holds it upstream. Returns the number of
     /// flits removed.
@@ -780,27 +843,48 @@ impl Router {
             }
         }
         self.recount_counters();
+        // Released bindings free output VCs and may expose new heads. The
+        // simulator also purges every router right after `fault_begin`
+        // swaps in degraded routing tables, under which a head that failed
+        // may now find a port: this flag covers that swap too.
+        self.va_dirty = true;
         count
     }
 
-    /// Recomputes `buffered`, `unbound_heads` and `sa_candidates` from the
-    /// input VC state (the non-debug twin of [`Self::debug_check_counters`],
-    /// used after a fault purge invalidates the incremental counts).
-    fn recount_counters(&mut self) {
+    /// `port`'s counts and masks recomputed from the VC state; the
+    /// switch-allocation pointers are copied, not recounted.
+    fn recount_port(&self, port: usize) -> PortState {
         let vcs = self.params.vcs;
-        self.buffered = self.inputs.iter().map(|s| s.buffer.len()).sum();
-        self.unbound_heads =
-            self.inputs.iter().filter(|s| s.bound.is_none() && !s.buffer.is_empty()).count();
-        for port in 0..self.num_ports {
-            let cands = (0..vcs)
-                .filter(|&v| {
-                    let s = &self.inputs[port * vcs + v];
-                    s.bound.is_some() && !s.buffer.is_empty()
-                })
-                .count();
-            self.sa_candidates[port] = u16::try_from(cands).expect("candidate count fits u16");
+        let mut state =
+            PortState { free_vcs: 0, waiting: 0, sa_candidates: 0, ..self.ports[port] };
+        for v in 0..vcs {
+            let input = &self.inputs[port * vcs + v];
+            if !input.buffer.is_empty() {
+                if input.bound.is_some() {
+                    state.sa_candidates += 1;
+                } else {
+                    state.waiting |= 1 << v;
+                }
+            }
+            let output = &self.outputs[port * vcs + v];
+            if output.owner.is_none() && output.credits > 0 {
+                state.free_vcs |= 1 << v;
+            }
         }
-        self.debug_check_counters();
+        state
+    }
+
+    /// Recomputes `buffered`, `unbound_heads` and the per-port counts and
+    /// masks from the VC state (the non-debug twin of
+    /// [`Self::debug_check_counters`], used after a fault purge invalidates
+    /// the incremental ones).
+    fn recount_counters(&mut self) {
+        self.buffered = self.inputs.iter().map(|s| s.buffer.len()).sum();
+        self.unbound_heads = 0;
+        for port in 0..self.num_ports {
+            self.ports[port] = self.recount_port(port);
+            self.unbound_heads += self.ports[port].waiting.count_ones() as usize;
+        }
     }
 
     /// `true` if no flit is buffered in any input VC.
@@ -1061,6 +1145,51 @@ mod tests {
         assert_eq!(sent.len(), 1);
         assert_eq!(sent[0].flit.packet, 11);
         assert!(r.is_drained());
+    }
+
+    #[test]
+    fn starved_head_skips_passes_until_a_vc_is_released() {
+        let g = gen::path(3);
+        let t = tables(&g, RoutingKind::MinimalDeterministic);
+        let ctx = RouteContext { tables: &t, endpoints_per_router: 1 };
+        let mut r = Router::new(1, 2, 1, params());
+        let (mut sent, mut credits) = (Vec::new(), Vec::new());
+        // Packets 10 and 11 send their heads toward router 2 and hold
+        // both VCs of that output until their tails pass.
+        for (vc, packet) in [(0, 10), (1, 11)] {
+            let mut head = head_flit(2, vc);
+            head.packet = packet;
+            head.is_tail = false;
+            r.receive_flit(0, head);
+            r.allocate_vcs(ctx);
+            r.allocate_switch(&mut sent, &mut credits);
+            assert_eq!(sent.len(), 1);
+        }
+        let mut waiting = head_flit(2, 0);
+        waiting.packet = 12;
+        r.receive_flit(2, waiting);
+        for pass in 1..=3 {
+            r.allocate_vcs(ctx);
+            assert!(!r.va_dirty, "a failed pass leaves nothing to retry");
+            assert_eq!(r.stall_counters().vc_starved, pass, "every pass counts the stall");
+            r.allocate_switch(&mut sent, &mut credits);
+            assert!(sent.is_empty());
+        }
+        // Packet 10's tail leaves and frees its VC: the next pass binds.
+        let mut tail = head_flit(2, 0);
+        tail.packet = 10;
+        tail.index = 1;
+        tail.is_head = false;
+        r.receive_flit(0, tail);
+        r.allocate_vcs(ctx);
+        r.allocate_switch(&mut sent, &mut credits);
+        assert_eq!(sent.len(), 1);
+        assert!(r.va_dirty, "the released VC re-arms allocation");
+        r.allocate_vcs(ctx);
+        assert_eq!(r.stall_counters().vc_starved, 4);
+        r.allocate_switch(&mut sent, &mut credits);
+        assert_eq!(sent.len(), 1);
+        assert_eq!(sent[0].flit.packet, 12);
     }
 
     #[test]

@@ -1523,28 +1523,13 @@ impl Simulator {
         sums
     }
 
-    /// Latency percentile estimate over the measured packets (e.g. `0.5`,
-    /// `0.95`, `0.99`), or `None` if nothing was measured. Resolution is one
-    /// cycle up to [`crate::endpoint::LATENCY_HISTOGRAM_BUCKETS`] cycles;
-    /// longer latencies saturate into the top bucket (reported as that
-    /// bucket's lower edge).
-    ///
-    /// For several percentiles at once, prefer
-    /// [`Simulator::latency_percentiles`]: it merges the per-endpoint
-    /// histograms a single time instead of once per `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `(0, 1]`.
-    #[must_use]
-    pub fn latency_percentile(&self, p: f64) -> Option<f64> {
-        self.latency_percentiles(&[p])[0]
-    }
-
-    /// Latency percentile estimates for every `p` in `ps` (in matching
-    /// order), from a single merge of the per-endpoint histograms and a
-    /// single cumulative sweep. Entries are `None` when nothing was
-    /// measured; see [`Simulator::latency_percentile`] for resolution.
+    /// Latency percentile estimates for every `p` in `ps` (e.g. `0.5`,
+    /// `0.95`, `0.99`, in matching order) over the measured packets, from a
+    /// single merge of the per-endpoint histograms and a single cumulative
+    /// sweep. Entries are `None` when nothing was measured. Resolution is
+    /// one cycle up to [`crate::endpoint::LATENCY_HISTOGRAM_BUCKETS`]
+    /// cycles; longer latencies saturate into the top bucket (reported as
+    /// that bucket's lower edge).
     ///
     /// # Panics
     ///
@@ -2701,9 +2686,8 @@ mod tests {
         sim.run(1_000);
         sim.open_measurement_window();
         sim.run(6_000);
-        let p50 = sim.latency_percentile(0.50).unwrap();
-        let p95 = sim.latency_percentile(0.95).unwrap();
-        let p99 = sim.latency_percentile(0.99).unwrap();
+        let ps = sim.latency_percentiles(&[0.50, 0.95, 0.99]);
+        let [p50, p95, p99] = [0, 1, 2].map(|i| ps[i].unwrap());
         let stats = sim.stats();
         assert!(p50 <= p95 && p95 <= p99, "{p50} {p95} {p99}");
         assert!(p99 <= stats.max_packet_latency as f64);
@@ -2718,7 +2702,7 @@ mod tests {
         let mut sim = Simulator::new(&g, small_config(0.0)).unwrap();
         sim.open_measurement_window();
         sim.run(100);
-        assert_eq!(sim.latency_percentile(0.5), None);
+        assert_eq!(sim.latency_percentiles(&[0.5, 0.99]), [None, None]);
     }
 
     #[test]
@@ -2726,7 +2710,7 @@ mod tests {
     fn latency_percentile_rejects_zero() {
         let g = gen::grid(2, 2);
         let sim = Simulator::new(&g, small_config(0.1)).unwrap();
-        let _ = sim.latency_percentile(0.0);
+        let _ = sim.latency_percentiles(&[0.5, 0.0]);
     }
 
     #[test]

@@ -29,7 +29,7 @@ const ROUTINGS: [RoutingKind; 3] = [
 /// topologies.
 fn irregular() -> Graph {
     let n = 12;
-    let mut state: u64 = 0x5EED_A110_C;
+    let mut state: u64 = 0x0005_EEDA_110C;
     let g = gen::from_coin(n, |_, _| {
         state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = state;
@@ -52,7 +52,7 @@ fn config(model: RouterModelKind, routing: RoutingKind, rate: f64) -> SimConfig 
         buffer_depth: 4,
         routing,
         injection_rate: rate,
-        seed: 0xA110_C,
+        seed: 0x000A_110C,
         source_queue_cap: 16,
         router: model.model(),
         ..SimConfig::paper_defaults()

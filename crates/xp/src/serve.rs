@@ -41,6 +41,7 @@
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -591,10 +592,23 @@ fn handle_line<W: Write>(server: &Server, line: &str, fallback_id: &str, out: &M
     accepted.set("key", key.as_str());
     accepted.set("name", spec.name.as_str());
     emit(out, &accepted);
-    match server.submit(&spec) {
-        Err(error) => {
+    // A panicking job must cost only its own request: unwinding out of
+    // this thread would end the whole server. `FlightGuard` has already
+    // released any dedup followers by the time the panic lands here.
+    let submitted = panic::catch_unwind(AssertUnwindSafe(|| server.submit(&spec)))
+        .map_err(|payload| {
+            let message = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("non-string panic payload");
+            format!("backend run panicked: {message}")
+        })
+        .and_then(|result| result.map_err(|error| error.to_string()));
+    match submitted {
+        Err(message) => {
             let mut err = event("error", &id);
-            err.set("message", error.to_string());
+            err.set("message", message);
             emit(out, &err);
         }
         Ok(served) => {
@@ -625,8 +639,8 @@ fn handle_line<W: Write>(server: &Server, line: &str, fallback_id: &str, out: &M
 ///
 /// # Errors
 ///
-/// Propagates input read errors; per-request failures are `error`
-/// events, not transport errors.
+/// Propagates input read errors; per-request failures, a panicking
+/// backend run included, are `error` events, not transport errors.
 pub fn serve_lines<R, W>(server: &Server, input: R, output: W) -> io::Result<CacheStats>
 where
     R: BufRead,
