@@ -174,7 +174,7 @@ struct PortState {
 /// An input-queued VC router.
 ///
 /// Input and output VC state is stored flat (`port * vcs + vc`) for cache
-/// locality. Per-port bitmasks ([`PortState`]) and two incremental counts
+/// locality. Per-port bitmasks (`PortState`) and two incremental counts
 /// let the allocation phases skip work that cannot do anything:
 ///
 /// * `unbound_heads` counts the heads awaiting VC allocation: VC
@@ -371,7 +371,12 @@ impl Router {
             credit.vc
         );
         if out.owner.is_none() {
-            self.ports[out_port].free_vcs |= 1 << credit.vc;
+            // Only the first credit makes the VC allocatable. Testing for
+            // it keeps the common light-load credit, which lands on a VC
+            // that already has credits, off the port state.
+            if out.credits == 1 {
+                self.ports[out_port].free_vcs |= 1 << credit.vc;
+            }
             self.va_dirty = true;
         }
     }
