@@ -174,8 +174,8 @@ struct PortState {
 /// An input-queued VC router.
 ///
 /// Input and output VC state is stored flat (`port * vcs + vc`) for cache
-/// locality. Per-port bitmasks (`PortState`) and two incremental counts
-/// let the allocation phases skip work that cannot do anything:
+/// locality. Per-port bitmasks and counts (`PortState`) and two router
+/// fields let the allocation phases skip work that cannot do anything:
 ///
 /// * `unbound_heads` counts the heads awaiting VC allocation: VC
 ///   allocation exits immediately at zero, and otherwise visits only the
@@ -190,10 +190,6 @@ struct PortState {
 ///   every routing kind and VC policy, and the pass reduces to its side
 ///   effects: one round-robin step and one `vc_starved` per waiting head
 ///   (a failing head never draws from the policy RNG).
-/// * `free_vcs` masks the allocatable output VCs, so output selection
-///   tests bits instead of scanning `OutputVc`s.
-/// * `sa_candidates` counts bound, non-empty input VCs: switch allocation
-///   skips ports at zero.
 #[derive(Debug, Clone)]
 pub struct Router {
     id: RouterId,
