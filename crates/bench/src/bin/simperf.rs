@@ -7,13 +7,11 @@
 //! `speedup_vs_serial`.
 //!
 //! Each grid scenario is measured twice — on the event-driven hot path and
-//! on the forced poll-every-cycle reference path — and compared against
-//! the recorded pre-optimization baseline (commit `abd2986`, measured with
-//! this same warmup/window methodology on the repo's CI-class single-core
-//! container). Baselines and shard speedups are wall-clock numbers, so
-//! compare them only to runs on comparable hardware; the JSON manifest
-//! records `git describe` and `host_cpus` for every run so regressions
-//! (and single-core runs, where sharding cannot win) are attributable.
+//! on the forced poll-every-cycle reference path. Shard speedups are
+//! wall-clock numbers, so compare them only to runs on comparable
+//! hardware; the JSON manifest records `git describe` and `host_cpus` for
+//! every run so regressions (and single-core runs, where sharding cannot
+//! win) are attributable.
 //!
 //! Usage:
 //! ```text
@@ -36,14 +34,8 @@ use xp::json::Value;
 use xp::table::{f3, Table};
 use xp::{Campaign, CampaignArgs};
 
-/// Pre-PR baseline (commit `abd2986`, poll-everything simulator with
-/// per-cycle allocations): simulated Mcycles/s and Mflit-hops/s on the
-/// 8×8 grid, 2 000-cycle warmup, 200 000-cycle window.
-const BASELINE: &[(&str, f64, f64, f64)] = &[
-    // (scenario, rate, mcycles_per_s, mflit_hops_per_s)
-    ("low_load", 0.05, 0.025, 0.850),
-    ("near_saturation", 0.30, 0.007, 0.059),
-];
+/// The grid scenarios: (name, injection rate).
+const GRID_SCENARIOS: &[(&str, f64)] = &[("low_load", 0.05), ("near_saturation", 0.30)];
 
 /// The sharded scenario: a paper-scale HexaMesh (a valid centered-hex
 /// count, k = 18) near the saturation knee.
@@ -149,7 +141,7 @@ fn main() {
          {host_cpus} host cpus"
     );
     let mut rows: Vec<Measured> = Vec::new();
-    for &(scenario, rate, _, _) in BASELINE {
+    for &(scenario, rate) in GRID_SCENARIOS {
         for reference in [false, true] {
             let m = measure(side, rate, cycles, reference, scenario);
             eprintln!(
@@ -170,7 +162,6 @@ fn main() {
         rows.push(m);
     }
 
-    let baseline_of = |scenario: &str| BASELINE.iter().find(|b| b.0 == scenario);
     let serial_wall = rows
         .iter()
         .find(|m| m.scenario == "large_n" && m.shards == 1)
@@ -185,15 +176,9 @@ fn main() {
         "wall_s",
         "mcycles_per_s",
         "mflit_hops_per_s",
-        "baseline_mcycles_per_s",
-        "speedup_vs_baseline",
         "speedup_vs_serial",
     ]);
     for m in &rows {
-        let (base_mcyc, speedup_base) = match baseline_of(m.scenario) {
-            Some(&(_, _, mcyc, _)) => (f3(mcyc), f3(m.mcycles_per_s / mcyc)),
-            None => (String::new(), String::new()),
-        };
         let speedup_serial =
             if m.scenario == "large_n" { f3(serial_wall / m.wall_s) } else { String::new() };
         table.row(&[
@@ -205,25 +190,7 @@ fn main() {
             &f3(m.wall_s),
             &f3(m.mcycles_per_s),
             &f3(m.mflit_hops_per_s),
-            &base_mcyc,
-            &speedup_base,
             &speedup_serial,
-        ]);
-    }
-    // The recorded baselines ride along so the JSON is self-contained.
-    for &(scenario, rate, mcyc, mhops) in BASELINE {
-        table.row(&[
-            &scenario,
-            &"baseline_pre_pr",
-            &1usize,
-            &f3(rate),
-            &200_000u64,
-            &"",
-            &f3(mcyc),
-            &f3(mhops),
-            &f3(mcyc),
-            &f3(1.0),
-            &"",
         ]);
     }
 
@@ -234,20 +201,8 @@ fn main() {
     config.set("large_n_cycles", large_n_cycles);
     config.set("shards", Value::Arr(shard_counts.iter().map(|&s| Value::from(s)).collect()));
     config.set("host_cpus", host_cpus);
-    config.set("baseline_commit", "abd2986");
     let written = campaign.finish(&table, config).expect("write sinks");
 
-    println!("simperf speedups vs pre-PR baseline (event-driven path):");
-    for m in rows.iter().filter(|m| m.path == "event" && m.scenario != "large_n") {
-        let &(_, _, base_mcyc, _) = baseline_of(m.scenario).expect("grid scenario");
-        println!(
-            "  {:>16}: {:.2}x ({:.3} vs {:.3} Mcycles/s)",
-            m.scenario,
-            m.mcycles_per_s / base_mcyc,
-            m.mcycles_per_s,
-            base_mcyc
-        );
-    }
     println!("large_n (n={LARGE_N}, rate {LARGE_N_RATE}) self-speedup vs serial:");
     for m in rows.iter().filter(|m| m.scenario == "large_n") {
         println!(

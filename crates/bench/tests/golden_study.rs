@@ -260,6 +260,25 @@ fn checked_in_specs_parse_and_match_their_presets() {
 }
 
 #[test]
+fn every_checked_in_spec_parses_and_validates() {
+    // Includes the annotated `study_example.toml` users copy, which no
+    // other test reads: a removed key must not strand it.
+    let specs_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/specs");
+    let mut checked = 0;
+    for entry in std::fs::read_dir(&specs_dir).expect("specs dir") {
+        let path = entry.expect("dir entry").path();
+        if path.extension().is_some_and(|ext| ext == "toml") {
+            let source = std::fs::read_to_string(&path).expect("spec file");
+            let spec = StudySpec::from_toml(&source)
+                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            spec.validate().unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            checked += 1;
+        }
+    }
+    assert!(checked >= 13, "found only {checked} specs in {}", specs_dir.display());
+}
+
+#[test]
 fn large_n_saturation_spec_parses_with_shards() {
     // The paper-scale spec is too big to *run* in a test; pin that it
     // parses, targets n >= 1000, and engages the sharded engine.

@@ -4,8 +4,8 @@
 
 use std::fmt;
 
-use nocsim::measure::{self, LoadPointResult};
-use nocsim::{MeasureConfig, ShardedSimulator, SimConfig, SimError};
+use nocsim::measure;
+use nocsim::{MeasureConfig, SimConfig, SimError};
 
 use crate::arrangement::{Arrangement, ArrangementKind, Regularity};
 use crate::link::{self, estimate_link, LinkEstimate, LinkModelError, LinkParams};
@@ -192,68 +192,12 @@ pub struct EvalResult {
     pub diameter: u32,
 }
 
-/// Simulates one injection-rate point of the saturation search over the
-/// arrangement's uniform links ([`measure::load_point`] on a fresh engine
-/// with `params.measure.shards` shards). Each point is independent of
-/// every other point — this is the unit of work the experiment engine
-/// schedules (`crates/xp`); `zero_load` is the latency-guard baseline.
-///
-/// # Errors
-///
-/// Propagates simulator construction failures as [`EvalError::Sim`].
-pub fn measure_load_point(
-    arrangement: &Arrangement,
-    params: &EvalParams,
-    rate: f64,
-    zero_load: f64,
-) -> Result<LoadPointResult, EvalError> {
-    let config = SimConfig { injection_rate: rate, ..params.sim };
-    let mut sim = ShardedSimulator::new(arrangement.graph(), config, params.measure.shards)?;
-    Ok(measure::load_point(&mut sim, &params.measure, zero_load))
-}
-
-/// [`evaluate_analytic`] plus a saturation search
-/// ([`measure::saturation_search_batched`] at the resolution of
-/// `params.measure`): every round asks `run_points` to simulate `fanout`
-/// rates, passing the zero-load latency as the latency-guard baseline
-/// for [`measure_load_point`]. The engine plugs a parallel map in here to
-/// spread one arrangement's rate search over workers. With `fanout = 1`
-/// the probe sequence (and therefore the result) is exactly the serial
-/// bisection the paper methodology uses; larger fanouts trade ~2× total
-/// work for `fanout`-way parallelism.
-///
-/// # Errors
-///
-/// See [`link_budget`]; additionally [`EvalError::Sim`] if the simulator
-/// rejects the topology or configuration, and any failure `run_points`
-/// returns.
-pub fn evaluate_with<F>(
-    arrangement: &Arrangement,
-    params: &EvalParams,
-    fanout: usize,
-    mut run_points: F,
-) -> Result<EvalResult, EvalError>
-where
-    F: FnMut(f64, &[f64]) -> Result<Vec<LoadPointResult>, EvalError>,
-{
-    let analytic = evaluate_analytic(arrangement, params)?;
-    let zero_load = analytic.zero_load_latency_cycles;
-    let saturation =
-        measure::saturation_search_batched(params.measure.rate_resolution, fanout, |rates| {
-            run_points(zero_load, rates)
-        })?;
-    Ok(EvalResult {
-        saturation_fraction: saturation.throughput,
-        saturation_throughput_tbps: saturation.throughput * analytic.full_global_bandwidth_tbps,
-        ..analytic
-    })
-}
-
 /// Evaluates an arrangement end to end: link budget, zero-load latency, and
-/// simulated saturation throughput. This runs the cycle-accurate simulator
-/// several times (binary search over injection rates) — seconds per call at
-/// `N ≈ 100` in release builds. Equivalent to [`evaluate_with`] at
-/// `fanout = 1` with a serial runner.
+/// simulated saturation throughput ([`evaluate_analytic`] followed by
+/// [`measure::saturation_search`], the paper's bisection over injection
+/// rates at the resolution of `params.measure`). This runs the
+/// cycle-accurate simulator several times — seconds per call at `N ≈ 100`
+/// in release builds.
 ///
 /// # Errors
 ///
@@ -263,11 +207,13 @@ pub fn evaluate(
     arrangement: &Arrangement,
     params: &EvalParams,
 ) -> Result<EvalResult, EvalError> {
-    evaluate_with(arrangement, params, 1, |zero_load, rates| {
-        rates
-            .iter()
-            .map(|&rate| measure_load_point(arrangement, params, rate, zero_load))
-            .collect()
+    let analytic = evaluate_analytic(arrangement, params)?;
+    let saturation =
+        measure::saturation_search(arrangement.graph(), &params.sim, &params.measure)?;
+    Ok(EvalResult {
+        saturation_fraction: saturation.throughput,
+        saturation_throughput_tbps: saturation.throughput * analytic.full_global_bandwidth_tbps,
+        ..analytic
     })
 }
 

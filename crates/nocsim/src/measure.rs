@@ -229,21 +229,21 @@ pub fn saturation_search(
 
 /// The `fanout` equally spaced probe rates of one search round inside the
 /// open bracket `(lo, hi)` — all independent simulation jobs.
-#[must_use]
-pub fn round_rates(lo: f64, hi: f64, fanout: usize) -> Vec<f64> {
+fn round_rates(lo: f64, hi: f64, fanout: usize) -> Vec<f64> {
     let k = fanout.max(1);
     (1..=k).map(|i| lo + (hi - lo) * i as f64 / (k + 1) as f64).collect()
 }
 
 /// The one knee-bracketing algorithm behind every saturation search.
 ///
-/// Each round asks `run_points` to simulate [`round_rates`] — independent
-/// jobs the caller may run serially or on any number of workers — then
-/// narrows the bracket around the knee. With `fanout = 1` the probe
-/// sequence is the classic bisection ([`saturation_search`] is exactly
-/// this); larger fanouts trade ~2× total simulation work for fanout-way
-/// parallelism inside a single search. The outcome depends only on the
-/// returned points, never on how the batch was scheduled.
+/// Each round asks `run_points` to simulate `fanout` equally spaced rates
+/// inside the open bracket — independent jobs the caller may run serially
+/// or on any number of workers — then narrows the bracket around the
+/// knee. With `fanout = 1` the probe sequence is the classic bisection
+/// ([`saturation_search`] is exactly this); larger fanouts trade ~2×
+/// total simulation work for fanout-way parallelism inside a single
+/// search. The outcome depends only on the returned points, never on how
+/// the batch was scheduled.
 ///
 /// `run_points` must return one [`LoadPointResult`] per requested rate,
 /// in order.

@@ -509,7 +509,6 @@ fn saturation_stage(spec: &StudySpec, campaign: &Campaign) -> Result<StageOutput
     let kinds = axis(&spec.axes.kinds);
     let ns = ns_ascending(spec);
     let pattern = axis(&spec.axes.patterns)[0];
-    let fanout = spec.saturation.fanout.unwrap_or(1).max(1);
     let mut params = EvalParams::paper_defaults();
     params.sim = spec.base_sim();
     params.sim.pattern = pattern;
@@ -532,12 +531,6 @@ fn saturation_stage(spec: &StudySpec, campaign: &Campaign) -> Result<StageOutput
     by_label.sort_by_key(|kind| kind.label());
     let cells: Vec<(ArrangementKind, usize)> =
         by_label.iter().flat_map(|&kind| ns.iter().map(move |&n| (kind, n))).collect();
-    // Keep the thread total within the worker budget: a fanned-out search
-    // only gets the workers the cells leave idle, and sharded simulations
-    // charge their shard threads to the same budget. (The probe sequence
-    // depends only on `fanout`, so this split never changes a row.)
-    let inner_workers =
-        (args.workers / (cells.len() * args.seeds.max(1) as usize).max(1)).max(1);
     let replicates = campaign.run_cells(
         &cells,
         params.measure.shards,
@@ -548,12 +541,8 @@ fn saturation_stage(spec: &StudySpec, campaign: &Campaign) -> Result<StageOutput
             let arrangement = Arrangement::build(kind, n).expect("n >= 1 builds");
             let mut p = params;
             p.sim.seed = seed;
-            if fanout > 1 {
-                sweep::evaluate_pooled(&arrangement, &p, fanout, inner_workers)
-            } else {
-                hexamesh::eval::evaluate(&arrangement, &p)
-                    .unwrap_or_else(|e| panic!("evaluate {kind} n={n}: {e}"))
-            }
+            hexamesh::eval::evaluate(&arrangement, &p)
+                .unwrap_or_else(|e| panic!("evaluate {kind} n={n}: {e}"))
         },
     );
     let results: Vec<EvalResult> = replicates

@@ -1,14 +1,13 @@
-//! Sweep runners shared by the study stages — the engine-pool
-//! decompositions of the paper's evaluation pipeline.
+//! Helpers shared by the study stages: competition ranking, the
+//! measurement schedule the shared flags select, and the Fig. 6 proxy
+//! sweep.
 
 use chiplet_partition::BisectionConfig;
 use hexamesh::arrangement::{Arrangement, ArrangementKind};
-use hexamesh::eval::{self, EvalParams, EvalResult};
 use hexamesh::proxies;
 use nocsim::MeasureConfig;
 
 use crate::cli::CampaignArgs;
-use crate::pool;
 
 /// Competition ranking ("1224"): ranks `values` ascending — lower is
 /// better — with exact ties sharing the better rank. Ties are routine,
@@ -82,38 +81,6 @@ pub fn proxy_sweep_over(kinds: &[ArrangementKind], ns: &[usize]) -> Vec<ProxyPoi
     out
 }
 
-/// Full [`eval::evaluate`] with each round of the saturation search
-/// spreading its `fanout` rate points over `workers` threads on the engine
-/// pool. Results are independent of `workers`: only the fanout changes
-/// the probe sequence, and the caller fixes it. Used by the saturation
-/// stage's `saturation.fanout` spec field.
-///
-/// # Panics
-///
-/// Panics if a simulation point fails (connected arrangements with valid
-/// parameters never do).
-#[must_use]
-pub fn evaluate_pooled(
-    arrangement: &Arrangement,
-    params: &EvalParams,
-    fanout: usize,
-    workers: usize,
-) -> EvalResult {
-    eval::evaluate_with(arrangement, params, fanout.max(1), |zero_load, rates| {
-        Ok(pool::run_jobs(
-            rates,
-            workers,
-            |_| 1,
-            |&rate| {
-                eval::measure_load_point(arrangement, params, rate, zero_load)
-                    .unwrap_or_else(|e| panic!("load point at rate {rate}: {e}"))
-            },
-            None,
-        ))
-    })
-    .unwrap_or_else(|e| panic!("evaluate n={}: {e}", arrangement.num_chiplets()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,38 +102,5 @@ mod tests {
         // "1224": both middle values share rank 2, the next rank is 4.
         assert_eq!(competition_rank(&[1.0, 2.0, 2.0, 5.0]), vec![1, 2, 2, 4]);
         assert_eq!(competition_rank(&[]), Vec::<usize>::new());
-    }
-
-    fn tiny_params() -> EvalParams {
-        let mut params = EvalParams::quick();
-        params.sim.vcs = 4;
-        params.sim.buffer_depth = 4;
-        params.measure.warmup_cycles = 500;
-        params.measure.measure_cycles = 1_000;
-        params.measure.rate_resolution = 0.1;
-        params
-    }
-
-    #[test]
-    fn pooled_evaluation_matches_serial_at_fanout_one() {
-        let params = tiny_params();
-        let a = Arrangement::build(ArrangementKind::Grid, 4).unwrap();
-        let serial = eval::evaluate(&a, &params).unwrap();
-        let bisection =
-            nocsim::measure::saturation_search(a.graph(), &params.sim, &params.measure)
-                .unwrap();
-        assert!(bisection.throughput > 0.0);
-        assert_eq!(serial.saturation_fraction, bisection.throughput);
-        for workers in [1, 4] {
-            let pooled = evaluate_pooled(&a, &params, 1, workers);
-            assert_eq!(serial, pooled, "fanout-1 batched search must equal bisection");
-        }
-        // Wider fanout probes different rates but must land near the same
-        // knee.
-        let wide = evaluate_pooled(&a, &params, 4, 4);
-        assert!(
-            (wide.saturation_fraction - serial.saturation_fraction).abs()
-                <= 2.0 * params.measure.rate_resolution
-        );
     }
 }

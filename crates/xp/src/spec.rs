@@ -297,9 +297,6 @@ pub struct WorkloadOverrides {
 #[derive(Debug, Clone, PartialEq, Default)]
 #[non_exhaustive]
 pub struct SaturationOverrides {
-    /// Rates probed per saturation-search round (explicit, never derived
-    /// from `--workers`, so rows stay worker-count independent).
-    pub fanout: Option<usize>,
     /// File stem of the grid-normalised companion table (Fig. 7c/d);
     /// `None` skips it.
     pub normalized_stem: Option<String>,
@@ -684,9 +681,6 @@ impl StudySpec {
         set_section(&mut root, "workload", workload);
 
         let mut saturation = Value::object();
-        if let Some(fanout) = self.saturation.fanout {
-            saturation.set("fanout", fanout);
-        }
         if let Some(stem) = &self.saturation.normalized_stem {
             saturation.set("normalized_stem", stem.as_str());
         }
@@ -1204,9 +1198,8 @@ fn decode_workload(section: &Value) -> Result<WorkloadOverrides, String> {
 }
 
 fn decode_saturation(section: &Value) -> Result<SaturationOverrides, String> {
-    reject_unknown(section, &["fanout", "normalized_stem"], "saturation")?;
+    reject_unknown(section, &["normalized_stem"], "saturation")?;
     Ok(SaturationOverrides {
-        fanout: usize_field(section, "fanout")?,
         normalized_stem: str_field(section, "normalized_stem")?.map(str::to_owned),
     })
 }
@@ -1346,6 +1339,9 @@ mod tests {
         let huge =
             StudySpec::from_toml(&format!("{base}[axes]\nns = [99999999999999999999]\n"));
         assert!(huge.unwrap_err().contains("out of range"), "too large is not negative");
+        let fanout = "name = \"s\"\nstage = \"saturation\"\n[saturation]\nfanout = 2\n";
+        let err = StudySpec::from_toml(fanout).expect_err("one search per arrangement");
+        assert!(err.contains("fanout"), "{err}");
         // A repeated value would run its rows twice and rank a kind
         // against its own duplicate.
         for (stage, section, repeat) in [
@@ -1432,7 +1428,7 @@ mod tests {
         spec.search.restarts = Some(2);
         assert!(spec.validate().is_err(), "search settings need the search stage or optimized");
         let mut spec = StudySpec::new("s", StageKind::LoadCurve);
-        spec.saturation.fanout = Some(2);
+        spec.saturation.normalized_stem = Some("n".to_owned());
         assert!(spec.validate().is_err(), "saturation settings are saturation-stage only");
         let mut spec = StudySpec::new("s", StageKind::Saturation);
         spec.workload.traces = true;

@@ -1,0 +1,107 @@
+#!/usr/bin/env bash
+# bench-pairs: alternating parent/change runs of one perfbench workload.
+#
+# Builds perfbench in both checkouts, then runs PAIRS pairs through
+# BENCHMARK.json's command (`cargo run --release --offline --quiet
+# --manifest-path perfbench/Cargo.toml`, from the checkout). Pair i runs
+# seed FIRST_SEED + i on both sides, with --trace 0 and the run_seconds of
+# BENCHMARK.json; the parent runs first in even pairs and the change in
+# odd ones, so a drift of the host's speed does not favour one side. Prints one line per run, then
+# for each end-to-end metric both sides' median and quartiles and the
+# number of pairs in which the change read lower (ties count for
+# neither). Exits 1 if any run is not correct or has a failed operation.
+#
+# Usage: scripts/bench_pairs.sh PARENT_DIR CHANGE_DIR WORKLOAD PAIRS FIRST_SEED
+set -euo pipefail
+
+if [ "$#" -ne 5 ]; then
+    echo "usage: $0 PARENT_DIR CHANGE_DIR WORKLOAD PAIRS FIRST_SEED" >&2
+    exit 2
+fi
+PARENT="$(cd "$1" && pwd)"
+CHANGE="$(cd "$2" && pwd)"
+WORKLOAD="$3"
+PAIRS="$4"
+FIRST_SEED="$5"
+case "$PAIRS$FIRST_SEED" in
+    *[!0-9]*) echo "$0: PAIRS and FIRST_SEED must be whole numbers" >&2; exit 2 ;;
+esac
+
+BENCHMARK="$(dirname "$0")/../BENCHMARK.json"
+SECONDS_PER_RUN="$(grep -o '"run_seconds": *[0-9]*' "$BENCHMARK" | grep -o '[0-9]*$')"
+METRICS=(setup_s run_s peak_heap_mb)
+OUT="$(mktemp -d)"
+trap 'rm -rf "$OUT"' EXIT
+
+for dir in "$PARENT" "$CHANGE"; do
+    echo "building perfbench in $dir" >&2
+    (cd "$dir" && cargo build --release --offline --quiet --manifest-path perfbench/Cargo.toml)
+done
+
+# run SIDE DIR SEED: one run; appends "seed side metrics... correct failed"
+# to $OUT/runs and prints it.
+run() {
+    local side="$1" dir="$2" seed="$3" summary line metric value
+    summary="$( (cd "$dir" && cargo run --release --offline --quiet \
+        --manifest-path perfbench/Cargo.toml -- --workload "$WORKLOAD" --seed "$seed" \
+        --seconds "$SECONDS_PER_RUN" --trace 0) 2> "$OUT/stderr" | tail -n 1)" || true
+    line="$seed $side"
+    for metric in "${METRICS[@]}"; do
+        value="$(printf '%s' "$summary" | grep -o "\"$metric\": {\"value\": [^,}]*" \
+            | grep -o '[^ ]*$' || true)"
+        line="$line ${value:-nan}"
+    done
+    value="$(printf '%s' "$summary" | grep -o '"correct": [a-z]*' | grep -o '[a-z]*$' || true)"
+    line="$line ${value:-missing}"
+    value="$(printf '%s' "$summary" | grep -o '"failed": [0-9]*' | grep -o '[0-9]*$' || true)"
+    line="$line ${value:-missing}"
+    if [ "${value:-missing}" = missing ]; then
+        sed 's/^/    /' "$OUT/stderr" >&2
+    fi
+    echo "$line" >> "$OUT/runs"
+    echo "$line"
+}
+
+echo "seed side ${METRICS[*]} correct failed"
+for ((i = 0; i < PAIRS; i++)); do
+    seed=$((FIRST_SEED + i))
+    if ((i % 2 == 0)); then
+        run parent "$PARENT" "$seed"
+        run change "$CHANGE" "$seed"
+    else
+        run change "$CHANGE" "$seed"
+        run parent "$PARENT" "$seed"
+    fi
+done
+
+# Quartiles interpolate linearly between order statistics.
+for ((m = 0; m < ${#METRICS[@]}; m++)); do
+    awk -v col=$((m + 3)) -v name="${METRICS[$m]}" '
+        function sort(a, n,    i, j, t) {
+            for (i = 2; i <= n; i++)
+                for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
+        }
+        function quantile(a, n, q,    h, lo) {
+            h = (n - 1) * q + 1; lo = int(h)
+            return lo >= n ? a[n] : a[lo] + (h - lo) * (a[lo + 1] - a[lo])
+        }
+        function spread(side, a, n) {
+            sort(a, n)
+            return sprintf("%s median %.6g (quartiles %.6g-%.6g)", side,
+                quantile(a, n, 0.5), quantile(a, n, 0.25), quantile(a, n, 0.75))
+        }
+        { v[$2, $1] = $col; seeds[$1] = 1 }
+        END {
+            for (s in seeds) {
+                p[++n] = v["parent", s] + 0; c[n] = v["change", s] + 0
+                if (c[n] < p[n]) lower++
+            }
+            printf "%s: %s; %s; change lower in %d of %d pairs\n", name,
+                spread("parent", p, n), spread("change", c, n), lower, n
+        }' "$OUT/runs"
+done
+
+if awk '$(NF - 1) != "true" || $NF != "0" { bad = 1 } END { exit !bad }' "$OUT/runs"; then
+    echo "bench-pairs: a run was not correct or had failed operations" >&2
+    exit 1
+fi
