@@ -7,7 +7,7 @@
 use chiplet_graph::Graph;
 
 use crate::flit::RouterId;
-use crate::routing::RoutingTables;
+use crate::routing;
 use crate::shard::ShardedSimulator;
 use crate::sim::{LinkSpec, NetworkStats, SimConfig, SimError, Simulator};
 
@@ -98,7 +98,7 @@ pub struct SaturationResult {
 /// Propagates routing-table construction failures for empty or disconnected
 /// graphs.
 pub fn zero_load_latency(g: &Graph, config: &SimConfig) -> Result<f64, SimError> {
-    let tables = RoutingTables::new(g, config.routing)?;
+    let dist = routing::connected_distances(g)?;
     let epr = config.endpoints_per_router;
     let endpoints = g.num_vertices() * epr;
     if endpoints < 2 {
@@ -108,16 +108,11 @@ pub fn zero_load_latency(g: &Graph, config: &SimConfig) -> Result<f64, SimError>
     let constant = 2.0 * config.injection_latency as f64
         + config.pipeline_cycles() as f64
         + (config.packet_size as f64 - 1.0);
-    // Average router-to-router hop distance over ordered endpoint pairs.
-    let mut total_hops = 0u64;
-    for src in 0..endpoints {
-        for dst in 0..endpoints {
-            if src == dst {
-                continue;
-            }
-            total_hops += u64::from(tables.distance(src / epr, dst / epr));
-        }
-    }
+    // Average router-to-router hop distance over ordered endpoint pairs:
+    // each router pair carries epr² of them, and a same-router pair, the
+    // endpoint itself included, adds 0 hops.
+    let router_hops: u64 = dist.iter().map(|&d| u64::from(d)).sum();
+    let total_hops = (epr * epr) as u64 * router_hops;
     let pairs = (endpoints * (endpoints - 1)) as f64;
     let avg_hops = total_hops as f64 / pairs;
     Ok(constant + avg_hops * per_hop)

@@ -98,8 +98,12 @@ pub struct RoutingTables {
     num_routers: usize,
     /// Row-major `dist[r * n + d]`: hop distance.
     dist: Vec<u32>,
-    /// `minimal[r * n + d]`: output ports on minimal paths (sorted).
-    minimal: Vec<Vec<u16>>,
+    /// `n² + 1` offsets into `minimal`: pair `i = r * n + d` owns
+    /// `minimal[minimal_start[i]..minimal_start[i + 1]]`.
+    minimal_start: Vec<u32>,
+    /// Every pair's output ports on minimal paths (each pair's sorted),
+    /// concatenated in `r * n + d` order.
+    minimal: Vec<u16>,
     /// `escape[r * n + d]`: output port toward `d` on the spanning tree
     /// (`u16::MAX` for `r == d`).
     escape: Vec<u16>,
@@ -115,29 +119,10 @@ impl RoutingTables {
     ///   path.
     pub fn new(g: &Graph, kind: RoutingKind) -> Result<Self, RoutingError> {
         let n = g.num_vertices();
-        if n == 0 {
-            return Err(RoutingError::EmptyTopology);
-        }
-        if !metrics::is_connected(g) {
-            return Err(RoutingError::DisconnectedTopology);
-        }
-
-        let dist = bfs::all_pairs_distances(g);
-
-        let minimal = minimal_ports(g, &dist, |_, _| true);
-
-        // Spanning tree rooted at router 0 (BFS parents): each router's
-        // parent is its lowest-numbered predecessor.
-        let (_, parent) = bfs::distances_with_parents(g, 0);
-        let mut tree_adj: Vec<Vec<RouterId>> = vec![Vec::new(); n];
-        for v in 1..n {
-            let p = parent[v].expect("connected graph has full parent array");
-            tree_adj[v].push(p);
-            tree_adj[p].push(v);
-        }
-        let escape = escape_ports(g, &tree_adj, &vec![false; n]);
-
-        Ok(Self { kind, num_routers: n, dist, minimal, escape })
+        let dist = connected_distances(g)?;
+        let (minimal_start, minimal) = minimal_ports(g, &dist, |_, _| true);
+        let escape = escape_ports(g, &lowest_parent_tree(g), &vec![false; n]);
+        Ok(Self { kind, num_routers: n, dist, minimal_start, minimal, escape })
     }
 
     /// Builds tables over the *surviving* subgraph of `g`: routers with
@@ -191,34 +176,10 @@ impl RoutingTables {
             }
         }
 
-        let minimal = minimal_ports(g, &dist, |r, p| live_port[r][p]);
-
-        // Per-component spanning forest: each component's tree is rooted at
-        // its lowest live router id, and each router's parent is the live
-        // neighbour BFS discovered it from.
-        let mut tree_adj: Vec<Vec<RouterId>> = vec![Vec::new(); n];
-        let mut in_tree = vec![false; n];
-        for root in 0..n {
-            if dead_router[root] || in_tree[root] {
-                continue;
-            }
-            in_tree[root] = true;
-            queue.clear();
-            queue.push_back(root);
-            while let Some(v) = queue.pop_front() {
-                for (&u, &live) in g.neighbors(v).iter().zip(&live_port[v]) {
-                    if live && !in_tree[u] {
-                        in_tree[u] = true;
-                        tree_adj[v].push(u);
-                        tree_adj[u].push(v);
-                        queue.push_back(u);
-                    }
-                }
-            }
-        }
-        let escape = escape_ports(g, &tree_adj, dead_router);
-
-        Self { kind, num_routers: n, dist, minimal, escape }
+        let (minimal_start, minimal) = minimal_ports(g, &dist, |r, p| live_port[r][p]);
+        let escape =
+            escape_ports(g, &discovery_forest(g, dead_router, &live_port), dead_router);
+        Self { kind, num_routers: n, dist, minimal_start, minimal, escape }
     }
 
     /// `true` if a path from `r` to `d` exists in the (possibly degraded)
@@ -260,7 +221,8 @@ impl RoutingTables {
     /// Panics if either id is out of range.
     #[must_use]
     pub fn minimal_ports(&self, r: RouterId, d: RouterId) -> &[u16] {
-        &self.minimal[r * self.num_routers + d]
+        let i = r * self.num_routers + d;
+        &self.minimal[self.minimal_start[i] as usize..self.minimal_start[i + 1] as usize]
     }
 
     /// Escape (spanning-tree) output port of `r` toward `d`.
@@ -287,75 +249,169 @@ impl RoutingTables {
     }
 }
 
-/// Minimal next-hop ports per (router, destination), row-major like
-/// `dist`: port `p` of `r`, leading to neighbour `u`, is minimal toward `d`
-/// iff `live_port(r, p)` and `dist(u, d) + 1 == dist(r, d)`. Unreachable
-/// pairs (`u32::MAX` distance) get no ports.
+/// All-pairs hop distances of `g`, row-major, after the two checks
+/// [`RoutingTables::new`] makes first: `g` has a router and is connected.
+/// Callers that read only distances use this instead of building tables.
+pub(crate) fn connected_distances(g: &Graph) -> Result<Vec<u32>, RoutingError> {
+    if g.num_vertices() == 0 {
+        return Err(RoutingError::EmptyTopology);
+    }
+    if !metrics::is_connected(g) {
+        return Err(RoutingError::DisconnectedTopology);
+    }
+    Ok(bfs::all_pairs_distances(g))
+}
+
+/// Minimal next-hop ports per (router, destination), flattened: pair
+/// `i = r * n + d` owns `ports[start[i]..start[i + 1]]`, ascending. Port
+/// `p` of `r`, leading to neighbour `u`, is minimal toward `d` iff
+/// `live_port(r, p)` and `dist(u, d) + 1 == dist(r, d)`. Unreachable pairs
+/// (`u32::MAX` distance) get no ports.
 fn minimal_ports(
     g: &Graph,
     dist: &[u32],
     live_port: impl Fn(RouterId, usize) -> bool,
-) -> Vec<Vec<u16>> {
+) -> (Vec<u32>, Vec<u16>) {
     let n = g.num_vertices();
-    let mut minimal = vec![Vec::new(); n * n];
+    let mut start = Vec::with_capacity(n * n + 1);
+    // Every reachable pair of distinct routers has at least one port.
+    let mut ports = Vec::with_capacity(n * n);
+    start.push(0);
     for r in 0..n {
         for d in 0..n {
             let target = dist[r * n + d];
-            if r == d || target == u32::MAX {
-                continue;
-            }
-            minimal[r * n + d] = g
-                .neighbors(r)
-                .iter()
-                .enumerate()
-                .filter(|&(p, &u)| {
-                    live_port(r, p)
+            if r != d && target != u32::MAX {
+                for (p, &u) in g.neighbors(r).iter().enumerate() {
+                    if live_port(r, p)
                         && dist[u * n + d] != u32::MAX
                         && dist[u * n + d] + 1 == target
-                })
-                .map(|(p, _)| u16::try_from(p).expect("port fits u16"))
-                .collect();
+                    {
+                        ports.push(u16::try_from(p).expect("port fits u16"));
+                    }
+                }
+            }
+            start.push(u32::try_from(ports.len()).expect("minimal-port count fits u32"));
         }
     }
-    minimal
+    (start, ports)
+}
+
+/// Spanning tree of the connected `g` for [`RoutingTables::new`], rooted
+/// at router 0: each router's parent is its lowest-numbered BFS
+/// predecessor.
+fn lowest_parent_tree(g: &Graph) -> Vec<Vec<RouterId>> {
+    let n = g.num_vertices();
+    let (_, parent) = bfs::distances_with_parents(g, 0);
+    let mut tree_adj: Vec<Vec<RouterId>> = vec![Vec::new(); n];
+    for v in 1..n {
+        let p = parent[v].expect("connected graph has full parent array");
+        tree_adj[v].push(p);
+        tree_adj[p].push(v);
+    }
+    tree_adj
+}
+
+/// Spanning forest over the live ports for
+/// [`RoutingTables::new_degraded`]: each component's tree is rooted at its
+/// lowest live router id, and each router's parent is the live neighbour
+/// BFS discovered it from.
+fn discovery_forest(
+    g: &Graph,
+    dead_router: &[bool],
+    live_port: &[Vec<bool>],
+) -> Vec<Vec<RouterId>> {
+    let n = g.num_vertices();
+    let mut tree_adj: Vec<Vec<RouterId>> = vec![Vec::new(); n];
+    let mut in_tree = vec![false; n];
+    let mut queue = std::collections::VecDeque::new();
+    for root in 0..n {
+        if dead_router[root] || in_tree[root] {
+            continue;
+        }
+        in_tree[root] = true;
+        queue.push_back(root);
+        while let Some(v) = queue.pop_front() {
+            for (&u, &live) in g.neighbors(v).iter().zip(&live_port[v]) {
+                if live && !in_tree[u] {
+                    in_tree[u] = true;
+                    tree_adj[v].push(u);
+                    tree_adj[u].push(v);
+                    queue.push_back(u);
+                }
+            }
+        }
+    }
+    tree_adj
 }
 
 /// Escape ports per (router, destination) along the spanning forest
 /// `tree_adj`: the first hop of the unique tree path from `r` to `d`, or
 /// `u16::MAX` when `r == d`, `d` is dead, or `r` lies in another tree.
+///
+/// That path does not depend on where its tree is rooted, so each tree is
+/// rooted at its lowest router and listed in DFS preorder, where every
+/// subtree is one contiguous range. Seen from `r`, a destination in a
+/// child's subtree lies beyond that child and any other beyond `r`'s
+/// parent: row `r` takes its parent's port across the whole tree, then
+/// each child's port over that child's range.
 fn escape_ports(g: &Graph, tree_adj: &[Vec<RouterId>], dead_router: &[bool]) -> Vec<u16> {
     let n = g.num_vertices();
+    let port = |r: RouterId, u: RouterId| {
+        let p = g.neighbors(r).binary_search(&u).expect("tree edge exists in graph");
+        u16::try_from(p).expect("port fits u16")
+    };
     let mut escape = vec![u16::MAX; n * n];
-    let mut next_toward_d: Vec<Option<RouterId>> = vec![None; n];
-    let mut seen = vec![false; n];
-    let mut queue = std::collections::VecDeque::new();
-    for d in 0..n {
-        if dead_router[d] {
+    // The trees one after another, each in preorder; `subtree[v]` is the
+    // range of `order` holding v's subtree, and a root is its own parent.
+    let mut order: Vec<RouterId> = Vec::with_capacity(n);
+    let mut subtree = vec![0..0; n];
+    let mut parent = vec![usize::MAX; n];
+    let mut stack = Vec::new();
+    for root in 0..n {
+        if dead_router[root] || parent[root] != usize::MAX {
             continue;
         }
-        // BFS from d over the tree; the first hop back toward d is the
-        // parent in this BFS.
-        next_toward_d.iter_mut().for_each(|x| *x = None);
-        seen.iter_mut().for_each(|x| *x = false);
-        seen[d] = true;
-        queue.clear();
-        queue.push_back(d);
-        while let Some(u) = queue.pop_front() {
-            for &w in &tree_adj[u] {
-                if !seen[w] {
-                    seen[w] = true;
-                    next_toward_d[w] = Some(u);
-                    queue.push_back(w);
+        let first = order.len();
+        parent[root] = root;
+        stack.push(root);
+        while let Some(v) = stack.pop() {
+            subtree[v] = order.len()..order.len() + 1;
+            order.push(v);
+            for &c in &tree_adj[v] {
+                if c != parent[v] {
+                    parent[c] = v;
+                    stack.push(c);
                 }
             }
         }
-        for r in 0..n {
-            if r == d {
-                continue;
+        // A subtree ends where its last descendant's does; descendants
+        // follow their ancestors in preorder, so one reverse pass closes
+        // every range.
+        for &v in order[first..].iter().rev() {
+            if v != root {
+                let end = subtree[v].end;
+                let p = &mut subtree[parent[v]];
+                p.end = p.end.max(end);
             }
-            let Some(hop) = next_toward_d[r] else { continue };
-            let port = g.neighbors(r).binary_search(&hop).expect("tree edge exists in graph");
-            escape[r * n + d] = u16::try_from(port).expect("port fits u16");
+        }
+        let tree = &order[first..];
+        for &r in tree {
+            let row = &mut escape[r * n..(r + 1) * n];
+            if r != root {
+                let up = port(r, parent[r]);
+                for &d in tree {
+                    row[d] = up;
+                }
+                row[r] = u16::MAX;
+            }
+            for &c in &tree_adj[r] {
+                if c != parent[r] {
+                    let down = port(r, c);
+                    for &d in &order[subtree[c].clone()] {
+                        row[d] = down;
+                    }
+                }
+            }
         }
     }
     escape
@@ -478,6 +534,22 @@ mod tests {
         assert!(RoutingError::DisconnectedTopology.to_string().contains("connected"));
     }
 
+    /// 200 random connected graphs, drawn like `tests/conservation.rs`:
+    /// 2..=12 routers, each pair linked with probability 0.35, plus a
+    /// spanning path.
+    fn random_graphs() -> Vec<Graph> {
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        (0..200)
+            .map(|_| {
+                let n = rng.gen_range(2usize..=12);
+                let coin = gen::from_coin(n, |_, _| rng.gen_range(0u8..100) < 35);
+                let mut edges: Vec<_> = coin.edges().collect();
+                edges.extend((1..n).map(|i| (i - 1, i)).filter(|&(u, v)| !coin.has_edge(u, v)));
+                Graph::from_edges(n, &edges).expect("still simple")
+            })
+            .collect()
+    }
+
     #[test]
     fn degraded_with_no_faults_matches_pristine_tables() {
         let pristine_and_degraded = |g: &Graph| {
@@ -486,6 +558,7 @@ mod tests {
             let a = RoutingTables::new(g, kind).unwrap();
             let b = RoutingTables::new_degraded(g, kind, &dead, |_, _| false);
             assert_eq!(a.dist, b.dist);
+            assert_eq!(a.minimal_start, b.minimal_start);
             assert_eq!(a.minimal, b.minimal);
             (a, b)
         };
@@ -495,16 +568,112 @@ mod tests {
         // on a grid but not on every graph.
         assert_eq!(a.escape, b.escape);
 
-        // Random connected graphs, drawn like `tests/conservation.rs`:
-        // 2..=12 routers, each pair linked with probability 0.35, plus a
-        // spanning path.
-        let mut rng = StdRng::seed_from_u64(0x5EED);
-        for _ in 0..200 {
-            let n = rng.gen_range(2usize..=12);
-            let coin = gen::from_coin(n, |_, _| rng.gen_range(0u8..100) < 35);
-            let mut edges: Vec<_> = coin.edges().collect();
-            edges.extend((1..n).map(|i| (i - 1, i)).filter(|&(u, v)| !coin.has_edge(u, v)));
-            pristine_and_degraded(&Graph::from_edges(n, &edges).expect("still simple"));
+        for g in random_graphs() {
+            pristine_and_degraded(&g);
+        }
+    }
+
+    /// The escape table as a walk per destination: a BFS from each live
+    /// `d` over the forest, in which the first hop from `r` toward `d` is
+    /// `r`'s BFS parent.
+    fn escape_by_tree_walk(
+        g: &Graph,
+        tree_adj: &[Vec<RouterId>],
+        dead_router: &[bool],
+    ) -> Vec<u16> {
+        let n = g.num_vertices();
+        let mut escape = vec![u16::MAX; n * n];
+        for d in (0..n).filter(|&d| !dead_router[d]) {
+            let mut next_toward_d: Vec<Option<RouterId>> = vec![None; n];
+            let mut seen = vec![false; n];
+            seen[d] = true;
+            let mut queue = std::collections::VecDeque::from([d]);
+            while let Some(u) = queue.pop_front() {
+                for &w in &tree_adj[u] {
+                    if !seen[w] {
+                        seen[w] = true;
+                        next_toward_d[w] = Some(u);
+                        queue.push_back(w);
+                    }
+                }
+            }
+            for (r, hop) in next_toward_d.into_iter().enumerate() {
+                if let Some(hop) = hop {
+                    let port = g.neighbors(r).binary_search(&hop).unwrap();
+                    escape[r * n + d] = u16::try_from(port).unwrap();
+                }
+            }
+        }
+        escape
+    }
+
+    /// Checks every entry of `t`: its minimal ports against a filter of the
+    /// live neighbours on `t`'s distances, its escape ports against
+    /// [`escape_by_tree_walk`] over `tree_adj`.
+    fn assert_matches_definitions(
+        g: &Graph,
+        t: &RoutingTables,
+        live_port: impl Fn(RouterId, usize) -> bool,
+        tree_adj: &[Vec<RouterId>],
+        dead_router: &[bool],
+    ) {
+        let n = g.num_vertices();
+        assert_eq!(t.minimal_start.len(), n * n + 1);
+        for r in 0..n {
+            for d in 0..n {
+                let want: Vec<u16> = if r == d || !t.reachable(r, d) {
+                    Vec::new()
+                } else {
+                    g.neighbors(r)
+                        .iter()
+                        .enumerate()
+                        .filter(|&(p, &u)| {
+                            live_port(r, p)
+                                && t.reachable(u, d)
+                                && t.distance(u, d) + 1 == t.distance(r, d)
+                        })
+                        .map(|(p, _)| u16::try_from(p).unwrap())
+                        .collect()
+                };
+                assert_eq!(t.minimal_ports(r, d), want, "minimal ports {r} -> {d}");
+            }
+        }
+        assert_eq!(t.escape, escape_by_tree_walk(g, tree_adj, dead_router));
+    }
+
+    #[test]
+    fn tables_match_their_definitions() {
+        let kind = RoutingKind::MinimalAdaptiveEscape;
+        let mut rng = StdRng::seed_from_u64(0xFA17);
+        for g in random_graphs() {
+            let n = g.num_vertices();
+            let t = RoutingTables::new(&g, kind).unwrap();
+            assert_matches_definitions(
+                &g,
+                &t,
+                |_, _| true,
+                &lowest_parent_tree(&g),
+                &vec![false; n],
+            );
+
+            // Each link dead with probability 0.2, plus one dead router.
+            let dead_links: Vec<_> =
+                g.edges().filter(|_| rng.gen_range(0u8..100) < 20).collect();
+            let dead_link =
+                |u: RouterId, v: RouterId| dead_links.contains(&(u.min(v), u.max(v)));
+            let mut dead_router = vec![false; n];
+            dead_router[rng.gen_range(0..n)] = true;
+            let live_port: Vec<Vec<bool>> = (0..n)
+                .map(|r| {
+                    g.neighbors(r)
+                        .iter()
+                        .map(|&u| !dead_router[r] && !dead_router[u] && !dead_link(r, u))
+                        .collect()
+                })
+                .collect();
+            let t = RoutingTables::new_degraded(&g, kind, &dead_router, dead_link);
+            let forest = discovery_forest(&g, &dead_router, &live_port);
+            assert_matches_definitions(&g, &t, |r, p| live_port[r][p], &forest, &dead_router);
         }
     }
 

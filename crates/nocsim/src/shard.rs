@@ -424,9 +424,11 @@ impl ShardedSimulator {
         // boundary link; guard the degenerate case anyway.
         let capacity = if window == u64::MAX { 1 } else { window as usize };
 
+        let tables = Simulator::checked_tables(g, &config)?;
         let mut shards = Vec::with_capacity(k);
         for w in cuts.windows(2) {
-            let sim = Simulator::new_shard(g, config, &spec, (w[0], w[1]), capacity)?;
+            let tables = Arc::clone(&tables);
+            let sim = Simulator::new_shard(g, config, &spec, tables, (w[0], w[1]), capacity)?;
             shards.push(Arc::new(Mutex::new(sim)));
         }
         let num_endpoints = lock(&shards[0]).num_endpoints();

@@ -15,6 +15,7 @@ use chiplet_graph::Graph;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
 use crate::channel::{Credit, DelayLine, Link, IDLE};
 use crate::endpoint::Endpoint;
@@ -495,7 +496,9 @@ struct FaultState {
 #[derive(Debug)]
 pub struct Simulator {
     config: SimConfig,
-    tables: RoutingTables,
+    /// Shared by every shard of a sharded run; a fault swaps in this
+    /// simulator's own degraded tables.
+    tables: Arc<RoutingTables>,
     routers: Vec<Router>,
     endpoints: Vec<Endpoint>,
     /// Directed router-to-router links.
@@ -605,7 +608,19 @@ impl Simulator {
         config: SimConfig,
         spec: impl Fn(RouterId, RouterId) -> LinkSpec,
     ) -> Result<Self, SimError> {
-        Self::build(g, config, spec, None)
+        let tables = Self::checked_tables(g, &config)?;
+        Self::build(g, config, spec, tables, None)
+    }
+
+    /// Validates `config`, then builds its routing tables over `g`: every
+    /// constructor's first two checks, in this order. The shards of one
+    /// sharded run share the result.
+    pub(crate) fn checked_tables(
+        g: &Graph,
+        config: &SimConfig,
+    ) -> Result<Arc<RoutingTables>, SimError> {
+        config.validate()?;
+        Ok(Arc::new(RoutingTables::new(g, config.routing)?))
     }
 
     /// Builds one shard of a conservative parallel run: a full simulator
@@ -613,25 +628,27 @@ impl Simulator {
     /// endpoints never generate traffic; pushes onto boundary lines whose
     /// pop side is foreign are intercepted into outboxes of capacity
     /// `outbox_capacity` (the window length — at most one push per cycle
-    /// per line, so a barrier every window keeps them in bounds).
+    /// per line, so a barrier every window keeps them in bounds). `tables`
+    /// come from [`Simulator::checked_tables`] over the same `g` and
+    /// `config`.
     pub(crate) fn new_shard(
         g: &Graph,
         config: SimConfig,
         spec: impl Fn(RouterId, RouterId) -> LinkSpec,
+        tables: Arc<RoutingTables>,
         owned: (usize, usize),
         outbox_capacity: usize,
     ) -> Result<Self, SimError> {
-        Self::build(g, config, spec, Some((owned, outbox_capacity)))
+        Self::build(g, config, spec, tables, Some((owned, outbox_capacity)))
     }
 
     fn build(
         g: &Graph,
         config: SimConfig,
         spec: impl Fn(RouterId, RouterId) -> LinkSpec,
+        tables: Arc<RoutingTables>,
         shard: Option<((usize, usize), usize)>,
     ) -> Result<Self, SimError> {
-        config.validate()?;
-        let tables = RoutingTables::new(g, config.routing)?;
         let n = g.num_vertices();
         let params = RouterParams {
             vcs: config.vcs,
@@ -1957,7 +1974,7 @@ impl Simulator {
         }
         seeds.sort_unstable();
         seeds.dedup();
-        self.tables = tables;
+        self.tables = Arc::new(tables);
         self.faults = Some(f);
         seeds
     }
