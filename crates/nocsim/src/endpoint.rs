@@ -2,9 +2,10 @@
 //!
 //! Each chiplet hosts a router and (in the paper's configuration) two
 //! endpoints. An endpoint generates packets with a Bernoulli (or bursty
-//! on/off) process, queues their flits in a bounded source queue, injects
-//! them into its router's injection port under credit flow control, and
-//! sinks arriving flits, recording packet latency on tail arrival.
+//! on/off) process, queues their flits in a bounded source queue, and
+//! injects them into its router's injection port under credit flow
+//! control. Arriving flits are sunk by the simulator, which also does all
+//! measurement-window counting; an endpoint keeps only source state.
 //!
 //! Generation is *arrival-scheduled*: instead of flipping a coin every
 //! cycle, the endpoint samples the cycle of its next packet with
@@ -27,26 +28,27 @@ use crate::channel::IDLE;
 use crate::flit::{EndpointId, Flit, Packet, PacketId, VcId};
 use crate::traffic::{InjectionProcess, ProcessState, TrafficPattern};
 
-/// Statistics an endpoint accumulates inside the measurement window.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct EndpointStats {
-    /// Packets generated (including ones refused due to a full source queue).
-    pub offered_packets: u64,
-    /// Packets actually enqueued for injection.
-    pub accepted_packets: u64,
-    /// Flits delivered to this endpoint.
-    pub received_flits: u64,
-    /// Packets fully delivered to this endpoint.
-    pub received_packets: u64,
-    /// Sum of packet latencies (creation → tail arrival), measured packets.
-    pub latency_sum: u64,
-    /// Number of measured packets (created inside the window).
-    pub latency_count: u64,
-    /// Largest measured packet latency.
-    pub latency_max: u64,
+/// What became of one scheduled packet generation
+/// ([`Endpoint::generate_due`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Generated {
+    /// The source queue was full (the network is saturated); no
+    /// destination was drawn.
+    Refused,
+    /// The drawn destination was not deliverable; nothing was enqueued.
+    Squelched,
+    /// The packet `id` of `size` flits toward `dest` was enqueued.
+    Accepted {
+        /// Assigned packet id.
+        id: PacketId,
+        /// Destination endpoint.
+        dest: EndpointId,
+        /// Packet length in flits.
+        size: usize,
+    },
 }
 
-/// A packet source/sink attached to one router.
+/// A packet source attached to one router.
 #[derive(Debug, Clone)]
 pub struct Endpoint {
     id: EndpointId,
@@ -69,13 +71,6 @@ pub struct Endpoint {
     /// Cycle of the next scheduled packet generation ([`IDLE`] when the
     /// process never fires again).
     next_arrival: u64,
-    stats: EndpointStats,
-    /// Histogram of measured packet latencies: bucket `i` counts latencies
-    /// of exactly `i` cycles; latencies ≥ `LATENCY_HISTOGRAM_BUCKETS` land
-    /// in the last bucket (they also update `latency_max`).
-    latency_histogram: Vec<u32>,
-    /// Cycle at which the measurement window opened (`u64::MAX` = closed).
-    window_start: u64,
     /// Time-weighted source-queue occupancy integral (Σ flits · cycles)
     /// since the window opened, maintained incrementally at every queue
     /// mutation — exact even across idle fast-forward, because a skipped
@@ -86,9 +81,6 @@ pub struct Endpoint {
     /// Cycle of the last occupancy-integral update.
     queue_mark: u64,
 }
-
-/// Number of exact buckets in the per-endpoint latency histogram.
-pub const LATENCY_HISTOGRAM_BUCKETS: usize = 4096;
 
 impl Endpoint {
     /// Creates an endpoint.
@@ -121,9 +113,6 @@ impl Endpoint {
             rng: StdRng::seed_from_u64(seed ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
             process_state: ProcessState::default(),
             next_arrival: IDLE,
-            stats: EndpointStats::default(),
-            latency_histogram: Vec::new(),
-            window_start: u64::MAX,
             queue_integral: 0,
             queue_max: 0,
             queue_mark: 0,
@@ -136,16 +125,9 @@ impl Endpoint {
         self.id
     }
 
-    /// Opens the measurement window at `cycle`: latency samples are recorded
-    /// for packets created from now on; counters restart.
-    ///
-    /// The latency histogram is (re)allocated here, once, so the
-    /// steady-state measurement path never allocates.
+    /// Opens the measurement window at `cycle`: the source-queue occupancy
+    /// statistics ([`Endpoint::queue_occupancy`]) restart.
     pub fn open_window(&mut self, cycle: u64) {
-        self.window_start = cycle;
-        self.stats = EndpointStats::default();
-        self.latency_histogram.clear();
-        self.latency_histogram.resize(LATENCY_HISTOGRAM_BUCKETS, 0);
         self.queue_integral = 0;
         self.queue_max = self.source_queue.len() as u64;
         self.queue_mark = cycle;
@@ -169,21 +151,6 @@ impl Endpoint {
         (self.queue_max, self.queue_integral + len * (now - self.queue_mark))
     }
 
-    /// Histogram of measured packet latencies. Empty until a measurement
-    /// window is opened; preallocated to [`LATENCY_HISTOGRAM_BUCKETS`]
-    /// zeroed buckets from then on (check `stats().latency_count` for
-    /// "no samples yet", not emptiness).
-    #[must_use]
-    pub fn latency_histogram(&self) -> &[u32] {
-        &self.latency_histogram
-    }
-
-    /// Accumulated statistics.
-    #[must_use]
-    pub fn stats(&self) -> &EndpointStats {
-        &self.stats
-    }
-
     /// Cycle of the next scheduled packet generation, or
     /// [`crate::channel::IDLE`] if none is scheduled.
     #[must_use]
@@ -202,18 +169,16 @@ impl Endpoint {
     }
 
     /// Generates the packet scheduled for `cycle` (offering it to the
-    /// source queue, which may refuse it when full), then samples the next
-    /// arrival. Returns the new [`Endpoint::next_arrival`] and whether the
-    /// packet was squelched.
+    /// source queue, which refuses it when full), samples the next arrival
+    /// ([`Endpoint::next_arrival`]), and returns what became of the packet.
     ///
-    /// The destination is sampled whatever the network state, so the RNG
-    /// consumes the same draws on a healthy and a degraded network, and a
-    /// run whose fault plan never fires stays bit-identical to an unfaulted
-    /// one. It is then checked against `deliverable`: packets toward a dead
-    /// or partitioned destination are *squelched* (never enqueued). On
-    /// acceptance, `accepted` receives `(id, dest, size)` so the simulator
-    /// can register the packet for retransmission tracking. A healthy
-    /// network passes `|_| true` and a no-op `accepted`.
+    /// The destination is drawn only when the queue has room, and then
+    /// whatever the network state, so the RNG consumes the same draws on a
+    /// healthy and a degraded network, and a run whose fault plan never
+    /// fires stays bit-identical to an unfaulted one. It is then checked
+    /// against `deliverable`: packets toward a dead or partitioned
+    /// destination are [`Generated::Squelched`] (never enqueued). A healthy
+    /// network passes `|_| true`.
     ///
     /// # Panics
     ///
@@ -223,28 +188,22 @@ impl Endpoint {
         cycle: u64,
         process: InjectionProcess,
         pattern: TrafficPattern,
-        mut deliverable: impl FnMut(EndpointId) -> bool,
-        accepted: &mut impl FnMut(PacketId, EndpointId, usize),
-    ) -> (u64, bool) {
+        deliverable: impl FnOnce(EndpointId) -> bool,
+    ) -> Generated {
         debug_assert_eq!(cycle, self.next_arrival, "generation fired off schedule");
-        if cycle >= self.window_start {
-            self.stats.offered_packets += 1;
-        }
-        let mut squelched = false;
-        if self.source_queue.len() + process.packet_size <= self.source_queue_cap_flits {
+        let size = process.packet_size;
+        let outcome = if self.source_queue.len() + size > self.source_queue_cap_flits {
+            Generated::Refused
+        } else {
             let dest = pattern.destination(self.id, self.num_endpoints, &mut self.rng);
             if deliverable(dest) {
-                let id = self.enqueue(cycle, dest, process.packet_size);
-                if cycle >= self.window_start {
-                    self.stats.accepted_packets += 1;
-                }
-                accepted(id, dest, process.packet_size);
+                Generated::Accepted { id: self.enqueue(cycle, dest, size), dest, size }
             } else {
-                squelched = true;
+                Generated::Squelched
             }
-        } // else refused: source queue full (network saturated)
+        };
         self.schedule_arrival(cycle + 1, process);
-        (self.next_arrival, squelched)
+        outcome
     }
 
     /// Offers one explicit packet to the source queue at `cycle` — the
@@ -252,12 +211,6 @@ impl Endpoint {
     /// stochastic generator. Returns the assigned packet id, or `None`
     /// when the source queue cannot take `size_flits` more flits (the
     /// caller retries once the queue drains).
-    ///
-    /// Statistics: a refusal is *not* counted as an offered packet —
-    /// closed-loop callers re-offer the same logical message until it
-    /// fits, so counting attempts would inflate the offered load by the
-    /// retry count. Offered and accepted both increment exactly once, on
-    /// acceptance.
     ///
     /// # Panics
     ///
@@ -273,12 +226,7 @@ impl Endpoint {
         if self.source_queue.len() + size_flits > self.source_queue_cap_flits {
             return None;
         }
-        let id = self.enqueue(cycle, dest, size_flits);
-        if cycle >= self.window_start {
-            self.stats.offered_packets += 1;
-            self.stats.accepted_packets += 1;
-        }
-        Some(id)
+        Some(self.enqueue(cycle, dest, size_flits))
     }
 
     /// Segments one packet into the source queue, maintaining the
@@ -330,37 +278,11 @@ impl Endpoint {
         self.credits[vc] += 1;
     }
 
-    /// Sinks an arriving flit, recording statistics. Endpoints consume flits
-    /// immediately (infinite ejection bandwidth at the terminal, as in
-    /// BookSim2).
-    pub fn receive_flit(&mut self, cycle: u64, flit: &Flit) {
-        debug_assert_eq!(flit.dest, self.id, "flit delivered to wrong endpoint");
-        if cycle >= self.window_start {
-            self.stats.received_flits += 1;
-        }
-        if flit.is_tail {
-            if cycle >= self.window_start {
-                self.stats.received_packets += 1;
-            }
-            if flit.created_at >= self.window_start {
-                let latency = cycle - flit.created_at;
-                self.stats.latency_sum += latency;
-                self.stats.latency_count += 1;
-                self.stats.latency_max = self.stats.latency_max.max(latency);
-                // The histogram was preallocated by `open_window`
-                // (created_at >= window_start implies a window is open).
-                let bucket = (latency as usize).min(LATENCY_HISTOGRAM_BUCKETS - 1);
-                self.latency_histogram[bucket] += 1;
-            }
-        }
-    }
-
     /// Re-offers a previously accepted packet whose flits were dropped by a
     /// fault (source retransmission). The packet keeps its original id and
     /// `created_at` — a latency sample on eventual delivery then covers the
-    /// loss and backoff, which is the honest degraded-network metric — and
-    /// no offered/accepted counters move (the packet was counted when first
-    /// accepted). Returns `false` when the source queue has no room; the
+    /// loss and backoff, which is the honest degraded-network metric. The
+    /// packet was counted as accepted when first enqueued. Returns `false` when the source queue has no room; the
     /// caller backs off and retries.
     pub fn requeue_packet(
         &mut self,
@@ -387,22 +309,20 @@ impl Endpoint {
     /// exempt from the `dest_cut` rule — if it must die, the simulator has
     /// already doomed it globally, which also releases the VC binding here.
     /// Each packet dropped by `dest_cut` alone (its flits never entered the
-    /// network) is reported once through `queue_dropped`. Returns flits
-    /// removed.
+    /// network) is reported once through `queue_dropped`.
     pub fn purge_faulted(
         &mut self,
         now: u64,
         mut is_doomed: impl FnMut(PacketId) -> bool,
         mut dest_cut: impl FnMut(EndpointId) -> bool,
         mut queue_dropped: impl FnMut(PacketId),
-    ) -> usize {
+    ) {
         self.note_queue(now);
         let bound_packet = if self.bound_vc.is_some() {
             self.source_queue.front().map(|f| f.packet)
         } else {
             None
         };
-        let before = self.source_queue.len();
         let mut last_reported = None;
         self.source_queue.retain(|flit| {
             if is_doomed(flit.packet) {
@@ -420,27 +340,16 @@ impl Endpoint {
         if bound_packet.is_some_and(&mut is_doomed) {
             self.bound_vc = None;
         }
-        before - self.source_queue.len()
     }
 
     /// Fault handling for a *dying* endpoint (its router was killed): the
     /// source queue is abandoned, generation stops for good, and any VC
     /// binding is forgotten. Reports each discarded packet id once through
-    /// `dropped`; returns `(flits_removed, partially_injected)` where
-    /// `partially_injected` is the id of the front packet if its head had
-    /// already entered the network (the simulator must doom those in-flight
-    /// flits too).
-    pub fn kill(
-        &mut self,
-        now: u64,
-        mut dropped: impl FnMut(PacketId),
-    ) -> (usize, Option<PacketId>) {
+    /// `dropped`. A partially injected front packet
+    /// ([`Endpoint::partially_injected`]) has flits in the network, which
+    /// the simulator dooms separately.
+    pub fn kill(&mut self, now: u64, mut dropped: impl FnMut(PacketId)) {
         self.note_queue(now);
-        let partial = if self.bound_vc.is_some() {
-            self.source_queue.front().map(|f| f.packet)
-        } else {
-            None
-        };
         let mut last = None;
         for flit in &self.source_queue {
             if last != Some(flit.packet) {
@@ -448,11 +357,9 @@ impl Endpoint {
                 dropped(flit.packet);
             }
         }
-        let removed = self.source_queue.len();
         self.source_queue.clear();
         self.bound_vc = None;
         self.next_arrival = IDLE;
-        (removed, partial)
     }
 
     /// The front packet's `(id, dest)` when it is partially injected (an
@@ -495,20 +402,22 @@ mod tests {
     }
 
     /// Drives the generator over `cycles` cycles, firing scheduled
-    /// arrivals (the per-cycle shape the simulator's reference path uses).
-    fn drive(e: &mut Endpoint, proc: InjectionProcess, cycles: u64) {
+    /// arrivals (the per-cycle shape the simulator's reference path uses),
+    /// and returns each generation's outcome.
+    fn drive(e: &mut Endpoint, proc: InjectionProcess, cycles: u64) -> Vec<Generated> {
         e.schedule_arrival(0, proc);
+        let mut outcomes = Vec::new();
         for cycle in 0..cycles {
             if e.next_arrival() == cycle {
-                e.generate_due(
+                outcomes.push(e.generate_due(
                     cycle,
                     proc,
                     TrafficPattern::UniformRandom,
                     |_| true,
-                    &mut |_, _, _| {},
-                );
+                ));
             }
         }
+        outcomes
     }
 
     #[test]
@@ -541,45 +450,38 @@ mod tests {
     }
 
     #[test]
-    fn source_queue_cap_refuses_packets() {
-        let mut e = Endpoint::new(0, 4, 2, 4, 2, 2, 7); // cap: 2 packets = 4 flits
-        e.open_window(0);
-        drive(&mut e, process(1.0), 100);
-        let s = e.stats();
-        assert!(s.offered_packets > s.accepted_packets);
+    fn generate_due_reports_each_outcome() {
+        // Cap: 2 packets = 4 flits. The first packet is accepted, and at
+        // rate 1.0 the full queue soon refuses.
+        let mut e = Endpoint::new(0, 4, 2, 4, 2, 2, 7);
+        let outcomes = drive(&mut e, process(1.0), 100);
+        assert!(
+            matches!(outcomes[0], Generated::Accepted { id: 0, dest, size: 2 } if dest != 0)
+        );
+        assert!(outcomes.contains(&Generated::Refused));
         assert_eq!(e.backlog_flits(), 4);
-    }
 
-    #[test]
-    fn latency_recorded_on_tail_only_inside_window() {
-        let mut e = endpoint();
-        e.open_window(100);
-        let tail = Flit {
-            packet: 1,
-            index: 1,
-            is_head: false,
-            is_tail: true,
-            dest: 0,
-            created_at: 150,
-            vc: 0,
-            escape: false,
-        };
-        // Packet created before the window: counted as received, not sampled.
-        let early = Flit { created_at: 50, ..tail };
-        e.receive_flit(160, &early);
-        assert_eq!(e.stats().latency_count, 0);
-        assert_eq!(e.stats().received_packets, 1);
-        // Packet created inside the window: sampled.
-        e.receive_flit(200, &tail);
-        assert_eq!(e.stats().latency_count, 1);
-        assert_eq!(e.stats().latency_sum, 50);
-        assert_eq!(e.stats().latency_max, 50);
+        // An undeliverable destination is squelched after the same draws:
+        // both endpoints schedule the same next arrival.
+        let proc = process(0.5);
+        let mut healthy = endpoint();
+        let mut severed = endpoint();
+        healthy.schedule_arrival(0, proc);
+        severed.schedule_arrival(0, proc);
+        let due = healthy.next_arrival();
+        let pattern = TrafficPattern::UniformRandom;
+        assert!(matches!(
+            healthy.generate_due(due, proc, pattern, |_| true),
+            Generated::Accepted { .. }
+        ));
+        assert_eq!(severed.generate_due(due, proc, pattern, |_| false), Generated::Squelched);
+        assert!(severed.is_drained());
+        assert_eq!(severed.next_arrival(), healthy.next_arrival());
     }
 
     #[test]
     fn purge_and_requeue_round_trip() {
         let mut e = endpoint();
-        e.open_window(0);
         // Two 2-flit packets: one to endpoint 1, one to endpoint 2. Ids are
         // endpoint-strided: endpoint 0 of 4 assigns 0, 4, 8, ...
         assert_eq!(e.offer_packet(0, 1, 2), Some(0));
@@ -589,18 +491,16 @@ mod tests {
         // Cutting destination 1 must NOT drop the partially injected front
         // packet; cutting destination 2 drops the queued packet 4 wholesale.
         let mut dropped = Vec::new();
-        let removed = e.purge_faulted(2, |_| false, |d| d == 1 || d == 2, |p| dropped.push(p));
-        assert_eq!(removed, 2, "only packet 4's two flits leave the queue");
+        e.purge_faulted(2, |_| false, |d| d == 1 || d == 2, |p| dropped.push(p));
         assert_eq!(dropped, [4]);
-        assert_eq!(e.backlog_flits(), 1);
+        assert_eq!(e.backlog_flits(), 1, "only packet 4's two flits leave the queue");
+        assert_eq!(e.partially_injected(), Some((0, 1)));
         // Now doom packet 0 globally: its tail leaves, binding released.
-        let removed = e.purge_faulted(3, |p| p == 0, |_| false, |_| ());
-        assert_eq!(removed, 1);
+        e.purge_faulted(3, |p| p == 0, |_| false, |_| ());
         assert!(e.is_drained());
+        assert_eq!(e.partially_injected(), None);
         // Retransmission: packet 0 re-offered with its original identity.
-        let accepted_before = e.stats().accepted_packets;
         assert!(e.requeue_packet(10, 0, 1, 2, 0));
-        assert_eq!(e.stats().accepted_packets, accepted_before, "no double count");
         let f = e.try_inject(11).expect("credits available");
         assert_eq!(f.packet, 0);
         assert_eq!(f.created_at, 0, "original creation time preserved");
@@ -612,12 +512,15 @@ mod tests {
         drive(&mut e, process(1.0), 6);
         assert!(e.backlog_flits() >= 4, "rate-1.0 generation produced packets");
         assert!(e.try_inject(50).is_some(), "head of first packet injected");
+        assert!(
+            matches!(e.partially_injected(), Some((0, _))),
+            "front packet is mid-injection"
+        );
         let mut dropped = Vec::new();
-        let (removed, partial) = e.kill(50, |p| dropped.push(p));
-        assert!(removed > 0);
-        assert_eq!(partial, Some(0), "front packet was mid-injection");
+        e.kill(50, |p| dropped.push(p));
         assert!(dropped.contains(&0));
         assert!(e.is_drained());
+        assert_eq!(e.partially_injected(), None, "the VC binding is forgotten");
         assert_eq!(e.next_arrival(), IDLE, "a dead endpoint never generates");
     }
 

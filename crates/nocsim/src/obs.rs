@@ -158,7 +158,7 @@ pub(crate) struct ObsState {
     pub(crate) windows: Vec<WindowSample>,
     /// Cycle the previous sample was taken at (window start for the next).
     pub(crate) last_sample_cycle: u64,
-    /// Endpoint-counter snapshot at the previous sample.
+    /// Window-counter snapshot at the previous sample.
     pub(crate) prev: WindowSums,
     /// Stall-counter snapshot at the previous sample.
     pub(crate) prev_stalls: StallCounters,

@@ -34,14 +34,13 @@ use std::thread::JoinHandle;
 use chiplet_graph::Graph;
 
 use crate::channel::Credit;
-use crate::endpoint::LATENCY_HISTOGRAM_BUCKETS;
 use crate::fault::FaultPlan;
 use crate::flit::{Flit, PacketId, RouterId};
 use crate::obs::{merge_window_series, Probe, WindowSample};
 use crate::router::StallCounters;
 use crate::sim::{
     percentiles_from_histogram, stats_from_sums, LinkSpec, NetworkStats, SimConfig, SimError,
-    Simulator, WindowSums,
+    Simulator, WindowSums, LATENCY_HISTOGRAM_BUCKETS,
 };
 
 /// Commands the coordinator hands to the shard workers.
@@ -623,8 +622,8 @@ impl ShardedSimulator {
         stats_from_sums(&sums, window_cycles, self.num_endpoints, self.config.packet_size)
     }
 
-    /// Latency percentile estimates, merged across shards; see
-    /// [`Simulator::latency_percentiles`].
+    /// Latency percentile estimates over the sum of the shards' latency
+    /// histograms; see [`Simulator::latency_percentiles`].
     ///
     /// # Panics
     ///
@@ -632,11 +631,12 @@ impl ShardedSimulator {
     #[must_use]
     pub fn latency_percentiles(&self, ps: &[f64]) -> Vec<Option<f64>> {
         let mut merged = vec![0u64; LATENCY_HISTOGRAM_BUCKETS];
-        let mut total = 0u64;
         for shard in &self.shards {
-            total += lock(shard).add_latency_histogram(&mut merged);
+            for (m, &c) in merged.iter_mut().zip(lock(shard).latency_histogram()) {
+                *m += c;
+            }
         }
-        percentiles_from_histogram(ps, &merged, total)
+        percentiles_from_histogram(ps, &merged)
     }
 
     /// Per-channel traffic counts since construction, summed across

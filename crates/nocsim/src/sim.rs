@@ -18,7 +18,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::channel::{Credit, DelayLine, Link, IDLE};
-use crate::endpoint::Endpoint;
+use crate::endpoint::{Endpoint, Generated};
 use crate::fault::{FaultPlan, FaultTarget};
 use crate::flit::{Flit, PacketId, RouterId};
 use crate::obs::{ObsState, Probe, WindowSample};
@@ -308,9 +308,19 @@ struct ShardRole {
     credit_in_links: Vec<usize>,
 }
 
-/// Per-shard raw measurement-window sums. Integer counters only, so
-/// cross-shard aggregation is order-independent and the final float
-/// arithmetic ([`stats_from_sums`]) is bit-identical to the serial path.
+/// Number of exact one-cycle buckets in a simulator's latency histogram;
+/// longer latencies share the last bucket.
+pub const LATENCY_HISTOGRAM_BUCKETS: usize = 4096;
+
+/// Raw measurement-window sums. Integer counters only, so cross-shard
+/// aggregation is order-independent and the final float arithmetic
+/// ([`stats_from_sums`]) is bit-identical to the serial path.
+///
+/// A simulator keeps one, counted in place where each event happens and
+/// reset by [`Simulator::open_measurement_window`]. Packet and latency
+/// counters count inside the window only, fault counters since the last
+/// reset. The source-queue fields stay zero there: they are per-queue
+/// state that [`Simulator::window_sums`] folds in from the endpoints.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct WindowSums {
     pub(crate) offered_packets: u64,
@@ -381,20 +391,18 @@ pub(crate) fn stats_from_sums(
     }
 }
 
-/// Percentile sweep over a merged latency histogram — the algorithm of
+/// Percentile sweep over a latency histogram (one simulator's, or the sum
+/// of a sharded run's) — the algorithm of
 /// [`Simulator::latency_percentiles`], shared with the sharded path.
 ///
 /// # Panics
 ///
 /// Panics if any `p` is outside `(0, 1]`.
-pub(crate) fn percentiles_from_histogram(
-    ps: &[f64],
-    merged: &[u64],
-    total: u64,
-) -> Vec<Option<f64>> {
+pub(crate) fn percentiles_from_histogram(ps: &[f64], merged: &[u64]) -> Vec<Option<f64>> {
     for &p in ps {
         assert!(p > 0.0 && p <= 1.0, "percentile must be in (0, 1]");
     }
+    let total: u64 = merged.iter().sum();
     let mut out = vec![None; ps.len()];
     if total == 0 || ps.is_empty() {
         return out;
@@ -442,17 +450,6 @@ struct Outstanding {
     attempt: u32,
 }
 
-/// Per-window fault statistics (reset by
-/// [`Simulator::open_measurement_window`]).
-#[derive(Debug, Default, Clone, Copy)]
-struct FaultCounters {
-    link_dropped_flits: u64,
-    router_dropped_flits: u64,
-    dropped_packets: u64,
-    retransmitted: u64,
-    squelched: u64,
-}
-
 /// All state behind [`Simulator::install_fault_plan`]. Boxed behind an
 /// `Option` so the unfaulted common case pays one branch, not cache space.
 #[derive(Debug)]
@@ -465,8 +462,10 @@ struct FaultState {
     graph: Graph,
     /// Dead directed net links (both directions die together).
     dead_link: Vec<bool>,
+    /// Dead routers; their endpoints die with them. Everything else asks
+    /// the degraded tables, which mark every pair involving a dead router
+    /// unreachable.
     dead_router: Vec<bool>,
-    dead_endpoint: Vec<bool>,
     /// Undelivered packets eligible for retransmission, by id. Empty when
     /// the plan has no [`crate::RetransmitConfig`].
     outstanding: HashMap<PacketId, Outstanding>,
@@ -474,7 +473,23 @@ struct FaultState {
     /// packet)` — the tuple order makes same-cycle processing
     /// deterministic.
     retx_heap: BinaryHeap<Reverse<(u64, u32, PacketId)>>,
-    counters: FaultCounters,
+}
+
+impl FaultState {
+    /// The one retransmission rule: gives outstanding packet `p` up once
+    /// its attempts are spent, else schedules another re-offer after the
+    /// exponential backoff.
+    fn retry_later(&mut self, t: u64, p: PacketId) {
+        let cfg = self.plan.retransmit.expect("outstanding packets imply a retransmit config");
+        let entry = self.outstanding.get_mut(&p).expect("packet is outstanding");
+        if entry.attempt + 1 >= cfg.max_attempts {
+            self.outstanding.remove(&p);
+        } else {
+            let delay = cfg.backoff(entry.attempt).max(1);
+            entry.attempt += 1;
+            self.retx_heap.push(Reverse((t.saturating_add(delay), entry.src, p)));
+        }
+    }
 }
 
 /// A cycle-accurate NoC simulator over an arbitrary router graph.
@@ -518,7 +533,14 @@ pub struct Simulator {
     /// Flits that traversed each net link (since construction).
     link_flit_counts: Vec<u64>,
     cycle: u64,
+    /// Cycle the measurement window opened (`u64::MAX` before the first).
     window_start: u64,
+    /// This simulator's measurement-window counters, updated in place.
+    window: WindowSums,
+    /// Measured packet latencies: bucket `i` counts latencies of exactly
+    /// `i` cycles, the last bucket everything longer. Allocated once at
+    /// construction, zeroed when a window opens.
+    latency_histogram: Vec<u64>,
     last_progress: u64,
     /// Set by [`Simulator::drain`]: endpoints stop generating traffic while
     /// the configured injection rate stays untouched in `config`.
@@ -738,6 +760,8 @@ impl Simulator {
             link_flit_counts: vec![0; num_net_links],
             cycle: 0,
             window_start: u64::MAX,
+            window: WindowSums::default(),
+            latency_histogram: vec![0; LATENCY_HISTOGRAM_BUCKETS],
             last_progress: 0,
             generation_stopped: false,
             in_flight: 0,
@@ -837,18 +861,18 @@ impl Simulator {
         self.endpoints.len()
     }
 
-    /// Opens the measurement window at the current cycle.
+    /// Opens the measurement window at the current cycle. Allocates
+    /// nothing: the counters and the latency histogram are reset in place.
     pub fn open_measurement_window(&mut self) {
         self.window_start = self.cycle;
+        self.window = WindowSums::default();
+        self.latency_histogram.fill(0);
         for e in &mut self.endpoints {
             e.open_window(self.cycle);
         }
-        if let Some(f) = self.faults.as_deref_mut() {
-            f.counters = FaultCounters::default();
-        }
-        // Endpoint (and fault) counters just reset; re-zero the probe's
-        // delta snapshot so the next window's deltas stay exact. Stall and
-        // link counters are never reset, so their snapshots stand.
+        // The window counters just reset; re-zero the probe's delta
+        // snapshot so the next window's deltas stay exact. Stall and link
+        // counters are never reset, so their snapshots stand.
         if let Some(o) = self.obs.as_deref_mut() {
             o.prev = WindowSums::default();
         }
@@ -928,6 +952,15 @@ impl Simulator {
         }
     }
 
+    /// Puts endpoint `e` on the injection worklist (no-op while reference
+    /// stepping, which polls every endpoint anyway).
+    fn activate_endpoint(&mut self, e: usize) {
+        if !self.reference_stepping && !self.endpoint_injecting[e] {
+            self.endpoint_injecting[e] = true;
+            self.inject_list.push(e as u32);
+        }
+    }
+
     // ── Delivery helpers (shared by both stepping paths) ────────────────
     //
     // Each pops everything due at `t` from one delay line and dispatches
@@ -980,16 +1013,31 @@ impl Simulator {
         }
     }
 
+    /// Sinks the flits due at endpoint `e`: endpoints consume immediately
+    /// (infinite ejection bandwidth at the terminal, as in BookSim2). A
+    /// tail delivers its packet, whose latency is measured when the packet
+    /// was created inside the window.
     fn deliver_ej_flits(&mut self, t: u64, e: usize) {
         let base = 2 * self.net_links.len();
         let event = !self.reference_stepping;
         while let Some(flit) = self.ej_links[e].flits.pop_due(t) {
-            self.endpoints[e].receive_flit(t, &flit);
+            debug_assert_eq!(flit.dest, e, "flit delivered to wrong endpoint");
             self.in_flight -= 1;
-            if self.log_deliveries && flit.is_tail {
-                self.delivery_log.push(Delivery { packet: flit.packet, dest: e, cycle: t });
-            }
+            let counted = u64::from(t >= self.window_start);
+            self.window.received_flits += counted;
             if flit.is_tail {
+                self.window.received_packets += counted;
+                if flit.created_at >= self.window_start {
+                    let latency = t - flit.created_at;
+                    self.window.measured += 1;
+                    self.window.latency_sum += latency;
+                    self.window.latency_max = self.window.latency_max.max(latency);
+                    let bucket = (latency as usize).min(LATENCY_HISTOGRAM_BUCKETS - 1);
+                    self.latency_histogram[bucket] += 1;
+                }
+                if self.log_deliveries {
+                    self.delivery_log.push(Delivery { packet: flit.packet, dest: e, cycle: t });
+                }
                 // Delivered: the packet no longer needs retransmission
                 // cover (no-op unless a retransmitting fault plan is
                 // installed — the map stays empty otherwise).
@@ -1138,56 +1186,46 @@ impl Simulator {
     /// re-arms its next arrival.
     fn generate_endpoint(&mut self, t: u64, e: usize) {
         let process = self.injection_process();
-        let next = if let Some(f) = self.faults.as_deref_mut() {
-            // Degraded generation: identical RNG draws, but destinations
-            // that are dead or partitioned away are squelched instead of
-            // enqueued — sources on a severed island go quiet rather than
-            // wedging the drain watchdog.
-            let epr = self.config.endpoints_per_router;
-            let src_router = e / epr;
-            let tables = &self.tables;
-            let dead_endpoint = &f.dead_endpoint;
-            let retransmit = f.plan.retransmit.is_some();
-            let outstanding = &mut f.outstanding;
-            let (next, squelched) = self.endpoints[e].generate_due(
-                t,
-                process,
-                self.config.pattern,
-                |dest| !dead_endpoint[dest] && tables.reachable(src_router, dest / epr),
-                &mut |id, dest, size| {
-                    if retransmit {
-                        let prev = outstanding.insert(
-                            id,
-                            Outstanding {
-                                src: e as u32,
-                                dest: dest as u32,
-                                size: size as u32,
-                                created_at: t,
-                                attempt: 0,
-                            },
-                        );
-                        debug_assert!(prev.is_none(), "packet id reused");
-                    }
-                },
-            );
-            if squelched {
-                f.counters.squelched += 1;
-            }
-            next
-        } else {
-            self.endpoints[e]
-                .generate_due(t, process, self.config.pattern, |_| true, &mut |_, _, _| {})
-                .0
-        };
-        if !self.reference_stepping {
-            if next != IDLE {
-                self.arrival_events.push(Reverse((next, e as u32)));
-            }
-            if !self.endpoints[e].is_drained() && !self.endpoint_injecting[e] {
-                self.endpoint_injecting[e] = true;
-                self.inject_list.push(e as u32);
+        self.window.offered_packets += u64::from(t >= self.window_start);
+        // With a fault plan installed the RNG draws stay identical, but
+        // destinations that are dead or partitioned away are squelched
+        // instead of enqueued: sources on a severed island go quiet rather
+        // than wedging the drain watchdog.
+        let faulted = self.faults.is_some();
+        let tables = &self.tables;
+        let epr = self.config.endpoints_per_router;
+        match self.endpoints[e].generate_due(t, process, self.config.pattern, |dest| {
+            !faulted || tables.reachable(e / epr, dest / epr)
+        }) {
+            Generated::Accepted { id, dest, size } => self.accept_packet(t, e, id, dest, size),
+            Generated::Squelched => self.window.squelched_packets += 1,
+            Generated::Refused => {} // source queue full: the network is saturated
+        }
+        let next = self.endpoints[e].next_arrival();
+        if !self.reference_stepping && next != IDLE {
+            self.arrival_events.push(Reverse((next, e as u32)));
+        }
+    }
+
+    /// Books a packet `src` has just enqueued: counts it accepted inside
+    /// the window, registers it for retransmission when the fault plan
+    /// retransmits, and puts `src` on the injection worklist.
+    fn accept_packet(&mut self, t: u64, src: usize, id: PacketId, dest: usize, size: usize) {
+        self.window.accepted_packets += u64::from(t >= self.window_start);
+        if let Some(f) = self.faults.as_deref_mut() {
+            if f.plan.retransmit.is_some() {
+                let entry = Outstanding {
+                    src: src as u32,
+                    dest: dest as u32,
+                    size: size as u32,
+                    created_at: t,
+                    attempt: 0,
+                };
+                let prev = f.outstanding.insert(id, entry);
+                debug_assert!(prev.is_none(), "packet id reused");
             }
         }
+        self.activate_endpoint(src);
     }
 
     /// Attempts one flit injection for endpoint `e` at `t`.
@@ -1417,35 +1455,17 @@ impl Simulator {
         assert!(dest < self.endpoints.len(), "destination endpoint out of range");
         assert_ne!(src, dest, "self-traffic does not exercise the interconnect");
         assert!(size_flits >= 1, "packets need at least one flit");
-        if let Some(f) = self.faults.as_deref() {
-            let epr = self.config.endpoints_per_router;
-            if f.dead_endpoint[src]
-                || f.dead_endpoint[dest]
-                || !self.tables.reachable(src / epr, dest / epr)
-            {
-                return None;
-            }
+        let epr = self.config.endpoints_per_router;
+        if self.faults.is_some() && !self.tables.reachable(src / epr, dest / epr) {
+            return None;
         }
         let t = self.cycle;
         let id = self.endpoints[src].offer_packet(t, dest, size_flits)?;
-        if let Some(f) = self.faults.as_deref_mut() {
-            if f.plan.retransmit.is_some() {
-                f.outstanding.insert(
-                    id,
-                    Outstanding {
-                        src: src as u32,
-                        dest: dest as u32,
-                        size: size_flits as u32,
-                        created_at: t,
-                        attempt: 0,
-                    },
-                );
-            }
-        }
-        if !self.reference_stepping && !self.endpoint_injecting[src] {
-            self.endpoint_injecting[src] = true;
-            self.inject_list.push(src as u32);
-        }
+        // A refusal is not counted as offered: closed-loop callers re-offer
+        // the same message until it fits, so counting attempts would
+        // inflate the offered load by the retry count.
+        self.window.offered_packets += u64::from(t >= self.window_start);
+        self.accept_packet(t, src, id, dest, size_flits);
         Some(id)
     }
 
@@ -1512,64 +1532,39 @@ impl Simulator {
         )
     }
 
-    /// Raw window counter sums over this simulator's endpoints. For a
-    /// shard, foreign endpoints never generate or receive, so this is
-    /// exactly the owned endpoints' contribution — summable across shards.
+    /// This simulator's window counters plus the source-queue occupancy
+    /// folded over its endpoints. For a shard, foreign endpoints never
+    /// generate or receive, so this is exactly the owned part — summable
+    /// across shards.
     pub(crate) fn window_sums(&self) -> WindowSums {
-        let mut sums = WindowSums::default();
+        let mut sums = self.window;
         for e in &self.endpoints {
-            let s = e.stats();
-            sums.offered_packets += s.offered_packets;
-            sums.accepted_packets += s.accepted_packets;
-            sums.received_flits += s.received_flits;
-            sums.received_packets += s.received_packets;
-            sums.measured += s.latency_count;
-            sums.latency_sum += s.latency_sum;
-            sums.latency_max = sums.latency_max.max(s.latency_max);
             let (m, integral) = e.queue_occupancy(self.cycle);
             sums.queue_max = sums.queue_max.max(m);
             sums.queue_integral += integral;
-        }
-        if let Some(f) = self.faults.as_deref() {
-            sums.link_fault_dropped_flits = f.counters.link_dropped_flits;
-            sums.router_fault_dropped_flits = f.counters.router_dropped_flits;
-            sums.fault_dropped_packets = f.counters.dropped_packets;
-            sums.retransmitted_packets = f.counters.retransmitted;
-            sums.squelched_packets = f.counters.squelched;
         }
         sums
     }
 
     /// Latency percentile estimates for every `p` in `ps` (e.g. `0.5`,
     /// `0.95`, `0.99`, in matching order) over the measured packets, from a
-    /// single merge of the per-endpoint histograms and a single cumulative
-    /// sweep. Entries are `None` when nothing was measured. Resolution is
-    /// one cycle up to [`crate::endpoint::LATENCY_HISTOGRAM_BUCKETS`]
-    /// cycles; longer latencies saturate into the top bucket (reported as
-    /// that bucket's lower edge).
+    /// single cumulative sweep of the latency histogram. Entries are `None`
+    /// when nothing was measured. Resolution is one cycle up to
+    /// [`LATENCY_HISTOGRAM_BUCKETS`] cycles; longer latencies saturate into
+    /// the top bucket (reported as that bucket's lower edge).
     ///
     /// # Panics
     ///
     /// Panics if any `p` is outside `(0, 1]`.
     #[must_use]
     pub fn latency_percentiles(&self, ps: &[f64]) -> Vec<Option<f64>> {
-        let mut merged = vec![0u64; crate::endpoint::LATENCY_HISTOGRAM_BUCKETS];
-        let total = self.add_latency_histogram(&mut merged);
-        percentiles_from_histogram(ps, &merged, total)
+        percentiles_from_histogram(ps, &self.latency_histogram)
     }
 
-    /// Adds this simulator's per-endpoint latency histograms into `merged`
-    /// and returns the measured-packet count — the merge step shared with
-    /// the sharded path.
-    pub(crate) fn add_latency_histogram(&self, merged: &mut [u64]) -> u64 {
-        let mut total = 0u64;
-        for e in &self.endpoints {
-            total += e.stats().latency_count;
-            for (m, &c) in merged.iter_mut().zip(e.latency_histogram()) {
-                *m += u64::from(c);
-            }
-        }
-        total
+    /// The measured-latency histogram of the open window
+    /// ([`LATENCY_HISTOGRAM_BUCKETS`] buckets), for the sharded merge.
+    pub(crate) fn latency_histogram(&self) -> &[u64] {
+        &self.latency_histogram
     }
 
     /// Human-readable report of every router holding flits or bindings —
@@ -1635,7 +1630,7 @@ impl Simulator {
     /// are bit-identical to a probe-free run (see [`crate::obs`]).
     pub fn attach_probe(&mut self, probe: Probe) {
         let mut state = ObsState::new(probe, self.cycle, self.link_flit_counts.len());
-        state.prev = self.window_sums();
+        state.prev = self.window;
         state.prev_stalls = self.stall_counters();
         state.prev_links.copy_from_slice(&self.link_flit_counts);
         self.obs = Some(Box::new(state));
@@ -1679,12 +1674,12 @@ impl Simulator {
         }
     }
 
-    /// Records one [`WindowSample`]: deltas of the endpoint / stall / link
+    /// Records one [`WindowSample`]: deltas of the window / stall / link
     /// counters against the previous sample's snapshots (updated in
     /// place), plus instantaneous occupancy gauges. Allocation-free: the
     /// series and snapshots were preallocated at attach time.
     fn obs_sample(&mut self) {
-        let sums = self.window_sums();
+        let sums = self.window;
         let stalls = self.stall_counters();
         let buffered: u64 = self.routers.iter().map(|r| r.buffered_flits() as u64).sum();
         let flits_in_network = self.in_flight as u64;
@@ -1702,7 +1697,7 @@ impl Simulator {
             link_flits += d;
             max_link_flits = max_link_flits.max(d);
         }
-        // Endpoint counters reset at `open_measurement_window` (which also
+        // Window counters reset at `open_measurement_window` (which also
         // resets `obs.prev`); between resets they are monotone, so plain
         // subtraction is exact.
         obs.windows.push(WindowSample {
@@ -1826,10 +1821,8 @@ impl Simulator {
             graph,
             dead_link: vec![false; self.net_links.len()],
             dead_router: vec![false; n],
-            dead_endpoint: vec![false; self.endpoints.len()],
             outstanding: HashMap::new(),
             retx_heap: BinaryHeap::new(),
-            counters: FaultCounters::default(),
         }));
     }
 
@@ -1879,9 +1872,6 @@ impl Simulator {
             }
             FaultTarget::Router(r) => {
                 f.dead_router[r] = true;
-                for e in r * epr..(r + 1) * epr {
-                    f.dead_endpoint[e] = true;
-                }
                 for l in 0..self.net_links.len() {
                     if self.link_src[l].0 == r || self.link_dst[l].0 == r {
                         f.dead_link[l] = true;
@@ -1908,10 +1898,7 @@ impl Simulator {
                 }
             } else {
                 for flit in self.net_links[l].flits.iter() {
-                    if flit.escape
-                        || f.dead_endpoint[flit.dest]
-                        || !tables.reachable(dst, flit.dest / epr)
-                    {
+                    if flit.escape || !tables.reachable(dst, flit.dest / epr) {
                         seeds.push(flit.packet);
                     }
                 }
@@ -1923,10 +1910,7 @@ impl Simulator {
                 self.routers[r].for_each_bound_packet(|_, p, _| seeds.push(p));
             } else {
                 self.routers[r].for_each_flit(|flit| {
-                    if flit.escape
-                        || f.dead_endpoint[flit.dest]
-                        || !tables.reachable(r, flit.dest / epr)
-                    {
+                    if flit.escape || !tables.reachable(r, flit.dest / epr) {
                         seeds.push(flit.packet);
                     }
                 });
@@ -1941,7 +1925,7 @@ impl Simulator {
         }
         for e in 0..self.endpoints.len() {
             let r = e / epr;
-            if f.dead_endpoint[e] {
+            if f.dead_router[r] {
                 for flit in self.inj_links[e].flits.iter() {
                     seeds.push(flit.packet);
                 }
@@ -1953,10 +1937,7 @@ impl Simulator {
                 }
             } else {
                 for flit in self.inj_links[e].flits.iter() {
-                    if flit.escape
-                        || f.dead_endpoint[flit.dest]
-                        || !tables.reachable(r, flit.dest / epr)
-                    {
+                    if flit.escape || !tables.reachable(r, flit.dest / epr) {
                         seeds.push(flit.packet);
                     }
                 }
@@ -1966,7 +1947,7 @@ impl Simulator {
                 // destination must abandon that packet: its flits would
                 // have nowhere to route.
                 if let Some((p, dest)) = self.endpoints[e].partially_injected() {
-                    if f.dead_endpoint[dest] || !tables.reachable(r, dest / epr) {
+                    if !tables.reachable(r, dest / epr) {
                         seeds.push(p);
                     }
                 }
@@ -2076,7 +2057,7 @@ impl Simulator {
         // so never cross a shard boundary).
         for e in 0..self.endpoints.len() {
             let r = e / epr;
-            let dead_e = f.dead_endpoint[e];
+            let dead_e = f.dead_router[r];
             freed.clear();
             self.inj_links[e].flits.purge(|flit| {
                 if dead_e || is_doomed(flit.packet) {
@@ -2104,26 +2085,23 @@ impl Simulator {
             for &(_, vc) in &freed {
                 self.routers[r].receive_credit(ej_port, Credit { vc });
             }
+            let window = &mut self.window;
+            let outstanding = &mut f.outstanding;
             if dead_e {
-                let counters = &mut f.counters;
-                let outstanding = &mut f.outstanding;
                 self.endpoints[e].kill(t, |p| {
                     if !is_doomed(p) {
-                        counters.dropped_packets += 1;
+                        window.fault_dropped_packets += 1;
                     }
                     outstanding.remove(&p);
                 });
             } else {
-                let dead_endpoint = &f.dead_endpoint;
-                let counters = &mut f.counters;
-                let outstanding = &mut f.outstanding;
                 let tables = &self.tables;
                 self.endpoints[e].purge_faulted(
                     t,
                     &is_doomed,
-                    |dest| dead_endpoint[dest] || !tables.reachable(r, dest / epr),
+                    |dest| !tables.reachable(r, dest / epr),
                     |p| {
-                        counters.dropped_packets += 1;
+                        window.fault_dropped_packets += 1;
                         outstanding.remove(&p);
                     },
                 );
@@ -2131,11 +2109,11 @@ impl Simulator {
         }
 
         if count_doomed {
-            f.counters.dropped_packets += doomed.len() as u64;
+            self.window.fault_dropped_packets += doomed.len() as u64;
         }
         match ev.target {
-            FaultTarget::Link { .. } => f.counters.link_dropped_flits += dropped as u64,
-            FaultTarget::Router(_) => f.counters.router_dropped_flits += dropped as u64,
+            FaultTarget::Link { .. } => self.window.link_fault_dropped_flits += dropped as u64,
+            FaultTarget::Router(_) => self.window.router_fault_dropped_flits += dropped as u64,
         }
         self.in_flight -= dropped;
         // The purge itself is movement; don't let the watchdog misread
@@ -2143,25 +2121,16 @@ impl Simulator {
         self.last_progress = t;
 
         // Source retransmission: re-offer each doomed packet we sourced
-        // after an exponential-backoff timeout. In a sharded run only the
-        // source shard holds the outstanding entry, so exactly one shard
-        // schedules each packet.
-        if let Some(cfg) = f.plan.retransmit {
-            for &p in doomed {
-                let Some(entry) = f.outstanding.get(&p).copied() else { continue };
-                let src = entry.src as usize;
-                let dest = entry.dest as usize;
-                if f.dead_endpoint[src]
-                    || f.dead_endpoint[dest]
-                    || !self.tables.reachable(src / epr, dest / epr)
-                    || entry.attempt + 1 >= cfg.max_attempts
-                {
-                    f.outstanding.remove(&p);
-                } else {
-                    let delay = cfg.backoff(entry.attempt).max(1);
-                    f.outstanding.get_mut(&p).expect("entry present").attempt += 1;
-                    f.retx_heap.push(Reverse((t.saturating_add(delay), entry.src, p)));
-                }
+        // after an exponential-backoff timeout, unless its destination is
+        // now out of reach. Only a retransmitting plan tracks outstanding
+        // packets, and in a sharded run only the source shard holds the
+        // entry, so exactly one shard schedules each packet.
+        for &p in doomed {
+            let Some(entry) = f.outstanding.get(&p) else { continue };
+            if self.tables.reachable(entry.src as usize / epr, entry.dest as usize / epr) {
+                f.retry_later(t, p);
+            } else {
+                f.outstanding.remove(&p);
             }
         }
 
@@ -2219,7 +2188,6 @@ impl Simulator {
             return;
         }
         let mut f = self.faults.take().expect("peeked above");
-        let cfg = f.plan.retransmit.expect("retransmission heap implies a config");
         let epr = self.config.endpoints_per_router;
         while let Some(&Reverse((d, src, p))) = f.retx_heap.peek() {
             if d > t {
@@ -2229,31 +2197,19 @@ impl Simulator {
             let Some(entry) = f.outstanding.get(&p).copied() else { continue };
             let src_e = src as usize;
             let dest = entry.dest as usize;
-            if f.dead_endpoint[src_e]
-                || f.dead_endpoint[dest]
-                || !self.tables.reachable(src_e / epr, dest / epr)
-            {
+            if !self.tables.reachable(src_e / epr, dest / epr) {
                 f.outstanding.remove(&p);
-                continue;
-            }
-            if self.endpoints[src_e].requeue_packet(
+            } else if self.endpoints[src_e].requeue_packet(
                 t,
                 p,
                 dest,
                 entry.size as usize,
                 entry.created_at,
             ) {
-                f.counters.retransmitted += 1;
-                if !self.reference_stepping && !self.endpoint_injecting[src_e] {
-                    self.endpoint_injecting[src_e] = true;
-                    self.inject_list.push(src);
-                }
-            } else if entry.attempt + 1 >= cfg.max_attempts {
-                f.outstanding.remove(&p);
+                self.window.retransmitted_packets += 1;
+                self.activate_endpoint(src_e);
             } else {
-                let delay = cfg.backoff(entry.attempt).max(1);
-                f.outstanding.get_mut(&p).expect("entry present").attempt += 1;
-                f.retx_heap.push(Reverse((t.saturating_add(delay), src, p)));
+                f.retry_later(t, p);
             }
         }
         self.faults = Some(f);
@@ -2697,6 +2653,59 @@ mod tests {
     }
 
     #[test]
+    fn source_queue_cap_refuses_packets() {
+        // Rate 1.0 into a 2-packet source queue: the full queue refuses
+        // packets, which count as offered but not accepted.
+        let g = gen::grid(2, 2);
+        let cfg = SimConfig { source_queue_cap: 2, ..small_config(1.0) };
+        let mut sim = Simulator::new(&g, cfg).unwrap();
+        sim.open_measurement_window();
+        sim.run(2_000);
+        let stats = sim.stats();
+        assert!(stats.accepted_packets > 0);
+        assert!(
+            stats.offered_packets > stats.accepted_packets,
+            "offered {} !> accepted {}",
+            stats.offered_packets,
+            stats.accepted_packets
+        );
+    }
+
+    #[test]
+    fn latency_recorded_on_tail_only_inside_window() {
+        let g = gen::grid(2, 2);
+        let mut sim = Simulator::new(&g, small_config(0.0)).unwrap();
+        sim.set_delivery_log(true);
+        let mut deliveries = Vec::new();
+        // Created before the window opens: received inside it, not measured.
+        sim.offer_packet(0, 3, 4).expect("queue has room");
+        sim.run(2);
+        sim.open_measurement_window();
+        assert!(sim.drain(1_000));
+        let stats = sim.stats();
+        assert_eq!((stats.received_packets, stats.received_flits), (1, 4));
+        assert_eq!((stats.offered_packets, stats.accepted_packets), (0, 0));
+        assert_eq!(stats.measured_packets, 0);
+        assert_eq!(sim.latency_percentiles(&[0.5]), [None]);
+        sim.take_deliveries(&mut deliveries);
+        // Created inside the window: measured with its exact latency.
+        let created = sim.cycle();
+        let id = sim.offer_packet(0, 3, 4).expect("queue has room");
+        assert!(sim.drain(1_000));
+        sim.take_deliveries(&mut deliveries);
+        assert_eq!(deliveries.len(), 2);
+        assert_eq!(deliveries[1].packet, id);
+        let latency = deliveries[1].cycle - created;
+        let stats = sim.stats();
+        assert_eq!((stats.received_packets, stats.received_flits), (2, 8));
+        assert_eq!((stats.offered_packets, stats.accepted_packets), (1, 1));
+        assert_eq!(stats.measured_packets, 1);
+        assert_eq!(stats.avg_packet_latency, Some(latency as f64));
+        assert_eq!(stats.max_packet_latency, latency);
+        assert_eq!(sim.latency_percentiles(&[0.5, 1.0]), [Some(latency as f64); 2]);
+    }
+
+    #[test]
     fn latency_percentiles_are_ordered() {
         let g = gen::grid(3, 3);
         let mut sim = Simulator::new(&g, small_config(0.15)).unwrap();
@@ -2733,12 +2742,9 @@ mod tests {
     #[test]
     fn percentile_histogram_empty_yields_all_none() {
         let merged = vec![0u64; 16];
-        assert_eq!(
-            percentiles_from_histogram(&[0.01, 0.5, 0.99, 1.0], &merged, 0),
-            vec![None; 4]
-        );
+        assert_eq!(percentiles_from_histogram(&[0.01, 0.5, 0.99, 1.0], &merged), vec![None; 4]);
         // No requested percentiles is fine too.
-        assert_eq!(percentiles_from_histogram(&[], &merged, 0), Vec::<Option<f64>>::new());
+        assert_eq!(percentiles_from_histogram(&[], &merged), Vec::<Option<f64>>::new());
     }
 
     #[test]
@@ -2746,7 +2752,7 @@ mod tests {
         // One sample at latency 7: every percentile in (0, 1] is 7.
         let mut merged = vec![0u64; 16];
         merged[7] = 1;
-        let out = percentiles_from_histogram(&[0.001, 0.5, 1.0], &merged, 1);
+        let out = percentiles_from_histogram(&[0.001, 0.5, 1.0], &merged);
         assert_eq!(out, vec![Some(7.0); 3]);
     }
 
@@ -2757,7 +2763,7 @@ mod tests {
         let mut merged = vec![0u64; 32];
         merged[3] = 10;
         merged[12] = 5;
-        let out = percentiles_from_histogram(&[0.5, 1.0], &merged, 15);
+        let out = percentiles_from_histogram(&[0.5, 1.0], &merged);
         assert_eq!(out[0], Some(3.0));
         assert_eq!(out[1], Some(12.0));
     }
@@ -2769,7 +2775,7 @@ mod tests {
             merged[latency] = count;
         }
         let ps = [0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0];
-        let out = percentiles_from_histogram(&ps, &merged, 13);
+        let out = percentiles_from_histogram(&ps, &merged);
         let values: Vec<f64> = out.iter().map(|v| v.expect("total > 0")).collect();
         assert!(values.iter().all(|v| v.is_finite()), "{values:?}");
         assert!(values.windows(2).all(|w| w[0] <= w[1]), "not monotone: {values:?}");

@@ -1,9 +1,10 @@
 //! Proves the zero-allocation steady-state contract of the hot path: once
 //! buffers, queues, scratch, and the event wheel have reached their
 //! working capacities, `Simulator::run` performs **zero** heap
-//! allocations. A counting global allocator measures an exact window on a
-//! fixed seed, so this is deterministic — any regression (a per-cycle
-//! `Vec`, a histogram realloc, a forgotten scratch buffer) fails loudly.
+//! allocations, and neither does opening the measurement window. A
+//! counting global allocator measures exact spans on a fixed seed, so this
+//! is deterministic — any regression (a per-cycle `Vec`, a histogram
+//! (re)allocated at window open, a forgotten scratch buffer) fails loudly.
 //!
 //! This file holds exactly one test so no concurrent test can perturb the
 //! allocation counter.
@@ -53,11 +54,15 @@ fn steady_state_step_never_allocates() {
     // capacity covers the full run with headroom.
     sim.attach_probe(Probe::new(100, 256));
 
-    // Warm up traffic, open the window (preallocates the latency
-    // histograms), then let every growable buffer reach its working
+    // Warm up traffic and open the window. The counters and the latency
+    // histogram were allocated at construction, so opening the window
+    // allocates nothing. Then let every growable buffer reach its working
     // capacity before measuring.
     sim.run(3_000);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
     sim.open_measurement_window();
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    assert_eq!(after - before, 0, "opening the window allocated {} times", after - before);
     sim.run(3_000);
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);

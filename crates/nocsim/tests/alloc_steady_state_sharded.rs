@@ -4,8 +4,9 @@
 //! *all* threads. Worker threads are spawned at construction and the
 //! boundary handoff buffers (outboxes and mailboxes) are preallocated to
 //! the bounded-lag window, so the barrier-post-apply cycle is pure buffer
-//! swapping. The counting allocator is global, so a single stray `Vec`
-//! in any worker fails the test.
+//! swapping. Opening the measurement window allocates nothing either. The
+//! counting allocator is global, so a single stray `Vec` in any worker
+//! fails the test.
 //!
 //! This file holds exactly one test so no concurrent test can perturb the
 //! allocation counter.
@@ -50,11 +51,15 @@ fn sharded_steady_state_run_never_allocates() {
     let config = SimConfig { injection_rate: 0.1, seed: 42, ..SimConfig::paper_defaults() };
     let mut sim = ShardedSimulator::new(&g, config, 4).expect("valid config");
 
-    // Warm up traffic, open the window (preallocates the latency
-    // histograms), then let every growable buffer in every shard reach
-    // its working capacity before measuring.
+    // Warm up traffic and open the window. Every shard's counters and
+    // latency histogram were allocated at construction, so opening the
+    // window allocates nothing. Then let every growable buffer in every
+    // shard reach its working capacity before measuring.
     sim.run(3_000);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
     sim.open_measurement_window();
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    assert_eq!(after - before, 0, "opening the window allocated {} times", after - before);
     sim.run(3_000);
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
