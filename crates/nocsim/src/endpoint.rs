@@ -119,12 +119,6 @@ impl Endpoint {
         }
     }
 
-    /// Endpoint id.
-    #[must_use]
-    pub fn id(&self) -> EndpointId {
-        self.id
-    }
-
     /// Opens the measurement window at `cycle`: the source-queue occupancy
     /// statistics ([`Endpoint::queue_occupancy`]) restart.
     pub fn open_window(&mut self, cycle: u64) {

@@ -295,12 +295,6 @@ impl Router {
         z ^ (z >> 31)
     }
 
-    /// Router id.
-    #[must_use]
-    pub fn id(&self) -> RouterId {
-        self.id
-    }
-
     /// Number of network (router-to-router) ports.
     #[must_use]
     pub fn num_net_ports(&self) -> usize {
@@ -888,12 +882,6 @@ impl Router {
         }
     }
 
-    /// `true` if no flit is buffered in any input VC.
-    #[must_use]
-    pub fn is_drained(&self) -> bool {
-        self.buffered == 0
-    }
-
     /// Total flits currently buffered (O(1): maintained incrementally on
     /// receive and traversal).
     #[must_use]
@@ -967,7 +955,7 @@ mod tests {
         assert_eq!(sent[0].out_port, 1);
         assert_eq!(credits.len(), 1);
         assert_eq!(credits[0].in_port, 0);
-        assert!(r.is_drained());
+        assert!(!r.has_buffered());
     }
 
     #[test]
@@ -1073,7 +1061,7 @@ mod tests {
         r.allocate_switch(&mut sent, &mut credits);
         assert_eq!(sent.len(), 1);
         assert!(r.outputs[sent[0].flit.vc].owner.is_none());
-        assert!(r.is_drained());
+        assert!(!r.has_buffered());
     }
 
     #[test]
@@ -1145,7 +1133,7 @@ mod tests {
         r.allocate_switch(&mut sent, &mut credits);
         assert_eq!(sent.len(), 1);
         assert_eq!(sent[0].flit.packet, 11);
-        assert!(r.is_drained());
+        assert!(!r.has_buffered());
     }
 
     #[test]

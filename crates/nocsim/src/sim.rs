@@ -268,6 +268,15 @@ impl LinkSpec {
     }
 }
 
+/// One end of a link: a router port or an endpoint.
+#[derive(Debug, Clone, Copy)]
+enum End {
+    /// `(router, port)`.
+    Router(u32, u32),
+    /// An endpoint id.
+    Endpoint(u32),
+}
+
 /// Sentinel for "this link's pushes stay local" in [`ShardRole`] maps.
 const NO_OUTBOX: u32 = u32::MAX;
 
@@ -460,7 +469,8 @@ struct FaultState {
     /// Reconstructed router graph — [`RoutingTables::new_degraded`] needs
     /// the adjacency to rebuild tables over the surviving topology.
     graph: Graph,
-    /// Dead directed net links (both directions die together).
+    /// Dead links, by index into `Simulator::links`: both directions of a
+    /// net link die together, and a router's endpoint links die with it.
     dead_link: Vec<bool>,
     /// Dead routers; their endpoints die with them. Everything else asks
     /// the degraded tables, which mark every pair involving a dead router
@@ -516,21 +526,21 @@ pub struct Simulator {
     tables: Arc<RoutingTables>,
     routers: Vec<Router>,
     endpoints: Vec<Endpoint>,
-    /// Directed router-to-router links.
-    net_links: Vec<Link>,
-    /// `link_dst[l] = (router, in_port)` receiving flits of link `l`.
-    link_dst: Vec<(RouterId, usize)>,
-    /// `link_src[l] = (router, out_port)` feeding flits into link `l`.
-    link_src: Vec<(RouterId, usize)>,
+    /// Every link: the `N` directed router-to-router (net) links first,
+    /// then endpoint `e`'s injection link at `N + 2e` and its ejection
+    /// link at `N + 2e + 1`.
+    links: Vec<Link>,
+    /// `link_src[l]`: the end feeding flits into link `l`, which its
+    /// credits return to.
+    link_src: Vec<End>,
+    /// `link_dst[l]`: the end receiving flits of link `l`.
+    link_dst: Vec<End>,
     /// `link_out[r][p] = l`: link fed by output port `p` of router `r`.
     link_out: Vec<Vec<usize>>,
     /// `link_in[r][p] = l`: link feeding input port `p` of router `r`.
     link_in: Vec<Vec<usize>>,
-    /// Endpoint→router links (credits flow back to the endpoint).
-    inj_links: Vec<Link>,
-    /// Router→endpoint links (credits flow back to the router).
-    ej_links: Vec<Link>,
-    /// Flits that traversed each net link (since construction).
+    /// Flits that traversed each net link (since construction); its length
+    /// is `N`.
     link_flit_counts: Vec<u64>,
     cycle: u64,
     /// Cycle the measurement window opened (`u64::MAX` before the first).
@@ -679,20 +689,20 @@ impl Simulator {
             seed: config.seed,
         };
 
+        let epr = config.endpoints_per_router;
+        let num_endpoints = n * epr;
+        let num_net_links = 2 * g.num_edges();
+        let num_links = num_net_links + 2 * num_endpoints;
         let mut routers = Vec::with_capacity(n);
-        let mut net_links = Vec::new();
+        let mut links = Vec::with_capacity(num_links);
+        let mut link_src = Vec::with_capacity(num_links);
+        let mut link_dst = Vec::with_capacity(num_links);
         let mut max_latency = config.injection_latency.max(1);
         let mut max_interval = 1;
-        let mut link_dst = Vec::new();
-        let mut link_src = Vec::new();
-        let mut link_out: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut link_in: Vec<Vec<usize>> = vec![Vec::new(); n];
         for r in 0..n {
             let neighbors = g.neighbors(r);
-            routers.push(Router::new(r, neighbors.len(), config.endpoints_per_router, params));
-            link_in[r] = vec![usize::MAX; neighbors.len()];
+            routers.push(Router::new(r, neighbors.len(), epr, params));
             for (out_port, &u) in neighbors.iter().enumerate() {
-                let l = net_links.len();
                 let s = spec(r, u);
                 if s.latency == 0 || s.interval == 0 {
                     return Err(SimError::InvalidConfig(
@@ -701,16 +711,33 @@ impl Simulator {
                 }
                 max_latency = max_latency.max(s.latency);
                 max_interval = max_interval.max(s.interval);
-                net_links.push(Link::with_interval(s.latency, s.interval));
+                links.push(Link::with_interval(s.latency, s.interval));
                 let in_port = g.neighbors(u).binary_search(&r).expect("symmetric adjacency");
-                link_dst.push((u, in_port));
-                link_src.push((r, out_port));
-                link_out[r].push(l);
+                link_src.push(End::Router(r as u32, out_port as u32));
+                link_dst.push(End::Router(u as u32, in_port as u32));
             }
         }
-        // Fill link_in from link_dst.
-        for (l, &(u, q)) in link_dst.iter().enumerate() {
-            link_in[u][q] = l;
+        debug_assert_eq!(links.len(), num_net_links, "one net link per edge direction");
+        for e in 0..num_endpoints {
+            let router =
+                End::Router((e / epr) as u32, routers[e / epr].endpoint_port(e % epr) as u32);
+            let endpoint = End::Endpoint(e as u32);
+            for (src, dst) in [(endpoint, router), (router, endpoint)] {
+                links.push(Link::new(config.injection_latency));
+                link_src.push(src);
+                link_dst.push(dst);
+            }
+        }
+        let mut link_out: Vec<Vec<usize>> =
+            routers.iter().map(|router| vec![usize::MAX; router.num_ports()]).collect();
+        let mut link_in = link_out.clone();
+        for l in 0..num_links {
+            if let End::Router(r, port) = link_src[l] {
+                link_out[r as usize][port as usize] = l;
+            }
+            if let End::Router(r, port) = link_dst[l] {
+                link_in[r as usize][port as usize] = l;
+            }
         }
 
         let max_ports = routers.iter().map(Router::num_ports).max().unwrap_or(1);
@@ -719,10 +746,9 @@ impl Simulator {
         // downstream buffer slots. Reserving that bound up front keeps the
         // steady-state hot path allocation-free from cycle 0.
         let credit_bound = config.vcs * config.buffer_depth;
-        for link in &mut net_links {
+        for link in &mut links {
             link.reserve(credit_bound);
         }
-        let num_endpoints = n * config.endpoints_per_router;
         let endpoints = (0..num_endpoints)
             .map(|e| {
                 Endpoint::new(
@@ -736,27 +762,17 @@ impl Simulator {
                 )
             })
             .collect();
-        let endpoint_link = || {
-            let mut link = Link::new(config.injection_latency);
-            link.reserve(credit_bound);
-            link
-        };
-        let inj_links = (0..num_endpoints).map(|_| endpoint_link()).collect();
-        let ej_links = (0..num_endpoints).map(|_| endpoint_link()).collect();
 
-        let num_net_links = net_links.len();
         let mut sim = Self {
             config,
             tables,
             routers,
             endpoints,
-            net_links,
-            link_dst,
+            links,
             link_src,
+            link_dst,
             link_out,
             link_in,
-            inj_links,
-            ej_links,
             link_flit_counts: vec![0; num_net_links],
             cycle: 0,
             window_start: u64::MAX,
@@ -769,9 +785,9 @@ impl Simulator {
             // serialization interval), so this horizon always fits.
             line_events: EventWheel::new(
                 config.pipeline_cycles() + max_latency + max_interval + 2,
-                2 * num_net_links + 4 * num_endpoints,
+                2 * num_links,
             ),
-            wheel_scratch: Vec::with_capacity(2 * num_net_links + 4 * num_endpoints),
+            wheel_scratch: Vec::with_capacity(2 * num_links),
             arrival_events: BinaryHeap::with_capacity(num_endpoints + 1),
             active_routers: Vec::with_capacity(n),
             router_active: vec![false; n],
@@ -802,8 +818,7 @@ impl Simulator {
             };
             let owned = first..last;
             for l in 0..num_net_links {
-                let src = sim.link_src[l].0;
-                let dst = sim.link_dst[l].0;
+                let (src, dst) = sim.net_link_ends(l);
                 match (owned.contains(&src), owned.contains(&dst)) {
                     // We feed the link but its flit line is popped by the
                     // destination's shard; credits come back to us.
@@ -915,16 +930,9 @@ impl Simulator {
         self.router_active.fill(false);
         self.inject_list.clear();
         self.endpoint_injecting.fill(false);
-        for l in 0..self.net_links.len() {
-            arm_line(&mut self.line_events, &self.net_links[l].flits, net_flit_id(l));
-            arm_line(&mut self.line_events, &self.net_links[l].credits, net_credit_id(l));
-        }
-        let base = 2 * self.net_links.len();
-        for e in 0..self.endpoints.len() {
-            arm_line(&mut self.line_events, &self.inj_links[e].flits, inj_flit_id(base, e));
-            arm_line(&mut self.line_events, &self.inj_links[e].credits, inj_credit_id(base, e));
-            arm_line(&mut self.line_events, &self.ej_links[e].flits, ej_flit_id(base, e));
-            arm_line(&mut self.line_events, &self.ej_links[e].credits, ej_credit_id(base, e));
+        for (l, link) in self.links.iter().enumerate() {
+            arm_line(&mut self.line_events, &link.flits, flit_line(l));
+            arm_line(&mut self.line_events, &link.credits, credit_line(l));
         }
         for r in 0..self.routers.len() {
             if self.routers[r].has_buffered() {
@@ -961,66 +969,34 @@ impl Simulator {
         }
     }
 
-    // ── Delivery helpers (shared by both stepping paths) ────────────────
+    // ── Delivery (shared by both stepping paths) ────────────────────────
     //
-    // Each pops everything due at `t` from one delay line and dispatches
-    // it; in event mode the caller's heap entry is consumed and the line
-    // is re-armed here from its new front.
+    // Each pops everything due at `t` from one line of link `l` and
+    // dispatches it; in event mode the caller's wheel entry is consumed
+    // and the line is re-armed here from its new front.
 
-    fn deliver_net_flits(&mut self, t: u64, l: usize) {
-        let (dst, in_port) = self.link_dst[l];
-        while let Some(flit) = self.net_links[l].flits.pop_due(t) {
-            self.routers[dst].receive_flit(in_port, flit);
-            self.activate_router(dst);
-            self.last_progress = t;
-        }
-        if !self.reference_stepping {
-            arm_line(&mut self.line_events, &self.net_links[l].flits, net_flit_id(l));
-        }
-    }
-
-    fn deliver_net_credits(&mut self, t: u64, l: usize) {
-        let (src, out_port) = self.link_src[l];
-        while let Some(credit) = self.net_links[l].credits.pop_due(t) {
-            self.routers[src].receive_credit(out_port, credit);
-        }
-        if !self.reference_stepping {
-            arm_line(&mut self.line_events, &self.net_links[l].credits, net_credit_id(l));
-        }
-    }
-
-    fn deliver_inj_flits(&mut self, t: u64, e: usize) {
-        let r = e / self.config.endpoints_per_router;
-        let port = self.routers[r].endpoint_port(e % self.config.endpoints_per_router);
-        while let Some(flit) = self.inj_links[e].flits.pop_due(t) {
+    fn deliver_flits(&mut self, t: u64, l: usize) {
+        let (r, port) = match self.link_dst[l] {
+            End::Router(r, port) => (r as usize, port as usize),
+            End::Endpoint(e) => return self.eject_flits(t, l, e as usize),
+        };
+        while let Some(flit) = self.links[l].flits.pop_due(t) {
             self.routers[r].receive_flit(port, flit);
             self.activate_router(r);
             self.last_progress = t;
         }
         if !self.reference_stepping {
-            let base = 2 * self.net_links.len();
-            arm_line(&mut self.line_events, &self.inj_links[e].flits, inj_flit_id(base, e));
+            arm_line(&mut self.line_events, &self.links[l].flits, flit_line(l));
         }
     }
 
-    fn deliver_inj_credits(&mut self, t: u64, e: usize) {
-        while let Some(credit) = self.inj_links[e].credits.pop_due(t) {
-            self.endpoints[e].receive_credit(credit.vc);
-        }
-        if !self.reference_stepping {
-            let base = 2 * self.net_links.len();
-            arm_line(&mut self.line_events, &self.inj_links[e].credits, inj_credit_id(base, e));
-        }
-    }
-
-    /// Sinks the flits due at endpoint `e`: endpoints consume immediately
-    /// (infinite ejection bandwidth at the terminal, as in BookSim2). A
-    /// tail delivers its packet, whose latency is measured when the packet
-    /// was created inside the window.
-    fn deliver_ej_flits(&mut self, t: u64, e: usize) {
-        let base = 2 * self.net_links.len();
+    /// Sinks the flits due at endpoint `e` from its ejection link `l`:
+    /// endpoints consume immediately (infinite ejection bandwidth at the
+    /// terminal, as in BookSim2). A tail delivers its packet, whose latency
+    /// is measured when the packet was created inside the window.
+    fn eject_flits(&mut self, t: u64, l: usize, e: usize) {
         let event = !self.reference_stepping;
-        while let Some(flit) = self.ej_links[e].flits.pop_due(t) {
+        while let Some(flit) = self.links[l].flits.pop_due(t) {
             debug_assert_eq!(flit.dest, e, "flit delivered to wrong endpoint");
             self.in_flight -= 1;
             let counted = u64::from(t >= self.window_start);
@@ -1047,8 +1023,8 @@ impl Simulator {
             }
             // Endpoint consumes immediately; return the buffer slot.
             push_line(
-                &mut self.ej_links[e].credits,
-                event.then(|| (&mut self.line_events, ej_credit_id(base, e))),
+                &mut self.links[l].credits,
+                event.then(|| (&mut self.line_events, credit_line(l))),
                 t,
                 0,
                 Credit { vc: flit.vc },
@@ -1056,41 +1032,31 @@ impl Simulator {
             self.last_progress = t;
         }
         if event {
-            arm_line(&mut self.line_events, &self.ej_links[e].flits, ej_flit_id(base, e));
+            arm_line(&mut self.line_events, &self.links[l].flits, flit_line(l));
         }
     }
 
-    fn deliver_ej_credits(&mut self, t: u64, e: usize) {
-        let r = e / self.config.endpoints_per_router;
-        let port = self.routers[r].endpoint_port(e % self.config.endpoints_per_router);
-        while let Some(credit) = self.ej_links[e].credits.pop_due(t) {
-            self.routers[r].receive_credit(port, credit);
+    fn deliver_credits(&mut self, t: u64, l: usize) {
+        while let Some(credit) = self.links[l].credits.pop_due(t) {
+            match self.link_src[l] {
+                End::Router(r, port) => {
+                    self.routers[r as usize].receive_credit(port as usize, credit);
+                }
+                End::Endpoint(e) => self.endpoints[e as usize].receive_credit(credit.vc),
+            }
         }
         if !self.reference_stepping {
-            let base = 2 * self.net_links.len();
-            arm_line(&mut self.line_events, &self.ej_links[e].credits, ej_credit_id(base, e));
+            arm_line(&mut self.line_events, &self.links[l].credits, credit_line(l));
         }
     }
 
     /// Decodes and processes one event-wheel entry.
     fn dispatch_line_event(&mut self, t: u64, id: u32) {
-        let nl2 = 2 * self.net_links.len() as u32;
-        if id < nl2 {
-            let l = (id / 2) as usize;
-            if id.is_multiple_of(2) {
-                self.deliver_net_flits(t, l);
-            } else {
-                self.deliver_net_credits(t, l);
-            }
+        let l = (id / 2) as usize;
+        if id.is_multiple_of(2) {
+            self.deliver_flits(t, l);
         } else {
-            let k = id - nl2;
-            let e = (k / 4) as usize;
-            match k % 4 {
-                0 => self.deliver_inj_flits(t, e),
-                1 => self.deliver_inj_credits(t, e),
-                2 => self.deliver_ej_flits(t, e),
-                _ => self.deliver_ej_credits(t, e),
-            }
+            self.deliver_credits(t, l);
         }
     }
 
@@ -1110,11 +1076,10 @@ impl Simulator {
         }
         let pipeline = self.config.pipeline_cycles();
         let num_net_ports = self.routers[r].num_net_ports();
-        let base = 2 * self.net_links.len();
         let event = !self.reference_stepping;
         for &SentFlit { out_port, flit } in &sent {
+            let l = self.link_out[r][out_port];
             if out_port < num_net_ports {
-                let l = self.link_out[r][out_port];
                 self.link_flit_counts[l] += 1;
                 if let Some(role) = self.shard.as_deref_mut() {
                     let slot = role.flit_out[l];
@@ -1129,27 +1094,18 @@ impl Simulator {
                         continue;
                     }
                 }
-                push_line(
-                    &mut self.net_links[l].flits,
-                    event.then(|| (&mut self.line_events, net_flit_id(l))),
-                    t,
-                    pipeline,
-                    flit,
-                );
-            } else {
-                let e = r * epr + (out_port - num_net_ports);
-                push_line(
-                    &mut self.ej_links[e].flits,
-                    event.then(|| (&mut self.line_events, ej_flit_id(base, e))),
-                    t,
-                    pipeline,
-                    flit,
-                );
             }
+            push_line(
+                &mut self.links[l].flits,
+                event.then(|| (&mut self.line_events, flit_line(l))),
+                t,
+                pipeline,
+                flit,
+            );
         }
         for &SentCredit { in_port, credit } in &credits {
+            let l = self.link_in[r][in_port];
             if in_port < num_net_ports {
-                let l = self.link_in[r][in_port];
                 if let Some(role) = self.shard.as_deref_mut() {
                     let slot = role.credit_out[l];
                     if slot != NO_OUTBOX {
@@ -1160,23 +1116,14 @@ impl Simulator {
                         continue;
                     }
                 }
-                push_line(
-                    &mut self.net_links[l].credits,
-                    event.then(|| (&mut self.line_events, net_credit_id(l))),
-                    t,
-                    0,
-                    credit,
-                );
-            } else {
-                let e = r * epr + (in_port - num_net_ports);
-                push_line(
-                    &mut self.inj_links[e].credits,
-                    event.then(|| (&mut self.line_events, inj_credit_id(base, e))),
-                    t,
-                    0,
-                    credit,
-                );
             }
+            push_line(
+                &mut self.links[l].credits,
+                event.then(|| (&mut self.line_events, credit_line(l))),
+                t,
+                0,
+                credit,
+            );
         }
         self.sent_scratch = sent;
         self.credit_scratch = credits;
@@ -1231,11 +1178,13 @@ impl Simulator {
     /// Attempts one flit injection for endpoint `e` at `t`.
     fn try_inject_endpoint(&mut self, t: u64, e: usize) {
         if let Some(flit) = self.endpoints[e].try_inject(t) {
-            let base = 2 * self.net_links.len();
+            // Endpoint links follow the `N` net links that
+            // `link_flit_counts` covers.
+            let l = self.link_flit_counts.len() + 2 * e;
             let event = !self.reference_stepping;
             push_line(
-                &mut self.inj_links[e].flits,
-                event.then(|| (&mut self.line_events, inj_flit_id(base, e))),
+                &mut self.links[l].flits,
+                event.then(|| (&mut self.line_events, flit_line(l))),
                 t,
                 0,
                 flit,
@@ -1305,15 +1254,9 @@ impl Simulator {
     /// [`Simulator::step_event`].
     fn step_reference(&mut self) {
         let t = self.cycle;
-        for l in 0..self.net_links.len() {
-            self.deliver_net_flits(t, l);
-            self.deliver_net_credits(t, l);
-        }
-        for e in 0..self.endpoints.len() {
-            self.deliver_inj_flits(t, e);
-            self.deliver_inj_credits(t, e);
-            self.deliver_ej_flits(t, e);
-            self.deliver_ej_credits(t, e);
+        for l in 0..self.links.len() {
+            self.deliver_flits(t, l);
+            self.deliver_credits(t, l);
         }
         for r in 0..self.routers.len() {
             // Quiescent routers are skipped in both paths: with no
@@ -1420,9 +1363,13 @@ impl Simulator {
         }
     }
 
-    /// Moves all logged deliveries into `out` (appended in arrival order;
-    /// ties broken by endpoint id, matching the reference path's polling
-    /// order). Allocation-free when `out` has capacity.
+    /// Moves all logged deliveries into `out`, appended in cycle order.
+    /// Allocation-free when `out` has capacity.
+    ///
+    /// Both stepping paths log the same deliveries in each cycle, but the
+    /// order within a cycle is unspecified: the reference path logs them
+    /// by endpoint id, the event path in event-wheel order. Callers must
+    /// not depend on it; the closed-loop `WorkloadDriver` does not.
     pub fn take_deliveries(&mut self, out: &mut Vec<Delivery>) {
         out.append(&mut self.delivery_log);
     }
@@ -1501,10 +1448,8 @@ impl Simulator {
     /// [`Simulator::flits_in_network`].
     fn recount_flits_in_network(&self) -> usize {
         let buffered: usize = self.routers.iter().map(Router::buffered_flits).sum();
-        let net: usize = self.net_links.iter().map(|l| l.flits.in_flight()).sum();
-        let inj: usize = self.inj_links.iter().map(|l| l.flits.in_flight()).sum();
-        let ej: usize = self.ej_links.iter().map(|l| l.flits.in_flight()).sum();
-        buffered + net + inj + ej
+        let wires: usize = self.links.iter().map(|l| l.flits.in_flight()).sum();
+        buffered + wires
     }
 
     /// `true` if flits are stuck: nothing has moved for the watchdog period
@@ -1609,11 +1554,26 @@ impl Simulator {
             .iter()
             .enumerate()
             .map(|(l, &count)| {
-                let (src, _) = self.link_src[l];
-                let (dst, _) = self.link_dst[l];
+                let (src, dst) = self.net_link_ends(l);
                 (src, dst, count)
             })
             .collect()
+    }
+
+    /// The `(src, dst)` routers of net link `l`.
+    fn net_link_ends(&self, l: usize) -> (RouterId, RouterId) {
+        match (self.link_src[l], self.link_dst[l]) {
+            (End::Router(src, _), End::Router(dst, _)) => (src as usize, dst as usize),
+            _ => unreachable!("link {l} is not a net link"),
+        }
+    }
+
+    /// The link from router `a` to router `b`, if they are neighbours.
+    fn link_between(&self, a: RouterId, b: RouterId) -> Option<usize> {
+        self.link_out[a]
+            .iter()
+            .copied()
+            .find(|&l| matches!(self.link_dst[l], End::Router(dst, _) if dst as usize == b))
     }
 
     // ── Observability probes (crate::obs) ───────────────────────────────
@@ -1797,9 +1757,7 @@ impl Simulator {
                 }
                 FaultTarget::Link { a, b } => {
                     assert!(
-                        a < n
-                            && b < n
-                            && self.link_out[a].iter().any(|&l| self.link_dst[l].0 == b),
+                        a < n && b < n && self.link_between(a, b).is_some(),
                         "fault targets link ({a}, {b}) absent from the topology"
                     );
                 }
@@ -1807,19 +1765,16 @@ impl Simulator {
         }
         // Reconstruct the router graph from the wiring: every post-failure
         // table rebuild needs the adjacency.
-        let edges: Vec<(usize, usize)> = (0..self.net_links.len())
-            .filter_map(|l| {
-                let a = self.link_src[l].0;
-                let b = self.link_dst[l].0;
-                (a < b).then_some((a, b))
-            })
+        let edges: Vec<(usize, usize)> = (0..self.link_flit_counts.len())
+            .map(|l| self.net_link_ends(l))
+            .filter(|&(a, b)| a < b)
             .collect();
         let graph = Graph::from_edges(n, &edges).expect("simulator wiring is a valid graph");
         self.faults = Some(Box::new(FaultState {
             plan,
             cursor: 0,
             graph,
-            dead_link: vec![false; self.net_links.len()],
+            dead_link: vec![false; self.links.len()],
             dead_router: vec![false; n],
             outstanding: HashMap::new(),
             retx_heap: BinaryHeap::new(),
@@ -1862,47 +1817,44 @@ impl Simulator {
         debug_assert!(ev.cycle <= self.cycle, "fault event serviced early");
         match ev.target {
             FaultTarget::Link { a, b } => {
-                for l in 0..self.net_links.len() {
-                    let (src, _) = self.link_src[l];
-                    let (dst, _) = self.link_dst[l];
-                    if (src == a && dst == b) || (src == b && dst == a) {
-                        f.dead_link[l] = true;
-                    }
+                for (u, v) in [(a, b), (b, a)] {
+                    let l = self.link_between(u, v).expect("checked at install");
+                    f.dead_link[l] = true;
                 }
             }
             FaultTarget::Router(r) => {
                 f.dead_router[r] = true;
-                for l in 0..self.net_links.len() {
-                    if self.link_src[l].0 == r || self.link_dst[l].0 == r {
-                        f.dead_link[l] = true;
-                    }
+                // Every link into or out of `r`, its endpoint links included.
+                for &l in self.link_in[r].iter().chain(&self.link_out[r]) {
+                    f.dead_link[l] = true;
                 }
             }
         }
-        let link_out = &self.link_out;
-        let link_dst = &self.link_dst;
         let dead_link = &f.dead_link;
         let tables = RoutingTables::new_degraded(
             &f.graph,
             self.config.routing,
             &f.dead_router,
-            |u, v| link_out[u].iter().any(|&l| link_dst[l].0 == v && dead_link[l]),
+            |u, v| self.link_between(u, v).is_some_and(|l| dead_link[l]),
         );
 
         let mut seeds: Vec<PacketId> = Vec::new();
-        for l in 0..self.net_links.len() {
-            let (dst, _) = self.link_dst[l];
-            if f.dead_link[l] {
-                for flit in self.net_links[l].flits.iter() {
-                    seeds.push(flit.packet);
-                }
-            } else {
-                for flit in self.net_links[l].flits.iter() {
-                    if flit.escape || !tables.reachable(dst, flit.dest / epr) {
-                        seeds.push(flit.packet);
+        // A dead link loses every flit on it. On a live one, a flit is
+        // doomed when it rides the escape layer or the router it reaches
+        // can no longer reach its destination; ejection-link flits are at
+        // their live destination and always deliverable.
+        for (l, link) in self.links.iter().enumerate() {
+            let dead = f.dead_link[l];
+            let next = self.link_dst[l];
+            let lost = |flit: &&Flit| {
+                dead || match next {
+                    End::Router(r, _) => {
+                        flit.escape || !tables.reachable(r as usize, flit.dest / epr)
                     }
+                    End::Endpoint(_) => false,
                 }
-            }
+            };
+            seeds.extend(link.flits.iter().filter(lost).map(|flit| flit.packet));
         }
         for r in 0..self.routers.len() {
             if f.dead_router[r] {
@@ -1914,42 +1866,21 @@ impl Simulator {
                         seeds.push(flit.packet);
                     }
                 });
-                let num_net = self.routers[r].num_net_ports();
-                let link_out_r = &self.link_out[r];
+                let link_out = &self.link_out[r];
                 self.routers[r].for_each_bound_packet(|out_port, p, escape| {
-                    if escape || (out_port < num_net && f.dead_link[link_out_r[out_port]]) {
+                    if escape || f.dead_link[link_out[out_port]] {
                         seeds.push(p);
                     }
                 });
             }
         }
-        for e in 0..self.endpoints.len() {
-            let r = e / epr;
-            if f.dead_router[r] {
-                for flit in self.inj_links[e].flits.iter() {
-                    seeds.push(flit.packet);
-                }
-                for flit in self.ej_links[e].flits.iter() {
-                    seeds.push(flit.packet);
-                }
-                if let Some((p, _)) = self.endpoints[e].partially_injected() {
+        // A source mid-way through injecting a packet toward a destination
+        // it can no longer reach, or whose own router died, abandons that
+        // packet: its flits would have nowhere to route.
+        for (e, endpoint) in self.endpoints.iter().enumerate() {
+            if let Some((p, dest)) = endpoint.partially_injected() {
+                if f.dead_router[e / epr] || !tables.reachable(e / epr, dest / epr) {
                     seeds.push(p);
-                }
-            } else {
-                for flit in self.inj_links[e].flits.iter() {
-                    if flit.escape || !tables.reachable(r, flit.dest / epr) {
-                        seeds.push(flit.packet);
-                    }
-                }
-                // Ejection-line flits are already at their live
-                // destination and always deliverable. But a live source
-                // mid-way through injecting toward a now-severed
-                // destination must abandon that packet: its flits would
-                // have nowhere to route.
-                if let Some((p, dest)) = self.endpoints[e].partially_injected() {
-                    if !tables.reachable(r, dest / epr) {
-                        seeds.push(p);
-                    }
                 }
             }
         }
@@ -1991,100 +1922,51 @@ impl Simulator {
         let mut f = self.faults.take().expect("no fault plan installed");
         let ev = f.plan.schedule.events()[f.cursor];
         let is_doomed = |p: PacketId| doomed.binary_search(&p).is_ok();
-        let (first_owned, last_owned) = self
+        let owned = self
             .shard
             .as_deref()
-            .map_or((0, self.routers.len()), |r| (r.first_router, r.last_router));
-        let mut dropped = 0usize;
-        let mut foreign: Vec<(u32, u32)> = Vec::new();
+            .map_or(0..self.routers.len(), |r| r.first_router..r.last_router);
+
+        // Every purged flit, on a link or in a router buffer, held a buffer
+        // slot at the receiving end of a link: `freed` records `(link, vc)`
+        // so the slot's credit goes back to that link's sender. A dead link
+        // loses everything on it, a live one exactly the doomed flits, and
+        // a dead router everything it buffers.
         let mut freed: Vec<(usize, usize)> = Vec::new();
-
-        // Net flit lines: a dead wire loses everything on it, live wires
-        // lose exactly the doomed flits. A flit on a wire holds a slot in
-        // the downstream input buffer, tracked by the upstream output's
-        // credit counter — which may live in another shard.
-        for l in 0..self.net_links.len() {
-            if self.net_links[l].flits.is_empty() {
-                continue;
-            }
+        for (l, link) in self.links.iter_mut().enumerate() {
             let dead = f.dead_link[l];
-            let (src, out_port) = self.link_src[l];
-            freed.clear();
-            self.net_links[l].flits.purge(|flit| {
-                if dead || is_doomed(flit.packet) {
-                    freed.push((out_port, flit.vc));
-                    true
-                } else {
-                    false
+            link.flits.purge(|flit| {
+                let purged = dead || is_doomed(flit.packet);
+                if purged {
+                    freed.push((l, flit.vc));
                 }
+                purged
             });
-            dropped += freed.len();
-            for &(port, vc) in &freed {
-                if (first_owned..last_owned).contains(&src) {
-                    self.routers[src].receive_credit(port, Credit { vc });
-                } else {
-                    foreign.push((l as u32, vc as u32));
-                }
-            }
         }
-
-        // Router buffers and bindings; dead routers lose everything.
         for r in 0..self.routers.len() {
-            let dead_r = f.dead_router[r];
-            let num_net = self.routers[r].num_net_ports();
-            freed.clear();
-            dropped += self.routers[r].purge_doomed(
-                |p| dead_r || is_doomed(p),
-                |port, flit| freed.push((port, flit.vc)),
+            let dead = f.dead_router[r];
+            let link_in = &self.link_in[r];
+            self.routers[r].purge_doomed(
+                |p| dead || is_doomed(p),
+                |port, flit| freed.push((link_in[port], flit.vc)),
             );
-            for &(port, vc) in &freed {
-                if port < num_net {
-                    let l = self.link_in[r][port];
-                    let (src, out_port) = self.link_src[l];
-                    if (first_owned..last_owned).contains(&src) {
-                        self.routers[src].receive_credit(out_port, Credit { vc });
-                    } else {
-                        foreign.push((l as u32, vc as u32));
-                    }
-                } else {
-                    let e = r * epr + (port - num_net);
-                    self.endpoints[e].receive_credit(vc);
+        }
+        let mut foreign: Vec<(u32, u32)> = Vec::new();
+        for &(l, vc) in &freed {
+            match self.link_src[l] {
+                End::Router(src, port) if owned.contains(&(src as usize)) => {
+                    self.routers[src as usize].receive_credit(port as usize, Credit { vc });
                 }
+                End::Router(..) => foreign.push((l as u32, vc as u32)),
+                End::Endpoint(e) => self.endpoints[e as usize].receive_credit(vc),
             }
         }
+        let dropped = freed.len();
 
-        // Injection/ejection wires and source queues (all endpoint-local,
-        // so never cross a shard boundary).
+        // Source queues (endpoint-local, so never across a shard boundary).
         for e in 0..self.endpoints.len() {
             let r = e / epr;
             let dead_e = f.dead_router[r];
-            freed.clear();
-            self.inj_links[e].flits.purge(|flit| {
-                if dead_e || is_doomed(flit.packet) {
-                    freed.push((0, flit.vc));
-                    true
-                } else {
-                    false
-                }
-            });
-            dropped += freed.len();
-            for &(_, vc) in &freed {
-                self.endpoints[e].receive_credit(vc);
-            }
-            let ej_port = self.routers[r].endpoint_port(e % epr);
-            freed.clear();
-            self.ej_links[e].flits.purge(|flit| {
-                if dead_e || is_doomed(flit.packet) {
-                    freed.push((0, flit.vc));
-                    true
-                } else {
-                    false
-                }
-            });
-            dropped += freed.len();
-            for &(_, vc) in &freed {
-                self.routers[r].receive_credit(ej_port, Credit { vc });
-            }
             let window = &mut self.window;
             let outstanding = &mut f.outstanding;
             if dead_e {
@@ -2149,9 +2031,11 @@ impl Simulator {
         let Some(role) = self.shard.as_deref() else { return };
         let owned = role.first_router..role.last_router;
         for &(l, vc) in items {
-            let (src, out_port) = self.link_src[l as usize];
-            if owned.contains(&src) {
-                self.routers[src].receive_credit(out_port, Credit { vc: vc as usize });
+            if let End::Router(src, port) = self.link_src[l as usize] {
+                if owned.contains(&(src as usize)) {
+                    self.routers[src as usize]
+                        .receive_credit(port as usize, Credit { vc: vc as usize });
+                }
             }
         }
     }
@@ -2270,8 +2154,8 @@ impl Simulator {
         let pipeline = self.config.pipeline_cycles();
         for &(cycle, flit) in msgs.iter() {
             push_line(
-                &mut self.net_links[l].flits,
-                Some((&mut self.line_events, net_flit_id(l))),
+                &mut self.links[l].flits,
+                Some((&mut self.line_events, flit_line(l))),
                 cycle,
                 pipeline,
                 flit,
@@ -2287,8 +2171,8 @@ impl Simulator {
         debug_assert!(!self.reference_stepping, "sharded runs are event-driven");
         for &(cycle, credit) in msgs.iter() {
             push_line(
-                &mut self.net_links[l].credits,
-                Some((&mut self.line_events, net_credit_id(l))),
+                &mut self.links[l].credits,
+                Some((&mut self.line_events, credit_line(l))),
                 cycle,
                 0,
                 credit,
@@ -2345,9 +2229,9 @@ impl Simulator {
 
 // ── Event-wheel plumbing ────────────────────────────────────────────────
 //
-// Delay lines are identified by a dense `u32` id ordered exactly like the
-// reference path's polling order: net-link flit/credit wires first, then
-// per-endpoint injection/ejection wires. `base` is `2 × num_net_links`.
+// Delay lines are identified by a dense `u32` id: link `l`'s flit line is
+// `2l` and its credit line `2l + 1`, so ids ascend in the reference path's
+// polling order (every link in index order, flits before credits).
 
 /// A bucketed event wheel keyed on due cycle: slot `due % horizon` chains
 /// the ids of the delay lines whose front item is due then. Sound because
@@ -2420,23 +2304,14 @@ impl EventWheel {
     }
 }
 
-fn net_flit_id(l: usize) -> u32 {
+/// Event-wheel id of link `l`'s flit line.
+fn flit_line(l: usize) -> u32 {
     (2 * l) as u32
 }
-fn net_credit_id(l: usize) -> u32 {
+
+/// Event-wheel id of link `l`'s credit line.
+fn credit_line(l: usize) -> u32 {
     (2 * l + 1) as u32
-}
-fn inj_flit_id(base: usize, e: usize) -> u32 {
-    (base + 4 * e) as u32
-}
-fn inj_credit_id(base: usize, e: usize) -> u32 {
-    (base + 4 * e + 1) as u32
-}
-fn ej_flit_id(base: usize, e: usize) -> u32 {
-    (base + 4 * e + 2) as u32
-}
-fn ej_credit_id(base: usize, e: usize) -> u32 {
-    (base + 4 * e + 3) as u32
 }
 
 /// Arms the event wheel for `line` if anything is in flight (used when

@@ -222,6 +222,39 @@ fn switching_modes_mid_run_is_seamless() {
     assert_eq!(mixed.flits_in_network(), pure.flits_in_network());
 }
 
+#[test]
+fn delivery_logs_match_per_cycle() {
+    // Both paths log the same deliveries in each cycle. The order within a
+    // cycle is unspecified (the event path follows its wheel), so each
+    // cycle's entries are compared sorted.
+    let g = gen::grid(4, 4);
+    let log = |reference: bool| {
+        let mut sim = Simulator::new(&g, base_config(0.0)).expect("valid");
+        sim.set_reference_stepping(reference);
+        sim.set_delivery_log(true);
+        let endpoints = sim.num_endpoints();
+        let mut log = Vec::new();
+        // Bursts from every endpoint at once make deliveries share cycles.
+        for burst in 1..=6 {
+            for src in 0..endpoints {
+                let _ = sim.offer_packet(src, (src + 5 * burst) % endpoints, 4);
+            }
+            let until = sim.cycle() + 150;
+            while sim.run_until_deliveries(until) {
+                sim.take_deliveries(&mut log);
+            }
+        }
+        assert!(sim.drain(10_000), "network drains");
+        sim.take_deliveries(&mut log);
+        assert!(log.windows(2).all(|w| w[0].cycle <= w[1].cycle), "log not in cycle order");
+        log.sort_by_key(|d| (d.cycle, d.dest, d.packet));
+        log
+    };
+    let event = log(false);
+    assert!(event.windows(2).any(|w| w[0].cycle == w[1].cycle), "no cycle with two deliveries");
+    assert_eq!(event, log(true));
+}
+
 // ── DelayLine vs naive model ────────────────────────────────────────────
 
 /// The pre-optimization delay line, reimplemented as the obvious model:

@@ -6,10 +6,19 @@
 # --manifest-path perfbench/Cargo.toml`, from the checkout). Pair i runs
 # seed FIRST_SEED + i on both sides, with --trace 0 and the run_seconds of
 # BENCHMARK.json; the parent runs first in even pairs and the change in
-# odd ones, so a drift of the host's speed does not favour one side. Prints one line per run, then
-# for each end-to-end metric both sides' median and quartiles and the
-# number of pairs in which the change read lower (ties count for
-# neither). Exits 1 if any run is not correct or has a failed operation.
+# odd ones, so a drift of the host's speed does not favour one side.
+# Prints one line per run, then for each end-to-end metric both sides'
+# median and quartiles, the number of pairs in which the change read
+# lower (ties count for neither), and a verdict against its BENCHMARK.json `bound`
+# (a fraction of the parent median; every metric is lower-is-better),
+# checked in this order:
+#   worse          the change median exceeds the parent's by more than the bound;
+#   unresolved     the parent's quartile spread is wider than the bound, unless
+#                  every change run beats every parent run;
+#   gain           the change is lower in at least 9 of 10 pairs, and its median
+#                  by more than the parent's quartile spread;
+#   no regression  anything else.
+# Exits 1 if any run is not correct or has a failed operation.
 #
 # Usage: scripts/bench_pairs.sh PARENT_DIR CHANGE_DIR WORKLOAD PAIRS FIRST_SEED
 set -euo pipefail
@@ -74,9 +83,17 @@ for ((i = 0; i < PAIRS; i++)); do
     fi
 done
 
+# bound METRIC: the metric's end-to-end bound in BENCHMARK.json.
+bound() {
+    awk -v name="\"$1\"" '
+        index($0, "\"name\": " name) { inside = 1 }
+        inside && /"bound":/ { gsub(/[^0-9.]/, "", $NF); print $NF; exit }
+        inside && /}/ { exit }' "$BENCHMARK"
+}
+
 # Quartiles interpolate linearly between order statistics.
 for ((m = 0; m < ${#METRICS[@]}; m++)); do
-    awk -v col=$((m + 3)) -v name="${METRICS[$m]}" '
+    awk -v col=$((m + 3)) -v name="${METRICS[$m]}" -v bound="$(bound "${METRICS[$m]}")" '
         function sort(a, n,    i, j, t) {
             for (i = 2; i <= n; i++)
                 for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
@@ -98,6 +115,15 @@ for ((m = 0; m < ${#METRICS[@]}; m++)); do
             }
             printf "%s: %s; %s; change lower in %d of %d pairs\n", name,
                 spread("parent", p, n), spread("change", c, n), lower, n
+            # spread() sorted both sides: p[1] is the lowest parent run and
+            # c[n] the highest change run.
+            pm = quantile(p, n, 0.5); cm = quantile(c, n, 0.5)
+            iqr = quantile(p, n, 0.75) - quantile(p, n, 0.25)
+            if (cm > pm * (1 + bound)) verdict = "worse"
+            else if (iqr > pm * bound && c[n] >= p[1]) verdict = "unresolved"
+            else if (lower * 10 >= n * 9 && pm - cm > iqr) verdict = "gain"
+            else verdict = "no regression"
+            printf "%s: %s (bound %g of the parent median)\n", name, verdict, bound
         }' "$OUT/runs"
 done
 
