@@ -78,7 +78,8 @@ pub fn anneal(
     rng: &mut StdRng,
 ) -> Option<AnnealOutcome> {
     let mut current_state = state.clone();
-    let mut current = cheap_score(&current_state.graph(), weights)?;
+    let mut current_graph = current_state.graph();
+    let mut current = cheap_score(&current_graph, weights)?;
     let mut best = current;
     let mut best_state = current_state.clone();
     let mut stats = AnnealStats::default();
@@ -93,7 +94,7 @@ pub fn anneal(
         };
         stats.proposed += 1;
         let mv = propose(&current_state, rng);
-        let Some(applied) = current_state.try_move(&mv) else {
+        let Some(applied) = current_state.try_move(&mv, &current_graph) else {
             stats.invalid += 1;
             continue;
         };
@@ -114,6 +115,7 @@ pub fn anneal(
                 best_state = current_state.clone();
                 stats.improved += 1;
             }
+            current_graph = applied.graph;
         } else {
             current_state.undo(applied);
         }

@@ -1,8 +1,10 @@
 //! The staged proxy objective of the arrangement search.
 //!
 //! Stage 1 (every annealing step) is the **cheap score**: average
-//! shortest-path distance plus a diameter term, both from one all-pairs
-//! BFS. Stage 2 (candidate archiving) is the **full proxy score**, which
+//! shortest-path distance plus a diameter term, both from one run of the
+//! bit-parallel distance kernel
+//! ([`metrics::distance_sum_and_diameter`]). Stage 2 (candidate
+//! archiving) is the **full proxy score**, which
 //! adds the bisection-cut term the paper uses as its throughput proxy
 //! (§III-C) via the balanced partitioner. Stage 3 — nocsim saturation and
 //! workload makespan on the top candidates — lives in [`crate::validate`].
@@ -47,32 +49,8 @@ pub struct ProxyScore {
 /// for graphs that are disconnected or have fewer than two vertices.
 #[must_use]
 pub fn cheap_score(g: &Graph, weights: &ProxyWeights) -> Option<f64> {
-    let (avg, diam) = distance_terms(g)?;
+    let (avg, diam) = metrics::average_distance_and_diameter(g)?;
     Some(weights.avg_distance * avg + weights.diameter * f64::from(diam))
-}
-
-/// Average distance and diameter from a single all-pairs BFS sweep (the
-/// annealing hot loop calls this per proposal; the separate
-/// `metrics::average_distance` + `metrics::diameter` pair would run the
-/// sweep twice). Accumulation matches `metrics::average_distance` exactly
-/// (integer total, one final division), so the values are bit-identical.
-fn distance_terms(g: &Graph) -> Option<(f64, u32)> {
-    let n = g.num_vertices();
-    if n < 2 {
-        return None;
-    }
-    let mut total: u64 = 0;
-    let mut diameter: u32 = 0;
-    for v in g.vertices() {
-        for &d in &chiplet_graph::bfs::distances(g, v) {
-            if d == chiplet_graph::bfs::UNREACHABLE {
-                return None;
-            }
-            total += u64::from(d);
-            diameter = diameter.max(d);
-        }
-    }
-    Some((total as f64 / (n as f64 * (n as f64 - 1.0)), diameter))
 }
 
 /// Stage-2 score: the cheap terms plus the bisection-weighted term
@@ -86,8 +64,7 @@ pub fn full_score(
     weights: &ProxyWeights,
     config: &BisectionConfig,
 ) -> Option<ProxyScore> {
-    let avg = metrics::average_distance(g)?;
-    let diam = metrics::diameter(g)?;
+    let (avg, diam) = metrics::average_distance_and_diameter(g)?;
     let cut = bisect(g, config).ok()?.cut;
     let n = g.num_vertices() as f64;
     let value = weights.avg_distance * avg

@@ -10,7 +10,8 @@
 //! [`SearchState::try_move`] applies a move only if both invariants hold
 //! and hands the caller the resulting adjacency graph (which the annealer
 //! needs for scoring anyway) plus an undo token; an invalid move leaves
-//! the state untouched.
+//! the state untouched. It derives that graph from the one before the
+//! move, re-testing only the moved tiles' pairs.
 
 use chiplet_graph::{metrics, Graph, GraphBuilder};
 use chiplet_layout::{PlacedChiplet, Placement, Rect};
@@ -261,7 +262,13 @@ impl SearchState {
     /// adjacency graph and an undo token; returns `None` (state untouched)
     /// for out-of-range indices, no-op swaps, overlaps, or moves that
     /// disconnect the graph.
-    pub fn try_move(&mut self, mv: &Move) -> Option<Applied> {
+    ///
+    /// `graph` must be this state's adjacency graph ([`Self::graph`]). The
+    /// new graph keeps its edges among unmoved tiles and re-tests only the
+    /// moved tiles against the others ([`Graph::rewired`]), `O(n + E)`
+    /// where [`Self::graph`] tests all `n²/2` pairs; it equals
+    /// [`Self::graph`] of the new state.
+    pub fn try_move(&mut self, mv: &Move, graph: &Graph) -> Option<Applied> {
         let restore = match *mv {
             Move::Rotate { i } => {
                 let old = *self.rects.get(i)?;
@@ -312,7 +319,9 @@ impl SearchState {
                 vec![(i, old)]
             }
         };
-        let graph = self.graph();
+        let moved: Vec<usize> = restore.iter().map(|&(k, _)| k).collect();
+        let rects = &self.rects;
+        let graph = graph.rewired(&moved, |a, b| rects[a].is_adjacent(&rects[b]));
         if metrics::is_connected(&graph) {
             Some(Applied { graph, restore })
         } else {
@@ -441,7 +450,7 @@ mod tests {
             Rect::new(0, TILE_H, TILE_W, TILE_H).unwrap(),
         ];
         let mut s = SearchState::from_rects(rects.clone()).unwrap();
-        assert!(s.try_move(&Move::Rotate { i: 0 }).is_none());
+        assert!(s.try_move(&Move::Rotate { i: 0 }, &s.graph()).is_none());
         assert_eq!(s.rects(), &rects[..], "rejected move must not change the state");
     }
 
@@ -459,7 +468,7 @@ mod tests {
         let count = s.relocate_slot_count(1, 0);
         let mut any_rejected = false;
         for slot in 0..count {
-            if s.try_move(&Move::Relocate { i: 1, anchor: 0, slot }).is_none() {
+            if s.try_move(&Move::Relocate { i: 1, anchor: 0, slot }, &s.graph()).is_none() {
                 any_rejected = true;
             } else {
                 // Accepted moves must keep both invariants.
@@ -482,7 +491,7 @@ mod tests {
                 continue;
             }
             let slot = rng.gen_range(0..s.relocate_slot_count(i, anchor));
-            if let Some(a) = s.try_move(&Move::Relocate { i, anchor, slot }) {
+            if let Some(a) = s.try_move(&Move::Relocate { i, anchor, slot }, &s.graph()) {
                 break a;
             }
         };
@@ -494,7 +503,8 @@ mod tests {
     #[test]
     fn swap_requires_differing_orientations() {
         let mut s = SearchState::aligned_grid(4).unwrap();
-        assert!(s.try_move(&Move::Swap { i: 0, j: 1 }).is_none(), "same-orientation no-op");
+        let g = s.graph();
+        assert!(s.try_move(&Move::Swap { i: 0, j: 1 }, &g).is_none(), "same-orientation no-op");
     }
 
     #[test]

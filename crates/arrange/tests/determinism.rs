@@ -39,6 +39,23 @@ fn repeated_runs_are_identical() -> Result<(), ArrangeError> {
     Ok(())
 }
 
+/// The quick search at n = 91 and n = 169, whose distance bitsets span
+/// two and three 64-bit words, pinned by the SHA-256 of its `Debug` text
+/// (floats print in shortest round-trip form): a changed accept or reject
+/// decision anywhere in the search changes the digest.
+#[test]
+fn quick_search_outcomes_are_pinned() -> Result<(), ArrangeError> {
+    for (n, pinned) in [
+        (91usize, "051b0f5595af7a07f1ffdcd8681d25dc17f76f9aad2a2473980a360d0dc842fb"),
+        (169, "88b8fe1eba3126c06af117e1c08c0f1e2ee593be6c5cb436425777525b394148"),
+    ] {
+        let outcome = search(&SearchConfig::quick(n))?;
+        let digest = xp::hash::sha256_hex(format!("{outcome:?}").as_bytes());
+        assert_eq!(digest, pinned, "n={n}: the quick search's outcome moved");
+    }
+    Ok(())
+}
+
 #[test]
 fn campaign_seed_changes_the_exploration() -> Result<(), ArrangeError> {
     let a = search(&config(19, 1, 2))?;

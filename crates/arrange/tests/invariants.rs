@@ -38,17 +38,20 @@ proptest! {
         let mut state = SearchState::random_compact(n, &mut rng).expect("n >= 2");
         prop_assert!(state.is_overlap_free());
         prop_assert!(state.is_connected());
+        let mut graph = state.graph();
         for raw in raw_moves {
             let mv = decode(raw, n);
             let before = state.clone();
-            match state.try_move(&mv) {
+            match state.try_move(&mv, &graph) {
                 Some(applied) => {
                     // Accepted: both invariants must hold, and the graph
-                    // returned must describe the new state.
+                    // derived from the previous one must equal a full
+                    // rebuild of the new state.
                     prop_assert!(state.is_overlap_free(), "overlap after {mv:?}");
                     prop_assert!(state.is_connected(), "disconnected after {mv:?}");
                     prop_assert_eq!(&applied.graph, &state.graph());
                     prop_assert_eq!(state.len(), n);
+                    graph = applied.graph;
                 }
                 None => {
                     // Rejected: the state must be untouched.
@@ -67,7 +70,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut state = SearchState::random_compact(n, &mut rng).expect("n >= 2");
         let before = state.clone();
-        if let Some(applied) = state.try_move(&decode(raw, n)) {
+        if let Some(applied) = state.try_move(&decode(raw, n), &state.graph()) {
             state.undo(applied);
         }
         prop_assert_eq!(state, before);

@@ -262,6 +262,41 @@ impl Graph {
             .filter(|&(u, v)| u < v)
     }
 
+    /// This graph with the edges at the vertices in `moved` derived anew:
+    /// every edge between two other vertices is kept, and `adjacent(m, v)`
+    /// decides each pair of a moved vertex `m` and another vertex `v`, once
+    /// per pair. `O(V · |moved| + E)`, where deriving the graph afresh
+    /// tests all `V²/2` pairs: after a few vertices of a geometric adjacency
+    /// move, only their pairs can change.
+    ///
+    /// `moved` must hold distinct vertices and `adjacent` must be
+    /// symmetric; the result then equals the graph built from scratch with
+    /// the same predicate on the moved pairs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a vertex in `moved` is out of range.
+    #[must_use]
+    pub fn rewired(
+        &self,
+        moved: &[VertexId],
+        mut adjacent: impl FnMut(VertexId, VertexId) -> bool,
+    ) -> Graph {
+        let n = self.num_vertices();
+        let mut edges: Vec<(VertexId, VertexId)> =
+            self.edges().filter(|(u, v)| !moved.contains(u) && !moved.contains(v)).collect();
+        for (k, &m) in moved.iter().enumerate() {
+            assert!(m < n, "moved vertex {m} out of range");
+            debug_assert!(!moved[..k].contains(&m), "vertex {m} moved twice");
+            for v in (0..n).filter(|&v| v != m && !moved[..k].contains(&v)) {
+                if adjacent(m, v) {
+                    edges.push((m.min(v), m.max(v)));
+                }
+            }
+        }
+        Self::from_edges_unchecked(n, &edges)
+    }
+
     /// Iterator over the neighbours of `v` (see also [`Graph::neighbors`]).
     ///
     /// # Panics
@@ -360,6 +395,25 @@ mod tests {
         let via_iter: Vec<_> = g.neighbor_iter(0).collect();
         assert_eq!(via_iter, g.neighbors(0));
         assert_eq!(g.neighbor_iter(0).len(), 3);
+    }
+
+    #[test]
+    fn rewired_matches_a_fresh_build() {
+        // A 4-cycle 0-1-2-3 in which vertices 1 and 3 move: afterwards 1
+        // touches 2 and 3, and 3 touches 0 and 1.
+        let after = [(0, 3), (1, 2), (1, 3)];
+        let adjacent = |u: VertexId, v: VertexId| after.contains(&(u.min(v), u.max(v)));
+        let before = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
+        let mut calls = 0;
+        let rewired = before.rewired(&[1, 3], |u, v| {
+            calls += 1;
+            adjacent(u, v)
+        });
+        // Kept: no edge avoids both moved vertices. Tested: 1 against 0, 2
+        // and 3, then 3 against 0 and 2.
+        assert_eq!(rewired, Graph::from_edges(4, &after).unwrap());
+        assert_eq!(calls, 5);
+        assert_eq!(before.rewired(&[], |_, _| true), before);
     }
 
     #[test]

@@ -51,6 +51,52 @@ fn arb_small_graph() -> impl Strategy<Value = Graph> {
     })
 }
 
+/// Vertex counts on both sides of the distance kernel's word boundaries
+/// (64 and 128 vertices) and of its 256-vertex sweeps.
+const MULTIWORD_SIZES: [usize; 8] = [63, 64, 65, 128, 129, 256, 257, 300];
+
+/// Strategy: a sparse random graph with one of [`MULTIWORD_SIZES`]
+/// vertices, so its distance bitsets span several 64-bit words. Each
+/// vertex links back to one of the four before it, so diameters run long;
+/// about half the graphs lose one of those links, and `n / 16` random
+/// chords may or may not reconnect them.
+fn arb_multiword_graph() -> impl Strategy<Value = Graph> {
+    (0..MULTIWORD_SIZES.len()).prop_flat_map(|size| {
+        let n = MULTIWORD_SIZES[size];
+        (
+            proptest::collection::vec(1usize..=4, n - 1),
+            0..2 * n,
+            proptest::collection::vec((0..n, 0..n), n / 16),
+        )
+            .prop_map(move |(back, cut, chords)| {
+                let mut edges = std::collections::BTreeSet::new();
+                for v in (1..n).filter(|&v| v != cut) {
+                    edges.insert((v - back[v - 1].min(v), v));
+                }
+                for (a, b) in chords.into_iter().filter(|(a, b)| a != b) {
+                    edges.insert((a.min(b), a.max(b)));
+                }
+                Graph::from_edges(n, &edges.into_iter().collect::<Vec<_>>())
+                    .expect("a set of distinct pairs is simple")
+            })
+    })
+}
+
+/// The bit-parallel distance kernel against one BFS per vertex: the same
+/// distance total and diameter on a connected graph, and `None` exactly
+/// when some pair is unreachable.
+fn check_distance_kernel_against_bfs(g: &Graph) {
+    let oracle = bfs::all_pairs_distances(g);
+    let expected = if oracle.contains(&bfs::UNREACHABLE) {
+        None
+    } else {
+        let total = oracle.iter().map(|&d| u64::from(d)).sum::<u64>();
+        Some((total, oracle.iter().copied().max().unwrap_or(0)))
+    };
+    assert_eq!(metrics::distance_sum_and_diameter(g), expected);
+    assert_eq!(expected.is_some(), metrics::is_connected(g));
+}
+
 #[test]
 fn edge_connectivity_degenerate_cases() {
     use chiplet_graph::resilience::edge_connectivity;
@@ -104,6 +150,11 @@ proptest! {
         let ecc = metrics::eccentricities(&g).expect("connected");
         let d = metrics::diameter(&g).expect("connected");
         prop_assert_eq!(d, ecc.into_iter().max().unwrap_or(0));
+    }
+
+    #[test]
+    fn distance_kernel_matches_bfs(g in arb_graph()) {
+        check_distance_kernel_against_bfs(&g);
     }
 
     #[test]
@@ -162,6 +213,11 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn distance_kernel_matches_bfs_across_words(g in arb_multiword_graph()) {
+        check_distance_kernel_against_bfs(&g);
+    }
 
     #[test]
     fn removing_a_bridge_disconnects(g in arb_connected_graph()) {

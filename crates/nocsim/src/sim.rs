@@ -121,6 +121,9 @@ impl SimConfig {
         if self.packet_size == 0 {
             return Err(SimError::InvalidConfig("packet_size must be at least 1"));
         }
+        if self.injection_latency == 0 {
+            return Err(SimError::InvalidConfig("injection_latency must be at least 1"));
+        }
         if self.endpoints_per_router == 0 {
             return Err(SimError::InvalidConfig("endpoints_per_router must be at least 1"));
         }
@@ -697,7 +700,7 @@ impl Simulator {
         let mut links = Vec::with_capacity(num_links);
         let mut link_src = Vec::with_capacity(num_links);
         let mut link_dst = Vec::with_capacity(num_links);
-        let mut max_latency = config.injection_latency.max(1);
+        let mut max_latency = config.injection_latency;
         let mut max_interval = 1;
         for r in 0..n {
             let neighbors = g.neighbors(r);
@@ -2391,6 +2394,16 @@ mod tests {
             Simulator::new(&disconnected, small_config(0.1)),
             Err(SimError::Routing(RoutingError::DisconnectedTopology))
         ));
+    }
+
+    #[test]
+    fn zero_injection_latency_is_rejected() {
+        // Endpoint links are delay lines of this latency, and a delay line
+        // needs at least one cycle.
+        let bad = SimConfig { injection_latency: 0, ..small_config(0.1) };
+        let expected = SimError::InvalidConfig("injection_latency must be at least 1");
+        assert_eq!(bad.validate(), Err(expected));
+        assert_eq!(Simulator::new(&gen::grid(2, 2), bad).err(), Some(expected));
     }
 
     #[test]

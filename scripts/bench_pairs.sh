@@ -18,7 +18,11 @@
 #   gain           the change is lower in at least 9 of 10 pairs, and its median
 #                  by more than the parent's quartile spread;
 #   no regression  anything else.
-# Exits 1 if any run is not correct or has a failed operation.
+# Then prints on how many seeds both sides' `outputs sha256:` digests were
+# equal, and names each seed where they differ (or one is missing): a
+# change meant to keep every output byte-identical must match on every
+# seed, pinned or not. Exits 1 if any run is not correct or has a failed
+# operation; differing digests alone do not change the exit code.
 #
 # Usage: scripts/bench_pairs.sh PARENT_DIR CHANGE_DIR WORKLOAD PAIRS FIRST_SEED
 set -euo pipefail
@@ -47,13 +51,14 @@ for dir in "$PARENT" "$CHANGE"; do
     (cd "$dir" && cargo build --release --offline --quiet --manifest-path perfbench/Cargo.toml)
 done
 
-# run SIDE DIR SEED: one run; appends "seed side metrics... correct failed"
-# to $OUT/runs and prints it.
+# run SIDE DIR SEED: one run; appends "seed side metrics... correct failed
+# digest" to $OUT/runs and prints it.
 run() {
-    local side="$1" dir="$2" seed="$3" summary line metric value
-    summary="$( (cd "$dir" && cargo run --release --offline --quiet \
+    local side="$1" dir="$2" seed="$3" report summary line metric value
+    report="$( (cd "$dir" && cargo run --release --offline --quiet \
         --manifest-path perfbench/Cargo.toml -- --workload "$WORKLOAD" --seed "$seed" \
-        --seconds "$SECONDS_PER_RUN" --trace 0) 2> "$OUT/stderr" | tail -n 1)" || true
+        --seconds "$SECONDS_PER_RUN" --trace 0) 2> "$OUT/stderr")" || true
+    summary="$(printf '%s\n' "$report" | tail -n 1)"
     line="$seed $side"
     for metric in "${METRICS[@]}"; do
         value="$(printf '%s' "$summary" | grep -o "\"$metric\": {\"value\": [^,}]*" \
@@ -67,11 +72,13 @@ run() {
     if [ "${value:-missing}" = missing ]; then
         sed 's/^/    /' "$OUT/stderr" >&2
     fi
+    value="$(printf '%s\n' "$report" | sed -n 's/^outputs sha256: //p')"
+    line="$line ${value:-missing}"
     echo "$line" >> "$OUT/runs"
     echo "$line"
 }
 
-echo "seed side ${METRICS[*]} correct failed"
+echo "seed side ${METRICS[*]} correct failed outputs_sha256"
 for ((i = 0; i < PAIRS; i++)); do
     seed=$((FIRST_SEED + i))
     if ((i % 2 == 0)); then
@@ -127,7 +134,20 @@ for ((m = 0; m < ${#METRICS[@]}; m++)); do
         }' "$OUT/runs"
 done
 
-if awk '$(NF - 1) != "true" || $NF != "0" { bad = 1 } END { exit !bad }' "$OUT/runs"; then
+awk '
+    !($1 in digest) { order[++n] = $1 }
+    { digest[$1] = digest[$1] " " $NF; sides[$1]++ }
+    END {
+        for (i = 1; i <= n; i++) {
+            split(digest[order[i]], d, " ")
+            if (sides[order[i]] == 2 && d[1] == d[2] && d[1] != "missing") equal++
+            else differ = differ " " order[i]
+        }
+        printf "outputs: parent and change digests equal on %d of %d seeds\n", equal, n
+        if (differ != "") printf "outputs: digests differ on seeds%s\n", differ
+    }' "$OUT/runs"
+
+if awk '$(NF - 2) != "true" || $(NF - 1) != "0" { bad = 1 } END { exit !bad }' "$OUT/runs"; then
     echo "bench-pairs: a run was not correct or had failed operations" >&2
     exit 1
 fi
