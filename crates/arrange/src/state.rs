@@ -13,8 +13,8 @@
 //! the state untouched. It derives that graph from the one before the
 //! move, re-testing only the moved tiles' pairs.
 
-use chiplet_graph::{metrics, Graph, GraphBuilder};
-use chiplet_layout::{PlacedChiplet, Placement, Rect};
+use chiplet_graph::{metrics, Graph};
+use chiplet_layout::{contact_graph, PlacedChiplet, Placement, Rect};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -209,19 +209,11 @@ impl SearchState {
         &self.rects
     }
 
-    /// The geometric-adjacency graph over all tiles.
+    /// The geometric-adjacency graph over all tiles: their
+    /// [`contact_graph`].
     #[must_use]
     pub fn graph(&self) -> Graph {
-        let n = self.rects.len();
-        let mut b = GraphBuilder::new(n);
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if self.rects[i].is_adjacent(&self.rects[j]) {
-                    b.add_edge(i, j).expect("pairs unique and in range");
-                }
-            }
-        }
-        b.build()
+        contact_graph(&self.rects)
     }
 
     /// `true` if no two tiles overlap.

@@ -18,7 +18,7 @@ use std::path::Path;
 use chiplet_phy::{capacity, SignalBudget, Technology};
 use hexamesh::arrangement::{Arrangement, ArrangementKind};
 use hexamesh::eval::{evaluate, EvalParams};
-use hexamesh::link::MICROBUMP_PITCH_MM;
+use hexamesh::link::{MICROBUMP_PITCH_MM, UCIE_POWER_FRACTION, UCIE_TOTAL_AREA_MM2};
 use hexamesh::shape::{paper_link_length, shape_for, ShapeParams};
 use hexamesh_bench::RESULTS_DIR;
 use xp::table::{f3, Table};
@@ -63,7 +63,7 @@ fn main() {
         for kind in ArrangementKind::EVALUATED {
             let arrangement = Arrangement::build(kind, n).expect("any n builds");
             let shape_params =
-                ShapeParams::new(c4.total_area_mm2 / n as f64, c4.power_fraction)
+                ShapeParams::new(UCIE_TOTAL_AREA_MM2 / n as f64, UCIE_POWER_FRACTION)
                     .expect("valid");
             let link_mm = paper_link_length(
                 &shape_for(kind, &shape_params).expect("rectangular kinds solve"),

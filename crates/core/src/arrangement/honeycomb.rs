@@ -8,7 +8,7 @@
 //! `(row, col)` position sets the brickwall uses; the equivalence test in
 //! the crate's integration suite checks edge-for-edge equality.
 
-use chiplet_graph::{Graph, GraphBuilder};
+use chiplet_graph::Graph;
 
 use super::{brickwall, Regularity};
 
@@ -28,17 +28,17 @@ fn graph_from_positions(positions: &[(i64, i64)]) -> Graph {
     let index: std::collections::HashMap<(i64, i64), usize> =
         axial.iter().enumerate().map(|(i, &a)| (a, i)).collect();
     const DIRECTIONS: [(i64, i64); 6] = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1)];
-    let mut b = GraphBuilder::new(positions.len());
+    let mut edges = Vec::new();
     for (i, &(q, r)) in axial.iter().enumerate() {
         for (dq, dr) in DIRECTIONS {
             if let Some(&j) = index.get(&(q + dq, r + dr)) {
                 if i < j {
-                    b.add_edge(i, j).expect("axial neighbours are unique");
+                    edges.push((i, j));
                 }
             }
         }
     }
-    b.build()
+    Graph::from_edges(positions.len(), &edges).expect("axial neighbours are unique")
 }
 
 /// Odd-row offset → axial conversion for pointy-top hexagons whose odd rows

@@ -57,26 +57,24 @@ impl From<SimError> for EvalError {
     }
 }
 
-/// All parameters of the §VI evaluation.
+/// Arrangements with at most this many chiplets get hand-optimised bump
+/// sectors (§VI-B).
+pub(crate) const HAND_OPTIMIZE_THRESHOLD: usize = 7;
+
+/// The settable parameters of the §VI evaluation. The rest are the paper's
+/// §VI-B constants in [`crate::link`]: 800 mm² of compute-chiplet area
+/// ([`link::UCIE_TOTAL_AREA_MM2`]), a power bump fraction of 0.4
+/// ([`link::UCIE_POWER_FRACTION`]), 12 non-data wires per link
+/// ([`link::UCIE_NON_DATA_WIRES`]) and 16 GHz links
+/// ([`link::UCIE_FREQUENCY_GHZ`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive] // construct via paper_defaults()/quick() and mutate
 pub struct EvalParams {
-    /// Combined compute-chiplet area `A_all` in mm² (§VI-B: 800).
-    pub total_area_mm2: f64,
-    /// Power bump fraction `p_p` (§VI-B: 0.4).
-    pub power_fraction: f64,
     /// Bump pitch `P_B` in mm (§VI-B: 0.15).
     pub bump_pitch_mm: f64,
-    /// Non-data wires per link (§VI-B: 12).
-    pub non_data_wires: u32,
-    /// Link frequency in GHz (§VI-B: 16).
-    pub frequency_ghz: f64,
-    /// Arrangements with at most this many chiplets get hand-optimised bump
-    /// sectors (§VI-B: 7).
-    pub hand_optimize_threshold: usize,
     /// Simulator configuration (§VI-A values by default).
     pub sim: SimConfig,
-    /// Measurement schedule and saturation criteria.
+    /// Measurement schedule and saturation-search resolution.
     pub measure: MeasureConfig,
 }
 
@@ -85,12 +83,7 @@ impl EvalParams {
     #[must_use]
     pub fn paper_defaults() -> Self {
         Self {
-            total_area_mm2: link::UCIE_TOTAL_AREA_MM2,
-            power_fraction: link::UCIE_POWER_FRACTION,
             bump_pitch_mm: link::UCIE_BUMP_PITCH_MM,
-            non_data_wires: link::UCIE_NON_DATA_WIRES,
-            frequency_ghz: link::UCIE_FREQUENCY_GHZ,
-            hand_optimize_threshold: 7,
             sim: SimConfig::paper_defaults(),
             measure: MeasureConfig::default(),
         }
@@ -125,10 +118,9 @@ pub struct LinkBudget {
 
 /// Computes the link budget of an arrangement (§VI-B).
 ///
-/// Arrangements up to [`EvalParams::hand_optimize_threshold`] chiplets use
-/// the hand-optimised sector area (all non-power bump area split across the
-/// busiest chiplet's links); larger ones use the closed-form sector areas of
-/// §IV-B.
+/// Arrangements of up to 7 chiplets use the hand-optimised sector area
+/// (all non-power bump area split across the busiest chiplet's links);
+/// larger ones use the closed-form sector areas of §IV-B.
 ///
 /// # Errors
 ///
@@ -141,19 +133,17 @@ pub fn link_budget(
     params: &EvalParams,
 ) -> Result<LinkBudget, EvalError> {
     let n = arrangement.num_chiplets();
-    let chiplet_area = params.total_area_mm2 / n as f64;
-    let shape_params = ShapeParams::new(chiplet_area, params.power_fraction)?;
-    let sector_area = if n <= params.hand_optimize_threshold {
+    let chiplet_area = link::UCIE_TOTAL_AREA_MM2 / n as f64;
+    let shape_params = ShapeParams::new(chiplet_area, link::UCIE_POWER_FRACTION)?;
+    let sector_area = if n <= HAND_OPTIMIZE_THRESHOLD {
         shape::hand_optimized_sector_area(arrangement, &shape_params)
             .ok_or(EvalError::TooFewEndpoints(n))?
     } else {
         shape::shape_for(arrangement.kind(), &shape_params)?.link_sector_area
     };
     let estimate = estimate_link(&LinkParams {
-        bump_area: sector_area,
         bump_pitch: params.bump_pitch_mm,
-        non_data_wires: params.non_data_wires,
-        frequency_ghz: params.frequency_ghz,
+        ..LinkParams::ucie_c4(sector_area)
     })?;
     let endpoints = params.sim.endpoints_per_router as f64;
     let full_global = n as f64 * endpoints * estimate.bandwidth_tbps();

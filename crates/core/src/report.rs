@@ -7,7 +7,8 @@ use std::fmt::Write as _;
 use chiplet_partition::BisectionConfig;
 
 use crate::arrangement::Arrangement;
-use crate::eval::{link_budget, EvalError, EvalParams};
+use crate::eval::{link_budget, EvalError, EvalParams, HAND_OPTIMIZE_THRESHOLD};
+use crate::link;
 use crate::proxies;
 use crate::shape::{self, ShapeParams};
 
@@ -26,7 +27,7 @@ pub fn datasheet(arrangement: &Arrangement, params: &EvalParams) -> Result<Strin
     let n = arrangement.num_chiplets();
     let stats = arrangement.degree_stats();
     let budget = link_budget(arrangement, params)?;
-    let shape_params = ShapeParams::new(budget.chiplet_area_mm2, params.power_fraction)?;
+    let shape_params = ShapeParams::new(budget.chiplet_area_mm2, link::UCIE_POWER_FRACTION)?;
     let chiplet_shape = shape::shape_for(arrangement.kind(), &shape_params)?;
     let diameter = proxies::measured_diameter(arrangement).expect("arrangements are connected");
     let bisection = proxies::paper_bisection(arrangement, &BisectionConfig::default());
@@ -74,7 +75,7 @@ pub fn datasheet(arrangement: &Arrangement, params: &EvalParams) -> Result<Strin
     line(format!(
         "  sector area used     {:.2} mm² {}",
         budget.link_sector_area_mm2,
-        if n <= params.hand_optimize_threshold { "(hand-optimised, N ≤ 7)" } else { "" }
+        if n <= HAND_OPTIMIZE_THRESHOLD { "(hand-optimised, N ≤ 7)" } else { "" }
     ));
     line(format!(
         "  wires                {} total, {} data",
@@ -83,7 +84,7 @@ pub fn datasheet(arrangement: &Arrangement, params: &EvalParams) -> Result<Strin
     line(format!(
         "  per-link bandwidth   {:.0} Gb/s @ {:.0} GHz",
         budget.estimate.bandwidth_gbps(),
-        params.frequency_ghz
+        link::UCIE_FREQUENCY_GHZ
     ));
     line(format!(
         "  full global bandwidth {:.1} Tb/s ({} chiplets x {} endpoints)",

@@ -161,8 +161,8 @@ mod tests {
 
     #[test]
     fn empty_and_single_vertex() {
-        assert!(edge_betweenness(&crate::GraphBuilder::new(0).build()).is_empty());
-        assert!(edge_betweenness(&crate::GraphBuilder::new(1).build()).is_empty());
+        assert!(edge_betweenness(&crate::Graph::from_edges(0, &[]).unwrap()).is_empty());
+        assert!(edge_betweenness(&crate::Graph::from_edges(1, &[]).unwrap()).is_empty());
     }
 
     #[test]

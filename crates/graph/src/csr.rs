@@ -8,19 +8,24 @@ use std::fmt;
 /// sites read as graph code rather than arithmetic on bare `usize`s.
 pub type VertexId = usize;
 
-/// Errors produced while constructing a [`Graph`].
+/// Why [`Graph::from_edges`] rejected an edge list.
+///
+/// Range and self-loop errors come first: they name the first such edge in
+/// input order. Only a list without either is checked for duplicates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GraphError {
     /// An endpoint was `>= num_vertices`.
     VertexOutOfRange {
         /// The offending vertex id.
         vertex: VertexId,
-        /// Number of vertices the builder was created with.
+        /// Number of vertices of the graph being built.
         num_vertices: usize,
     },
     /// Both endpoints of an edge were the same vertex.
     SelfLoop(VertexId),
-    /// The same undirected edge was added twice.
+    /// The undirected edge `(u, v)`, `u < v`, was listed more than once, in
+    /// either orientation. `u` is the lowest vertex that repeats a
+    /// neighbour, and `v` the lowest neighbour it repeats.
     DuplicateEdge(VertexId, VertexId),
 }
 
@@ -40,103 +45,11 @@ impl fmt::Display for GraphError {
 
 impl std::error::Error for GraphError {}
 
-/// Incremental builder for [`Graph`].
-///
-/// The vertex count is fixed at construction; edges are added one at a time
-/// and validated eagerly (C-VALIDATE).
-///
-/// # Example
-///
-/// ```
-/// use chiplet_graph::GraphBuilder;
-///
-/// # fn main() -> Result<(), chiplet_graph::GraphError> {
-/// let mut b = GraphBuilder::new(3);
-/// b.add_edge(0, 1)?;
-/// b.add_edge(1, 2)?;
-/// let g = b.build();
-/// assert_eq!(g.degree(1), 2);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct GraphBuilder {
-    num_vertices: usize,
-    edges: Vec<(VertexId, VertexId)>,
-}
-
-impl GraphBuilder {
-    /// Creates a builder for a graph with `num_vertices` vertices and no edges.
-    #[must_use]
-    pub fn new(num_vertices: usize) -> Self {
-        Self { num_vertices, edges: Vec::new() }
-    }
-
-    /// Number of vertices the final graph will have.
-    #[must_use]
-    pub fn num_vertices(&self) -> usize {
-        self.num_vertices
-    }
-
-    /// Number of edges added so far.
-    #[must_use]
-    pub fn num_edges(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Adds the undirected edge `{u, v}`.
-    ///
-    /// # Errors
-    ///
-    /// * [`GraphError::VertexOutOfRange`] if an endpoint is out of range,
-    /// * [`GraphError::SelfLoop`] if `u == v`,
-    /// * [`GraphError::DuplicateEdge`] if `{u, v}` was already added.
-    pub fn add_edge(&mut self, u: VertexId, v: VertexId) -> Result<&mut Self, GraphError> {
-        for w in [u, v] {
-            if w >= self.num_vertices {
-                return Err(GraphError::VertexOutOfRange {
-                    vertex: w,
-                    num_vertices: self.num_vertices,
-                });
-            }
-        }
-        if u == v {
-            return Err(GraphError::SelfLoop(u));
-        }
-        let key = (u.min(v), u.max(v));
-        if self.edges.contains(&key) {
-            return Err(GraphError::DuplicateEdge(key.0, key.1));
-        }
-        self.edges.push(key);
-        Ok(self)
-    }
-
-    /// Adds every edge from an iterator of endpoint pairs.
-    ///
-    /// # Errors
-    ///
-    /// Stops at, and returns, the first invalid edge (see [`Self::add_edge`]).
-    pub fn add_edges<I>(&mut self, edges: I) -> Result<&mut Self, GraphError>
-    where
-        I: IntoIterator<Item = (VertexId, VertexId)>,
-    {
-        for (u, v) in edges {
-            self.add_edge(u, v)?;
-        }
-        Ok(self)
-    }
-
-    /// Finalises the builder into an immutable CSR [`Graph`].
-    #[must_use]
-    pub fn build(&self) -> Graph {
-        Graph::from_edges_unchecked(self.num_vertices, &self.edges)
-    }
-}
-
 /// An immutable undirected graph stored in compressed-sparse-row form.
 ///
 /// Simple graph: no self-loops, no parallel edges. Construct through
-/// [`GraphBuilder`] or [`Graph::from_edges`].
+/// [`Graph::from_edges`]; each row is sorted, so two graphs with the same
+/// edge set compare equal however their edges were listed.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Graph {
     /// `offsets[v]..offsets[v + 1]` indexes `targets` for vertex `v`.
@@ -148,31 +61,57 @@ pub struct Graph {
 }
 
 impl Graph {
-    /// Builds a graph from an explicit edge list.
+    /// Builds the graph on vertices `0..num_vertices` whose undirected
+    /// edges are `edges`, listed in any order and either orientation.
+    ///
+    /// Every edge is checked for range and self-loops in input order. The
+    /// rows are then built and sorted, and a row that holds the same
+    /// neighbour twice is a duplicate edge: `O(V + E log E)` in all.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`GraphBuilder::add_edge`].
+    /// * [`GraphError::VertexOutOfRange`] or [`GraphError::SelfLoop`] for
+    ///   the first edge, in input order, with an endpoint out of range or
+    ///   both endpoints equal;
+    /// * otherwise [`GraphError::DuplicateEdge`] if an edge is listed twice,
+    ///   reported at the lowest vertex that repeats a neighbour.
     ///
     /// # Example
     ///
     /// ```
-    /// use chiplet_graph::Graph;
+    /// use chiplet_graph::{Graph, GraphError};
     ///
-    /// let g = Graph::from_edges(3, &[(0, 1), (1, 2)])?;
+    /// let g = Graph::from_edges(3, &[(0, 1), (2, 1)])?;
     /// assert_eq!(g.num_edges(), 2);
-    /// # Ok::<(), chiplet_graph::GraphError>(())
+    /// assert_eq!(g.neighbors(1), &[0, 2]);
+    /// let twice = Graph::from_edges(3, &[(1, 2), (2, 1)]);
+    /// assert_eq!(twice, Err(GraphError::DuplicateEdge(1, 2)));
+    /// # Ok::<(), GraphError>(())
     /// ```
     pub fn from_edges(
         num_vertices: usize,
         edges: &[(VertexId, VertexId)],
     ) -> Result<Self, GraphError> {
-        let mut b = GraphBuilder::new(num_vertices);
-        b.add_edges(edges.iter().copied())?;
-        Ok(b.build())
+        for &(u, v) in edges {
+            if let Some(vertex) = [u, v].into_iter().find(|&w| w >= num_vertices) {
+                return Err(GraphError::VertexOutOfRange { vertex, num_vertices });
+            }
+            if u == v {
+                return Err(GraphError::SelfLoop(u));
+            }
+        }
+        let g = Self::from_edges_unchecked(num_vertices, edges);
+        for u in g.vertices() {
+            if let Some(pair) = g.neighbors(u).windows(2).find(|pair| pair[0] == pair[1]) {
+                return Err(GraphError::DuplicateEdge(u, pair[0]));
+            }
+        }
+        Ok(g)
     }
 
-    /// Builds without validation; `edges` must already be simple and in range.
+    /// The CSR form of `edges`, every row sorted; `edges` must be in range
+    /// and free of self-loops. [`Graph::from_edges`] checks that, and for
+    /// duplicates, which this keeps as repeated neighbours.
     pub(crate) fn from_edges_unchecked(
         num_vertices: usize,
         edges: &[(VertexId, VertexId)],
@@ -296,38 +235,7 @@ impl Graph {
         }
         Self::from_edges_unchecked(n, &edges)
     }
-
-    /// Iterator over the neighbours of `v` (see also [`Graph::neighbors`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    #[must_use]
-    pub fn neighbor_iter(&self, v: VertexId) -> NeighborIter<'_> {
-        NeighborIter { inner: self.neighbors(v).iter() }
-    }
 }
-
-/// Iterator over the neighbours of a vertex, returned by
-/// [`Graph::neighbor_iter`].
-#[derive(Debug, Clone)]
-pub struct NeighborIter<'a> {
-    inner: std::slice::Iter<'a, VertexId>,
-}
-
-impl Iterator for NeighborIter<'_> {
-    type Item = VertexId;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.inner.next().copied()
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.inner.size_hint()
-    }
-}
-
-impl ExactSizeIterator for NeighborIter<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -335,7 +243,7 @@ mod tests {
 
     #[test]
     fn empty_graph() {
-        let g = GraphBuilder::new(0).build();
+        let g = Graph::from_edges(0, &[]).unwrap();
         assert!(g.is_empty());
         assert_eq!(g.num_vertices(), 0);
         assert_eq!(g.num_edges(), 0);
@@ -344,7 +252,7 @@ mod tests {
 
     #[test]
     fn single_vertex_no_edges() {
-        let g = GraphBuilder::new(1).build();
+        let g = Graph::from_edges(1, &[]).unwrap();
         assert_eq!(g.num_vertices(), 1);
         assert_eq!(g.degree(0), 0);
         assert!(g.neighbors(0).is_empty());
@@ -371,30 +279,31 @@ mod tests {
 
     #[test]
     fn rejects_out_of_range() {
-        let mut b = GraphBuilder::new(2);
-        let err = b.add_edge(0, 2).unwrap_err();
+        let err = Graph::from_edges(2, &[(0, 2)]).unwrap_err();
         assert_eq!(err, GraphError::VertexOutOfRange { vertex: 2, num_vertices: 2 });
     }
 
     #[test]
     fn rejects_self_loop() {
-        let mut b = GraphBuilder::new(2);
-        assert_eq!(b.add_edge(1, 1).unwrap_err(), GraphError::SelfLoop(1));
+        assert_eq!(Graph::from_edges(2, &[(1, 1)]).unwrap_err(), GraphError::SelfLoop(1));
     }
 
     #[test]
     fn rejects_duplicate_in_either_orientation() {
-        let mut b = GraphBuilder::new(2);
-        b.add_edge(0, 1).unwrap();
-        assert_eq!(b.add_edge(1, 0).unwrap_err(), GraphError::DuplicateEdge(0, 1));
+        let err = Graph::from_edges(2, &[(0, 1), (1, 0)]).unwrap_err();
+        assert_eq!(err, GraphError::DuplicateEdge(0, 1));
+        // The lowest vertex that repeats a neighbour names the duplicate,
+        // whatever the input order.
+        let err = Graph::from_edges(4, &[(2, 3), (3, 2), (1, 0), (0, 1)]).unwrap_err();
+        assert_eq!(err, GraphError::DuplicateEdge(0, 1));
     }
 
     #[test]
-    fn neighbor_iter_matches_slice() {
-        let g = Graph::from_edges(5, &[(0, 4), (0, 2), (0, 1)]).unwrap();
-        let via_iter: Vec<_> = g.neighbor_iter(0).collect();
-        assert_eq!(via_iter, g.neighbors(0));
-        assert_eq!(g.neighbor_iter(0).len(), 3);
+    fn range_and_self_loop_errors_precede_duplicates() {
+        let err = Graph::from_edges(3, &[(0, 1), (1, 0), (2, 2), (0, 3)]).unwrap_err();
+        assert_eq!(err, GraphError::SelfLoop(2));
+        let err = Graph::from_edges(3, &[(0, 1), (1, 0), (4, 0), (2, 2)]).unwrap_err();
+        assert_eq!(err, GraphError::VertexOutOfRange { vertex: 4, num_vertices: 3 });
     }
 
     #[test]

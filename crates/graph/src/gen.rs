@@ -3,7 +3,7 @@
 //! Used throughout the workspace for tests and for cross-checking the
 //! arrangement generators against known structures.
 
-use crate::csr::{Graph, GraphBuilder};
+use crate::csr::{Graph, VertexId};
 
 /// Path graph `P_n`: vertices `0..n` with edges `(i, i+1)`.
 ///
@@ -15,11 +15,7 @@ use crate::csr::{Graph, GraphBuilder};
 /// ```
 #[must_use]
 pub fn path(n: usize) -> Graph {
-    let mut b = GraphBuilder::new(n);
-    for i in 1..n {
-        b.add_edge(i - 1, i).expect("path edges are valid");
-    }
-    b.build()
+    simple(n, (1..n).map(|i| (i - 1, i)))
 }
 
 /// Cycle graph `C_n` (`n ≥ 3`); for `n < 3` falls back to [`path`].
@@ -28,34 +24,19 @@ pub fn cycle(n: usize) -> Graph {
     if n < 3 {
         return path(n);
     }
-    let mut b = GraphBuilder::new(n);
-    for i in 1..n {
-        b.add_edge(i - 1, i).expect("cycle edges are valid");
-    }
-    b.add_edge(n - 1, 0).expect("closing edge is valid");
-    b.build()
+    simple(n, (1..n).map(|i| (i - 1, i)).chain([(n - 1, 0)]))
 }
 
 /// Complete graph `K_n`.
 #[must_use]
 pub fn complete(n: usize) -> Graph {
-    let mut b = GraphBuilder::new(n);
-    for u in 0..n {
-        for v in (u + 1)..n {
-            b.add_edge(u, v).expect("complete-graph edges are valid");
-        }
-    }
-    b.build()
+    from_coin(n, |_, _| true)
 }
 
 /// Star graph: vertex `0` connected to `leaves` leaf vertices `1..=leaves`.
 #[must_use]
 pub fn star(leaves: usize) -> Graph {
-    let mut b = GraphBuilder::new(leaves + 1);
-    for v in 1..=leaves {
-        b.add_edge(0, v).expect("star edges are valid");
-    }
-    b.build()
+    simple(leaves + 1, (1..=leaves).map(|v| (0, v)))
 }
 
 /// `rows × cols` 2D mesh; vertex `(r, c)` is numbered `r * cols + c`.
@@ -64,19 +45,9 @@ pub fn star(leaves: usize) -> Graph {
 /// arrangement.
 #[must_use]
 pub fn grid(rows: usize, cols: usize) -> Graph {
-    let mut b = GraphBuilder::new(rows * cols);
-    for r in 0..rows {
-        for c in 0..cols {
-            let v = r * cols + c;
-            if c + 1 < cols {
-                b.add_edge(v, v + 1).expect("grid edges are valid");
-            }
-            if r + 1 < rows {
-                b.add_edge(v, v + cols).expect("grid edges are valid");
-            }
-        }
-    }
-    b.build()
+    let right = (0..rows * cols).filter(|v| v % cols + 1 < cols).map(|v| (v, v + 1));
+    let up = (0..rows.saturating_sub(1) * cols).map(|v| (v, v + cols));
+    simple(rows * cols, right.chain(up))
 }
 
 /// Erdős–Rényi `G(n, p)` random graph from an explicit RNG-free stream.
@@ -89,15 +60,16 @@ pub fn from_coin<F>(n: usize, mut coin: F) -> Graph
 where
     F: FnMut(usize, usize) -> bool,
 {
-    let mut b = GraphBuilder::new(n);
-    for u in 0..n {
-        for v in (u + 1)..n {
-            if coin(u, v) {
-                b.add_edge(u, v).expect("coin edges are valid");
-            }
-        }
-    }
-    b.build()
+    simple(
+        n,
+        (0..n).flat_map(|u| ((u + 1)..n).map(move |v| (u, v))).filter(|&(u, v)| coin(u, v)),
+    )
+}
+
+/// The graph on `n` vertices with `edges`, which the generators above
+/// produce simple and in range.
+fn simple(n: usize, edges: impl Iterator<Item = (VertexId, VertexId)>) -> Graph {
+    Graph::from_edges(n, &edges.collect::<Vec<_>>()).expect("generated edges are simple")
 }
 
 #[cfg(test)]

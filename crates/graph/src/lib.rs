@@ -6,7 +6,7 @@
 //! substrate every other layer of the reproduction builds on:
 //!
 //! * [`Graph`] — an immutable undirected graph in compressed sparse row (CSR)
-//!   form, built through [`GraphBuilder`],
+//!   form, built from an edge list by [`Graph::from_edges`],
 //! * breadth-first traversal and all-pairs distance helpers ([`bfs`]),
 //! * global metrics used as *performance proxies* by the paper: network
 //!   diameter, eccentricities, degree statistics ([`metrics`]),
@@ -17,19 +17,19 @@
 //! # Example
 //!
 //! ```
-//! use chiplet_graph::{Graph, GraphBuilder};
+//! use chiplet_graph::{Graph, GraphError};
 //!
-//! # fn main() -> Result<(), chiplet_graph::GraphError> {
-//! // A 4-cycle: 0-1-2-3-0.
-//! let mut b = GraphBuilder::new(4);
-//! b.add_edge(0, 1)?;
-//! b.add_edge(1, 2)?;
-//! b.add_edge(2, 3)?;
-//! b.add_edge(3, 0)?;
-//! let g: Graph = b.build();
+//! # fn main() -> Result<(), GraphError> {
+//! // A 4-cycle: 0-1-2-3-0. Edges may come in any order and orientation.
+//! let g = Graph::from_edges(4, &[(0, 1), (2, 1), (2, 3), (3, 0)])?;
 //! assert_eq!(g.num_vertices(), 4);
 //! assert_eq!(g.num_edges(), 4);
+//! assert_eq!(g.neighbors(0), &[1, 3]);
 //! assert_eq!(chiplet_graph::metrics::diameter(&g), Some(2));
+//!
+//! // Listing an edge twice, in either orientation, is an error.
+//! let twice = Graph::from_edges(4, &[(0, 1), (1, 0)]);
+//! assert_eq!(twice, Err(GraphError::DuplicateEdge(0, 1)));
 //! # Ok(())
 //! # }
 //! ```
@@ -45,4 +45,4 @@ pub mod gen;
 pub mod metrics;
 pub mod resilience;
 
-pub use csr::{Graph, GraphBuilder, GraphError, NeighborIter, VertexId};
+pub use csr::{Graph, GraphError, VertexId};

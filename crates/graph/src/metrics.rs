@@ -9,7 +9,7 @@
 //! [`distance_sum_and_diameter`]; [`crate::bfs`] is its test oracle.
 
 use crate::bfs::{self, UNREACHABLE};
-use crate::csr::{Graph, VertexId};
+use crate::csr::Graph;
 
 /// Eccentricity of every vertex: the greatest BFS distance to any other
 /// vertex, or `None` for graphs that are disconnected or empty.
@@ -252,26 +252,6 @@ pub fn satisfies_planar_edge_bound(g: &Graph) -> bool {
     g.num_edges() <= 3 * v - 6
 }
 
-/// Diameter of every connected component; `None` entries never occur, the
-/// vector is indexed by component id as assigned by
-/// [`connected_components`].
-#[must_use]
-pub fn component_diameters(g: &Graph) -> Vec<u32> {
-    let labels = connected_components(g);
-    let count = labels.iter().copied().max().map_or(0, |m| m + 1);
-    let mut diameters = vec![0u32; count];
-    for v in g.vertices() {
-        let d = bfs::distances(g, v);
-        for (u, &du) in d.iter().enumerate() {
-            if du != UNREACHABLE && labels[u] == labels[v] {
-                diameters[labels[v]] = diameters[labels[v]].max(du);
-            }
-        }
-        let _: VertexId = v;
-    }
-    diameters
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,7 +280,7 @@ mod tests {
     #[test]
     fn diameter_of_empty_and_singleton() {
         let (empty, single) =
-            (crate::GraphBuilder::new(0).build(), crate::GraphBuilder::new(1).build());
+            (Graph::from_edges(0, &[]).unwrap(), Graph::from_edges(1, &[]).unwrap());
         assert_eq!(diameter(&empty), None);
         assert_eq!(diameter(&single), Some(0));
         assert_eq!(average_distance(&empty), None);
@@ -339,8 +319,6 @@ mod tests {
         let g = Graph::from_edges(5, &[(0, 1), (3, 4)]).unwrap();
         let labels = connected_components(&g);
         assert_eq!(labels, vec![0, 0, 1, 2, 2]);
-        let cd = component_diameters(&g);
-        assert_eq!(cd, vec![1, 0, 1]);
     }
 
     #[test]

@@ -280,9 +280,9 @@ mod tests {
 
     #[test]
     fn tiny_graphs() {
-        let empty = crate::GraphBuilder::new(0).build();
+        let empty = crate::Graph::from_edges(0, &[]).unwrap();
         assert_eq!(edge_connectivity(&empty), None);
-        let single = crate::GraphBuilder::new(1).build();
+        let single = crate::Graph::from_edges(1, &[]).unwrap();
         assert_eq!(edge_connectivity(&single), None);
         assert!(bridges(&single).is_empty());
         assert!(articulation_points(&single).is_empty());

@@ -1,7 +1,9 @@
 //! Property-based tests for the graph kernel.
 
+use std::collections::{BTreeSet, HashSet};
+
 use chiplet_graph::cut::{Bipartition, Side};
-use chiplet_graph::{bfs, gen, metrics, Graph};
+use chiplet_graph::{bfs, gen, metrics, Graph, GraphError};
 use proptest::prelude::*;
 
 /// Strategy: a random simple graph with 1..=24 vertices.
@@ -82,6 +84,36 @@ fn arb_multiword_graph() -> impl Strategy<Value = Graph> {
     })
 }
 
+/// Strategy: a vertex count and an edge list for [`Graph::from_edges`] that
+/// may repeat an edge in either orientation, hold self-loops or name a
+/// vertex out of range. Each drawn edge `(u, u + step mod n)` carries a
+/// tag: 0 pushes its second end out of range, 1 its first, 2 makes it a
+/// self-loop, 3 repeats an earlier edge reversed, and any other tag keeps
+/// it as drawn (a repeat when it was drawn before).
+fn arb_edge_list() -> impl Strategy<Value = (usize, Vec<(usize, usize)>)> {
+    (2usize..=12).prop_flat_map(|n| {
+        let drawn = (0..n, 1..n, 0u8..40);
+        (Just(n), proptest::collection::vec(drawn, 0..16)).prop_map(|(n, drawn)| {
+            let mut edges: Vec<(usize, usize)> = Vec::with_capacity(drawn.len());
+            for (u, step, tag) in drawn {
+                let v = (u + step) % n;
+                let edge = match tag {
+                    0 => (u, n + v),
+                    1 => (n + u, v),
+                    2 => (u, u),
+                    3 if !edges.is_empty() => {
+                        let (a, b) = edges[step % edges.len()];
+                        (b, a)
+                    }
+                    _ => (u, v),
+                };
+                edges.push(edge);
+            }
+            (n, edges)
+        })
+    })
+}
+
 /// The bit-parallel distance kernel against one BFS per vertex: the same
 /// distance total and diameter on a connected graph, and `None` exactly
 /// when some pair is unreachable.
@@ -155,6 +187,38 @@ proptest! {
     #[test]
     fn distance_kernel_matches_bfs(g in arb_graph()) {
         check_distance_kernel_against_bfs(&g);
+    }
+
+    #[test]
+    fn from_edges_accepts_exactly_the_simple_in_range_lists((n, edges) in arb_edge_list()) {
+        // The oracle: the first edge out of range or a self-loop, and the
+        // normalised pairs that appear more than once.
+        let bad = edges.iter().position(|&(u, v)| u >= n || v >= n || u == v);
+        let mut seen = HashSet::new();
+        let repeated: BTreeSet<(usize, usize)> =
+            edges.iter().map(|&(u, v)| (u.min(v), u.max(v))).filter(|&e| !seen.insert(e)).collect();
+        match Graph::from_edges(n, &edges) {
+            Ok(g) => {
+                prop_assert!(bad.is_none() && repeated.is_empty(), "{n} {edges:?} accepted");
+                let mut expected: Vec<_> = seen.into_iter().collect();
+                expected.sort_unstable();
+                prop_assert_eq!(g.edges().collect::<Vec<_>>(), expected);
+                prop_assert_eq!((g.num_vertices(), g.num_edges()), (n, edges.len()));
+            }
+            Err(GraphError::VertexOutOfRange { vertex, num_vertices }) => {
+                let (u, v) = edges[bad.expect("a bad edge")];
+                prop_assert_eq!(num_vertices, n);
+                prop_assert_eq!(Some(vertex), [u, v].into_iter().find(|&w| w >= n));
+            }
+            Err(GraphError::SelfLoop(w)) => {
+                prop_assert_eq!(edges[bad.expect("a bad edge")], (w, w));
+                prop_assert!(w < n);
+            }
+            Err(GraphError::DuplicateEdge(u, v)) => {
+                prop_assert!(bad.is_none(), "{edges:?}: duplicate reported before a bad edge");
+                prop_assert_eq!(repeated.first(), Some(&(u, v)));
+            }
+        }
     }
 
     #[test]

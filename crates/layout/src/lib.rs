@@ -8,7 +8,9 @@
 //! * [`Rect`] — axis-aligned rectangles on an integer lattice (exact
 //!   arithmetic; no floating-point adjacency bugs),
 //! * [`Placement`] — a validated, overlap-free set of placed chiplets,
-//! * adjacency-graph extraction ([`Placement::compute_adjacency_graph`]),
+//! * adjacency-graph extraction: the [`contact_graph`] of a set of
+//!   rectangles, which [`Placement::compute_adjacency_graph`] builds over
+//!   the compute chiplets,
 //! * perimeter I/O-chiplet placement mirroring Fig. 2 of the paper
 //!   ([`perimeter`]).
 //!
@@ -40,5 +42,5 @@ pub mod placement;
 pub mod rect;
 pub mod svg;
 
-pub use placement::{ChipletKind, LayoutError, PlacedChiplet, Placement};
+pub use placement::{contact_graph, ChipletKind, LayoutError, PlacedChiplet, Placement};
 pub use rect::Rect;

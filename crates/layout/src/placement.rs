@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use chiplet_graph::{Graph, GraphBuilder};
+use chiplet_graph::Graph;
 
 use crate::rect::Rect;
 
@@ -143,34 +143,17 @@ impl Placement {
     }
 
     /// Adjacency graph over **compute chiplets only** — the paper's ICI graph
-    /// (§III-C). Vertex `i` of the result is the `i`-th compute chiplet.
+    /// (§III-C): the [`contact_graph`] of their rectangles. Vertex `i` of the
+    /// result is the `i`-th compute chiplet.
     #[must_use]
     pub fn compute_adjacency_graph(&self) -> Graph {
-        let computes = self.compute_indices();
-        let mut b = GraphBuilder::new(computes.len());
-        for (gi, &i) in computes.iter().enumerate() {
-            for (gj, &j) in computes.iter().enumerate().skip(gi + 1) {
-                if self.chiplets[i].rect.is_adjacent(&self.chiplets[j].rect) {
-                    b.add_edge(gi, gj).expect("pairs are unique and in range");
-                }
-            }
-        }
-        b.build()
-    }
-
-    /// Adjacency graph over **all** chiplets (compute and I/O).
-    #[must_use]
-    pub fn full_adjacency_graph(&self) -> Graph {
-        let n = self.chiplets.len();
-        let mut b = GraphBuilder::new(n);
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if self.chiplets[i].rect.is_adjacent(&self.chiplets[j].rect) {
-                    b.add_edge(i, j).expect("pairs are unique and in range");
-                }
-            }
-        }
-        b.build()
+        let rects: Vec<Rect> = self
+            .chiplets
+            .iter()
+            .filter(|c| c.kind == ChipletKind::Compute)
+            .map(|c| c.rect)
+            .collect();
+        contact_graph(&rects)
     }
 
     /// Smallest rectangle containing every chiplet, or `None` when empty.
@@ -196,6 +179,37 @@ impl Placement {
             None => 0.0,
         }
     }
+}
+
+/// The contact graph of `rects`: vertex `i` is `rects[i]`, and an edge
+/// joins every two rectangles that share a boundary of positive length
+/// ([`Rect::is_adjacent`]; a common corner is not enough, §III-C). Tests
+/// each of the `n(n − 1)/2` pairs once.
+///
+/// # Example
+///
+/// ```
+/// use chiplet_layout::{contact_graph, Rect};
+///
+/// # fn main() -> Result<(), chiplet_layout::LayoutError> {
+/// let rects = [Rect::new(0, 0, 2, 2)?, Rect::new(2, 0, 2, 2)?, Rect::new(4, 2, 2, 2)?];
+/// let g = contact_graph(&rects);
+/// assert!(g.has_edge(0, 1)); // a shared edge
+/// assert!(!g.has_edge(1, 2)); // a shared corner only
+/// # Ok(())
+/// # }
+/// ```
+#[must_use]
+pub fn contact_graph(rects: &[Rect]) -> Graph {
+    let mut edges = Vec::new();
+    for (i, a) in rects.iter().enumerate() {
+        for (j, b) in rects.iter().enumerate().skip(i + 1) {
+            if a.is_adjacent(b) {
+                edges.push((i, j));
+            }
+        }
+    }
+    Graph::from_edges(rects.len(), &edges).expect("each pair is tested once")
 }
 
 impl FromIterator<PlacedChiplet> for Result<Placement, LayoutError> {
@@ -259,9 +273,6 @@ mod tests {
         let g = p.compute_adjacency_graph();
         assert_eq!(g.num_vertices(), 2);
         assert_eq!(g.num_edges(), 0); // the two compute chiplets do not touch
-        let full = p.full_adjacency_graph();
-        assert_eq!(full.num_vertices(), 3);
-        assert_eq!(full.num_edges(), 2); // compute-io and io-compute contacts
     }
 
     #[test]

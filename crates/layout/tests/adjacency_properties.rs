@@ -3,7 +3,7 @@
 //! proper contact relation for any overlap-free set of rectangles.
 
 use chiplet_graph::metrics;
-use chiplet_layout::{PlacedChiplet, Placement, Rect};
+use chiplet_layout::{contact_graph, ChipletKind, PlacedChiplet, Placement, Rect};
 use proptest::prelude::*;
 
 /// A random overlap-free placement: distinct cells of a coarse lattice with
@@ -41,6 +41,32 @@ proptest! {
                 );
             }
         }
+    }
+
+    #[test]
+    fn contact_graph_has_exactly_the_adjacent_pairs(p in arb_placement()) {
+        // With the perimeter I/O ring, so that compute and I/O chiplets mix.
+        let p = chiplet_layout::perimeter::surround_with_io(&p, 4, 4).expect("valid tile");
+        let rects: Vec<Rect> = p.chiplets().iter().map(|c| c.rect).collect();
+        let g = contact_graph(&rects);
+        prop_assert_eq!(g.num_vertices(), rects.len());
+        let mut expected = Vec::new();
+        for (i, a) in rects.iter().enumerate() {
+            for (j, b) in rects.iter().enumerate().skip(i + 1) {
+                if a.is_adjacent(b) {
+                    expected.push((i, j));
+                }
+            }
+        }
+        prop_assert_eq!(g.edges().collect::<Vec<_>>(), expected);
+        // The ICI graph is the contact graph of the compute chiplets alone.
+        let computes: Vec<Rect> = p
+            .chiplets()
+            .iter()
+            .filter(|c| c.kind == ChipletKind::Compute)
+            .map(|c| c.rect)
+            .collect();
+        prop_assert_eq!(p.compute_adjacency_graph(), contact_graph(&computes));
     }
 
     #[test]

@@ -25,7 +25,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::channel::IDLE;
-use crate::flit::{EndpointId, Flit, Packet, PacketId, VcId};
+use crate::flit::{EndpointId, Flit, PacketId, VcId};
 use crate::traffic::{InjectionProcess, ProcessState, TrafficPattern};
 
 /// What became of one scheduled packet generation
@@ -223,18 +223,39 @@ impl Endpoint {
         Some(self.enqueue(cycle, dest, size_flits))
     }
 
-    /// Segments one packet into the source queue, maintaining the
-    /// occupancy integral. Capacity was checked by the caller. The
-    /// assigned id is endpoint-strided (see [`Endpoint::next_seq`]), so
-    /// `id % num_endpoints` recovers the source.
+    /// Enqueues a new packet under the next id. Capacity was checked by
+    /// the caller. The assigned id is endpoint-strided (see
+    /// [`Endpoint::next_seq`]), so `id % num_endpoints` recovers the
+    /// source.
     fn enqueue(&mut self, cycle: u64, dest: EndpointId, size_flits: usize) -> PacketId {
         let id = self.id as PacketId + self.num_endpoints as PacketId * self.next_seq;
         self.next_seq += 1;
-        let packet = Packet { id, src: self.id, dest, size_flits, created_at: cycle };
-        self.note_queue(cycle);
-        self.source_queue.extend(packet.flits());
+        self.push_packet(cycle, id, dest, size_flits, cycle);
+        id
+    }
+
+    /// Segments packet `id` into `size_flits` flits at the back of the
+    /// source queue, maintaining the occupancy integral. The flits carry a
+    /// placeholder `vc`; injection assigns the real one.
+    fn push_packet(
+        &mut self,
+        now: u64,
+        id: PacketId,
+        dest: EndpointId,
+        size_flits: usize,
+        created_at: u64,
+    ) {
+        self.note_queue(now);
+        self.source_queue.extend((0..size_flits).map(|i| Flit {
+            packet: id,
+            is_head: i == 0,
+            is_tail: i + 1 == size_flits,
+            dest,
+            created_at,
+            vc: 0,
+            escape: false,
+        }));
         self.queue_max = self.queue_max.max(self.source_queue.len() as u64);
-        packet.id
     }
 
     /// Attempts to inject one flit at cycle `now`. Returns the flit to
@@ -289,10 +310,7 @@ impl Endpoint {
         if self.source_queue.len() + size_flits > self.source_queue_cap_flits {
             return false;
         }
-        let packet = Packet { id, src: self.id, dest, size_flits, created_at };
-        self.note_queue(now);
-        self.source_queue.extend(packet.flits());
-        self.queue_max = self.queue_max.max(self.source_queue.len() as u64);
+        self.push_packet(now, id, dest, size_flits, created_at);
         true
     }
 
@@ -426,6 +444,34 @@ mod tests {
         assert_eq!(f1.packet, f0.packet);
         assert!(f1.is_tail);
         assert_eq!(f1.vc, f0.vc, "a packet stays on its bound VC");
+    }
+
+    #[test]
+    fn single_flit_packet_is_head_and_tail() {
+        let mut e = endpoint();
+        let id = e.offer_packet(42, 3, 1).expect("room in the queue");
+        let flits: Vec<Flit> = e.source_queue.iter().copied().collect();
+        assert_eq!(flits.len(), 1);
+        assert!(flits[0].is_head && flits[0].is_tail);
+        assert_eq!(flits[0].packet, id);
+    }
+
+    #[test]
+    fn multi_flit_packet_structure() {
+        // A new packet and a retransmitted one segment alike.
+        let mut e = endpoint();
+        let id = e.offer_packet(42, 3, 4).expect("room in the queue");
+        assert!(e.requeue_packet(50, 9, 3, 4, 42));
+        let flits: Vec<Flit> = e.source_queue.iter().copied().collect();
+        assert_eq!(flits.len(), 8);
+        for (packet, want) in flits.chunks(4).zip([id, 9]) {
+            assert!(packet[0].is_head && !packet[0].is_tail);
+            assert!(packet[1..3].iter().all(|f| !f.is_head && !f.is_tail));
+            assert!(!packet[3].is_head && packet[3].is_tail);
+            assert!(packet
+                .iter()
+                .all(|f| f.packet == want && f.dest == 3 && f.created_at == 42));
+        }
     }
 
     #[test]

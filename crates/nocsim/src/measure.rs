@@ -4,26 +4,31 @@
 //! measure over a window, report average packet latency and accepted
 //! throughput; find the saturation point by searching over injection rates.
 
-use chiplet_graph::Graph;
+use chiplet_graph::{metrics, Graph};
 
 use crate::flit::RouterId;
-use crate::routing;
+use crate::routing::RoutingError;
 use crate::shard::ShardedSimulator;
 use crate::sim::{LinkSpec, NetworkStats, SimConfig, SimError, Simulator};
 
-/// Warmup/measurement schedule and saturation criteria.
+/// A load point is *saturated* when accepted throughput falls below this
+/// fraction of offered …
+const ACCEPTED_RATIO_THRESHOLD: f64 = 0.95;
+/// … or when its average latency exceeds this multiple of the zero-load
+/// latency.
+const LATENCY_GUARD: f64 = 4.0;
+
+/// Warmup/measurement schedule of a load point and resolution of the
+/// saturation search. A point counts as saturated when it accepts less than
+/// 95% of the offered load, or its average latency exceeds four times the
+/// zero-load latency.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[non_exhaustive] // new criteria ride in via Default/mutation, not literals
+#[non_exhaustive] // new fields ride in via Default/mutation, not literals
 pub struct MeasureConfig {
     /// Cycles simulated before the measurement window opens.
     pub warmup_cycles: u64,
     /// Cycles in the measurement window.
     pub measure_cycles: u64,
-    /// A load point is *saturated* when accepted throughput falls below this
-    /// fraction of offered.
-    pub accepted_ratio_threshold: f64,
-    /// … or when average latency exceeds `latency_guard ×` zero-load latency.
-    pub latency_guard: f64,
     /// Binary-search resolution on the injection rate (flits/cycle/endpoint).
     pub rate_resolution: f64,
     /// Worker threads one [`ShardedSimulator`] run is split across (`1` =
@@ -34,14 +39,7 @@ pub struct MeasureConfig {
 
 impl Default for MeasureConfig {
     fn default() -> Self {
-        Self {
-            warmup_cycles: 5_000,
-            measure_cycles: 10_000,
-            accepted_ratio_threshold: 0.95,
-            latency_guard: 4.0,
-            rate_resolution: 0.01,
-            shards: 1,
-        }
+        Self { warmup_cycles: 5_000, measure_cycles: 10_000, rate_resolution: 0.01, shards: 1 }
     }
 }
 
@@ -95,10 +93,16 @@ pub struct SaturationResult {
 ///
 /// # Errors
 ///
-/// Propagates routing-table construction failures for empty or disconnected
-/// graphs.
+/// The routing-table errors for an empty graph
+/// ([`RoutingError::EmptyTopology`]) and a disconnected one
+/// ([`RoutingError::DisconnectedTopology`]), then
+/// [`SimError::InvalidConfig`] for fewer than two endpoints.
 pub fn zero_load_latency(g: &Graph, config: &SimConfig) -> Result<f64, SimError> {
-    let dist = routing::connected_distances(g)?;
+    if g.is_empty() {
+        return Err(RoutingError::EmptyTopology.into());
+    }
+    let (router_hops, _) =
+        metrics::distance_sum_and_diameter(g).ok_or(RoutingError::DisconnectedTopology)?;
     let epr = config.endpoints_per_router;
     let endpoints = g.num_vertices() * epr;
     if endpoints < 2 {
@@ -111,7 +115,6 @@ pub fn zero_load_latency(g: &Graph, config: &SimConfig) -> Result<f64, SimError>
     // Average router-to-router hop distance over ordered endpoint pairs:
     // each router pair carries epr² of them, and a same-router pair, the
     // endpoint itself included, adds 0 hops.
-    let router_hops: u64 = dist.iter().map(|&d| u64::from(d)).sum();
     let total_hops = (epr * epr) as u64 * router_hops;
     let pairs = (endpoints * (endpoints - 1)) as f64;
     let avg_hops = total_hops as f64 / pairs;
@@ -141,11 +144,12 @@ pub fn simulated_zero_load_latency(
         .ok_or(SimError::InvalidConfig("zero-load probe measured no packets"))
 }
 
-/// The one place a load point is measured: warms `sim` up, measures one
-/// window, and classifies the point against `schedule`'s saturation
-/// criteria. The offered rate is `sim.config().injection_rate`, and
-/// `zero_load` is the latency-guard baseline ([`zero_load_latency`],
-/// [`simulated_zero_load_latency`], or an analytic value).
+/// The one place a load point is measured: warms `sim` up over `schedule`,
+/// measures one window, and classifies the point against the saturation
+/// criteria (see [`MeasureConfig`]). The offered rate is
+/// `sim.config().injection_rate`, and `zero_load` is the latency-guard
+/// baseline ([`zero_load_latency`], [`simulated_zero_load_latency`], or an
+/// analytic value).
 ///
 /// Build the engine first to measure a heterogeneous, faulted, or
 /// observed point ([`ShardedSimulator::with_link_specs`],
@@ -169,12 +173,11 @@ pub fn load_point(
         1.0
     };
     let latency_blown = match stats.avg_packet_latency {
-        Some(l) => l > schedule.latency_guard * zero_load,
+        Some(l) => l > LATENCY_GUARD * zero_load,
         // Offered load but nothing measured: the network is not delivering.
         None => stats.offered_packets > 0,
     };
-    let saturated =
-        deadlock || accepted_ratio < schedule.accepted_ratio_threshold || latency_blown;
+    let saturated = deadlock || accepted_ratio < ACCEPTED_RATIO_THRESHOLD || latency_blown;
     LoadPointResult { offered: sim.config().injection_rate, stats, saturated, deadlock }
 }
 
@@ -333,9 +336,15 @@ mod tests {
 
     #[test]
     fn zero_load_errors_on_tiny_network() {
-        let g = chiplet_graph::GraphBuilder::new(1).build();
+        let g = Graph::from_edges(1, &[]).unwrap();
         let cfg = SimConfig { endpoints_per_router: 1, ..config(0.1) };
-        assert!(zero_load_latency(&g, &cfg).is_err());
+        assert!(matches!(zero_load_latency(&g, &cfg), Err(SimError::InvalidConfig(_))));
+        let empty = Graph::from_edges(0, &[]).unwrap();
+        let err = zero_load_latency(&empty, &cfg).unwrap_err();
+        assert_eq!(err, SimError::Routing(RoutingError::EmptyTopology));
+        let disconnected = Graph::from_edges(3, &[(0, 1)]).unwrap();
+        let err = zero_load_latency(&disconnected, &config(0.1)).unwrap_err();
+        assert_eq!(err, SimError::Routing(RoutingError::DisconnectedTopology));
     }
 
     #[test]

@@ -925,16 +925,7 @@ mod tests {
     }
 
     fn head_flit(dest: usize, vc: usize) -> Flit {
-        Flit {
-            packet: 1,
-            index: 0,
-            is_head: true,
-            is_tail: true,
-            dest,
-            created_at: 0,
-            vc,
-            escape: false,
-        }
+        Flit { packet: 1, is_head: true, is_tail: true, dest, created_at: 0, vc, escape: false }
     }
 
     #[test]
@@ -1045,7 +1036,6 @@ mod tests {
         let mut head = head_flit(1, 0);
         head.is_tail = false;
         let mut tail = head;
-        tail.index = 1;
         tail.is_head = false;
         tail.is_tail = true;
 
@@ -1105,7 +1095,6 @@ mod tests {
         head.packet = 10;
         head.is_tail = false;
         let mut body = head;
-        body.index = 1;
         body.is_head = false;
         body.is_tail = true;
         r.receive_flit(0, head);
@@ -1167,7 +1156,6 @@ mod tests {
         // Packet 10's tail leaves and frees its VC: the next pass binds.
         let mut tail = head_flit(2, 0);
         tail.packet = 10;
-        tail.index = 1;
         tail.is_head = false;
         r.receive_flit(0, tail);
         r.allocate_vcs(ctx);

@@ -119,7 +119,13 @@ impl RoutingTables {
     ///   path.
     pub fn new(g: &Graph, kind: RoutingKind) -> Result<Self, RoutingError> {
         let n = g.num_vertices();
-        let dist = connected_distances(g)?;
+        if n == 0 {
+            return Err(RoutingError::EmptyTopology);
+        }
+        if !metrics::is_connected(g) {
+            return Err(RoutingError::DisconnectedTopology);
+        }
+        let dist = bfs::all_pairs_distances(g);
         let (minimal_start, minimal) = minimal_ports(g, &dist, |_, _| true);
         let escape = escape_ports(g, &lowest_parent_tree(g), &vec![false; n]);
         Ok(Self { kind, num_routers: n, dist, minimal_start, minimal, escape })
@@ -247,19 +253,6 @@ impl RoutingTables {
         let total: u64 = self.dist.iter().map(|&d| u64::from(d)).sum();
         total as f64 / (n as f64 * (n as f64 - 1.0))
     }
-}
-
-/// All-pairs hop distances of `g`, row-major, after the two checks
-/// [`RoutingTables::new`] makes first: `g` has a router and is connected.
-/// Callers that read only distances use this instead of building tables.
-pub(crate) fn connected_distances(g: &Graph) -> Result<Vec<u32>, RoutingError> {
-    if g.num_vertices() == 0 {
-        return Err(RoutingError::EmptyTopology);
-    }
-    if !metrics::is_connected(g) {
-        return Err(RoutingError::DisconnectedTopology);
-    }
-    Ok(bfs::all_pairs_distances(g))
 }
 
 /// Minimal next-hop ports per (router, destination), flattened: pair
@@ -426,7 +419,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_topologies() {
-        let empty = chiplet_graph::GraphBuilder::new(0).build();
+        let empty = Graph::from_edges(0, &[]).unwrap();
         assert_eq!(
             RoutingTables::new(&empty, RoutingKind::default()).unwrap_err(),
             RoutingError::EmptyTopology
@@ -522,7 +515,7 @@ mod tests {
 
     #[test]
     fn single_router_topology() {
-        let g = chiplet_graph::GraphBuilder::new(1).build();
+        let g = Graph::from_edges(1, &[]).unwrap();
         let t = RoutingTables::new(&g, RoutingKind::default()).unwrap();
         assert_eq!(t.num_routers(), 1);
         assert_eq!(t.distance(0, 0), 0);

@@ -2495,7 +2495,7 @@ mod tests {
 
     #[test]
     fn single_router_sibling_traffic() {
-        let g = chiplet_graph::GraphBuilder::new(1).build();
+        let g = Graph::from_edges(1, &[]).unwrap();
         let mut sim = Simulator::new(&g, small_config(0.3)).unwrap();
         sim.open_measurement_window();
         sim.run(2_000);

@@ -215,7 +215,7 @@ mod tests {
 
     #[test]
     fn coarsen_edgeless_returns_none() {
-        let g = WeightedGraph::from_graph(&chiplet_graph::GraphBuilder::new(4).build());
+        let g = WeightedGraph::from_graph(&chiplet_graph::Graph::from_edges(4, &[]).unwrap());
         assert!(coarsen_step(&g, &mut rng()).is_none());
     }
 

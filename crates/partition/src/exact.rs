@@ -123,7 +123,7 @@ mod tests {
 
     #[test]
     fn single_vertex() {
-        let g = chiplet_graph::GraphBuilder::new(1).build();
+        let g = chiplet_graph::Graph::from_edges(1, &[]).unwrap();
         let (p, cut) = exact_bisection(&g);
         assert_eq!(cut, 0);
         assert_eq!(p.len(), 1);

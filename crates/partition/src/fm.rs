@@ -244,7 +244,7 @@ mod tests {
 
     #[test]
     fn refine_empty_graph_is_noop() {
-        let g = WeightedGraph::from_graph(&chiplet_graph::GraphBuilder::new(0).build());
+        let g = WeightedGraph::from_graph(&chiplet_graph::Graph::from_edges(0, &[]).unwrap());
         let mut p = Bipartition::from_sides(Vec::new());
         refine(&g, &mut p, RefineParams { max_passes: 4, weight_tolerance: 0 });
         assert!(p.is_empty());

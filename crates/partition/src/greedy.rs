@@ -97,7 +97,7 @@ mod tests {
 
     #[test]
     fn empty_graph_yields_empty_partition() {
-        let g = WeightedGraph::from_graph(&chiplet_graph::GraphBuilder::new(0).build());
+        let g = WeightedGraph::from_graph(&chiplet_graph::Graph::from_edges(0, &[]).unwrap());
         let p = grow_partition(&g, &mut rng(1));
         assert!(p.is_empty());
     }

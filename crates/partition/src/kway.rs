@@ -388,7 +388,7 @@ mod tests {
 
     #[test]
     fn all_parts_nonempty_even_with_isolated_vertices() {
-        let g = chiplet_graph::GraphBuilder::new(6).build(); // no edges at all
+        let g = chiplet_graph::Graph::from_edges(6, &[]).unwrap(); // no edges at all
         let p = partition_kway(&g, 3).unwrap();
         assert!(p.is_balanced(0), "sizes {:?}", p.sizes());
         assert!(p.sizes().iter().all(|&s| s == 2));

@@ -211,7 +211,7 @@ mod tests {
 
     #[test]
     fn empty_graph_is_an_error() {
-        let g = chiplet_graph::GraphBuilder::new(0).build();
+        let g = chiplet_graph::Graph::from_edges(0, &[]).unwrap();
         assert_eq!(
             bisect(&g, &BisectionConfig::default()).unwrap_err(),
             PartitionError::EmptyGraph
@@ -221,7 +221,7 @@ mod tests {
 
     #[test]
     fn singleton_graph_has_zero_cut() {
-        let g = chiplet_graph::GraphBuilder::new(1).build();
+        let g = chiplet_graph::Graph::from_edges(1, &[]).unwrap();
         let r = bisect(&g, &BisectionConfig::default()).unwrap();
         assert_eq!(r.cut, 0);
         assert!(r.partition.is_balanced(1));

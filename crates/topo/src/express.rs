@@ -17,7 +17,7 @@
 //! The greedy objective mirrors Kite's goal (minimise average hops); the
 //! frequency penalty is charged later by [`crate::eval`], not here.
 
-use chiplet_graph::{bfs, Graph, GraphBuilder};
+use chiplet_graph::{metrics, Graph};
 
 use crate::generators::mesh;
 use crate::topology::{Topology, TopologyError};
@@ -83,7 +83,7 @@ pub fn express(
     let mut inserted = 0;
     while inserted < opts.max_links {
         let current = graph_from(n, &edges);
-        let base_cost = total_pairwise_distance(&current);
+        let base_cost = distance_sum(&current);
         let mut best: Option<(usize, usize, f64, u64)> = None;
         for &(u, v, len) in &candidates {
             if degrees[u] >= opts.port_budget || degrees[v] >= opts.port_budget {
@@ -94,7 +94,7 @@ pub fn express(
             }
             let mut trial = edges.clone();
             trial.push((u, v, len));
-            let cost = total_pairwise_distance(&graph_from(n, &trial));
+            let cost = distance_sum(&graph_from(n, &trial));
             if cost < base_cost {
                 let better = match best {
                     Some((.., best_cost)) => {
@@ -128,23 +128,14 @@ fn best_len(best: &Option<(usize, usize, f64, u64)>) -> f64 {
 }
 
 fn graph_from(n: usize, edges: &[(usize, usize, f64)]) -> Graph {
-    let mut b = GraphBuilder::new(n);
-    for &(u, v, _) in edges {
-        b.add_edge(u, v).expect("edge endpoints validated upstream");
-    }
-    b.build()
+    let pairs: Vec<(usize, usize)> = edges.iter().map(|&(u, v, _)| (u, v)).collect();
+    Graph::from_edges(n, &pairs).expect("edge endpoints validated upstream")
 }
 
-/// Sum of BFS distances over all ordered vertex pairs.
-fn total_pairwise_distance(g: &Graph) -> u64 {
-    let mut total = 0u64;
-    for src in 0..g.num_vertices() {
-        for d in bfs::distances(g, src) {
-            if d != u32::MAX {
-                total += u64::from(d);
-            }
-        }
-    }
+/// Sum of hop distances over all ordered router pairs: the greedy
+/// objective. The mesh is connected, and express links only add to it.
+fn distance_sum(g: &Graph) -> u64 {
+    let (total, _) = metrics::distance_sum_and_diameter(g).expect("mesh is connected");
     total
 }
 

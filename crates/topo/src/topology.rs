@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use chiplet_graph::{Graph, GraphBuilder};
+use chiplet_graph::Graph;
 
 /// One undirected link with its physical length in chiplet pitches.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -91,8 +91,8 @@ impl Topology {
         edges: impl IntoIterator<Item = (usize, usize, f64)>,
     ) -> Result<Self, TopologyError> {
         let mut normalised = Vec::new();
+        let mut pairs = Vec::new();
         let mut length_by_pair = HashMap::new();
-        let mut builder = GraphBuilder::new(num_routers);
         for (a, b, length) in edges {
             let (u, v) = if a < b { (a, b) } else { (b, a) };
             if u == v {
@@ -110,15 +110,10 @@ impl Topology {
                 return Err(TopologyError::DuplicateEdge(u, v));
             }
             normalised.push(LinkEdge { u, v, length_pitch: length });
-            builder.add_edge(u, v).expect("validated endpoints");
+            pairs.push((u, v));
         }
-        Ok(Self {
-            name: name.into(),
-            num_routers,
-            edges: normalised,
-            graph: builder.build(),
-            length_by_pair,
-        })
+        let graph = Graph::from_edges(num_routers, &pairs).expect("validated edges");
+        Ok(Self { name: name.into(), num_routers, edges: normalised, graph, length_by_pair })
     }
 
     /// Topology name (used in reports and CSV output).

@@ -7,6 +7,7 @@
 use hexamesh_repro::cost::system::{system_cost_comparison, CostParams};
 use hexamesh_repro::hexamesh::arrangement::{Arrangement, ArrangementKind};
 use hexamesh_repro::hexamesh::eval::{link_budget, EvalParams};
+use hexamesh_repro::hexamesh::link::UCIE_TOTAL_AREA_MM2;
 use hexamesh_repro::hexamesh::proxies;
 use hexamesh_repro::partition::BisectionConfig;
 
@@ -14,7 +15,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cost_params = CostParams::default_5nm();
     let eval_params = EvalParams::paper_defaults();
     let bisection_config = BisectionConfig::default();
-    let total_area = eval_params.total_area_mm2;
+    let total_area = UCIE_TOTAL_AREA_MM2;
 
     println!("HexaMesh cost/performance trade-off at {total_area} mm² total silicon\n");
     println!(

@@ -6,12 +6,13 @@
 
 use hexamesh_repro::hexamesh::arrangement::{Arrangement, ArrangementKind};
 use hexamesh_repro::hexamesh::eval::{evaluate_analytic, EvalParams};
+use hexamesh_repro::hexamesh::link::UCIE_TOTAL_AREA_MM2;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let max_n: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(64);
     let params = EvalParams::paper_defaults();
 
-    println!("Analytic design-space sweep (A_all = {} mm²)\n", params.total_area_mm2);
+    println!("Analytic design-space sweep (A_all = {UCIE_TOTAL_AREA_MM2} mm²)\n");
     println!(
         "{:>4}  {:>14} {:>14} {:>14}   winner",
         "N", "G lat [cyc]", "BW lat [cyc]", "HM lat [cyc]"
