@@ -14,7 +14,7 @@
 //! move, re-testing only the moved tiles' pairs.
 
 use chiplet_graph::{metrics, Graph};
-use chiplet_layout::{contact_graph, PlacedChiplet, Placement, Rect};
+use chiplet_layout::{contact_graph, Placement, Rect};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -344,21 +344,6 @@ impl SearchState {
             self.rects.iter().map(|r| r.translated(-min_x, -min_y)).collect();
         rects.sort_by_key(|r| (r.y(), r.x(), r.width()));
         Self { rects }
-    }
-
-    /// Converts to a validated [`Placement`] of compute chiplets.
-    ///
-    /// # Panics
-    ///
-    /// Never for states built through this module: overlap-freedom is an
-    /// invariant.
-    #[must_use]
-    pub fn to_placement(&self) -> Placement {
-        let mut p = Placement::new();
-        for &r in &self.rects {
-            p.push(PlacedChiplet::compute(r)).expect("state is overlap-free");
-        }
-        p
     }
 }
 

@@ -10,6 +10,7 @@
 //! cycle-accurate validation of the contenders.
 
 use hexamesh::arrangement::{Arrangement, ArrangementKind};
+use nocsim::MeasureConfig;
 use xp::cli::CampaignArgs;
 use xp::flow::{StageHooks, StageOutput, StageTable, StudyError};
 use xp::seed::derive_seed;
@@ -112,6 +113,10 @@ fn fixed_row(kind: ArrangementKind, n: usize, config: &SearchConfig) -> Row {
 /// the fixed families by the staged proxy objective, validating the
 /// contenders with cycle-accurate saturation + workload makespan.
 ///
+/// `spec` must be resolved ([`xp::flow::resolved`]; [`xp::flow::run_stage`]
+/// does it). Each `n` is one campaign job, and the campaign pool runs
+/// one at a time: every search runs its own restart pool on `--workers`.
+///
 /// # Errors
 ///
 /// Wraps search and validation failures; returns [`StudyError::Stage`]
@@ -123,21 +128,15 @@ pub fn run_search_stage(
     campaign: &Campaign,
 ) -> Result<StageOutput, StudyError> {
     let args = campaign.args();
-    let ns = spec.axes.ns.clone().unwrap_or_else(|| {
-        if args.quick {
-            vec![19, 37]
-        } else {
-            vec![37, 91, 169, 271]
-        }
-    });
-    let validate = spec.search.validate;
-    let measure = {
-        let mut schedule = xp::flow::sweep::schedule_for(args);
-        if let Some(over) = &spec.schedule {
-            over.apply(&mut schedule);
-        }
-        schedule
-    };
+    let ns = spec.axes.ns.as_deref().expect("a resolved search spec names its ns");
+    let measure = xp::flow::measure_for(spec);
+    let ranked = campaign.run_jobs(
+        ns,
+        args.workers,
+        |&n| n as u64,
+        |n| format!("search n={n}"),
+        |&n| rows_at(n, spec, args, measure),
+    );
 
     let mut table = Table::new(&[
         "n",
@@ -158,58 +157,12 @@ pub fn run_search_stage(
             .to_owned()];
 
     let mut opt_beats_best_fixed_everywhere = true;
-    for &n in &ns {
-        let config = search_config(n, spec, args);
-        let outcome =
-            search(&config).map_err(|e| StudyError::Stage(format!("search n={n}: {e}")))?;
-        let best = outcome.best();
-
-        let mut rows = vec![Row {
-            label: "OPT",
-            source: format!("{}:r{}", best.init.label(), best.restart),
-            score: best.score,
-            graph: best.state.graph(),
-            validation: None,
-        }];
-        for kind in ArrangementKind::ALL {
-            rows.push(fixed_row(kind, n, &config));
-        }
-
+    for (&n, rows) in ns.iter().zip(ranked) {
+        let rows = rows?;
         let values: Vec<f64> = rows.iter().map(|r| r.score.value).collect();
         let rank = xp::flow::sweep::competition_rank(&values);
-
-        // Stage 3: validate the optimized arrangement and the best fixed
-        // family with cycle-accurate saturation + workload makespan. Both
-        // rows run under the *same* derived simulator seed (from `n`
-        // alone), so their comparison measures the arrangements, not
-        // traffic-realisation noise.
-        if validate {
-            let mut best_fixed = 1;
-            for i in 2..rows.len() {
-                if values[i] < values[best_fixed] {
-                    best_fixed = i;
-                }
-            }
-            let mut vconfig = ValidateConfig { measure, ..ValidateConfig::default() };
-            vconfig.sim.seed = derive_seed(args.campaign_seed, &[n as u64]);
-            let opt_report = validate_graph(&rows[0].graph, &vconfig)
-                .map_err(|e| StudyError::Stage(format!("validate n={n} OPT: {e}")))?;
-            // When the search converges to the best fixed family the two
-            // graphs are identical, and so (same seed) is the report —
-            // skip the second cycle-accurate run, the campaign's slowest.
-            rows[best_fixed].validation = if rows[best_fixed].graph == rows[0].graph {
-                Some(opt_report.clone())
-            } else {
-                Some(validate_graph(&rows[best_fixed].graph, &vconfig).map_err(|e| {
-                    StudyError::Stage(format!("validate n={n} {}: {e}", rows[best_fixed].label))
-                })?)
-            };
-            rows[0].validation = Some(opt_report);
-        }
-
-        let opt_value = rows[0].score.value;
-        let best_fixed_value =
-            rows[1..].iter().map(|r| r.score.value).fold(f64::INFINITY, f64::min);
+        let opt_value = values[0];
+        let best_fixed_value = values[1..].iter().copied().fold(f64::INFINITY, f64::min);
         if opt_value > best_fixed_value {
             opt_beats_best_fixed_everywhere = false;
         }
@@ -255,4 +208,60 @@ pub fn run_search_stage(
         ));
     }
     Ok(StageOutput { tables: vec![StageTable::main(table)], summary })
+}
+
+/// The rows of one `n`: the optimized arrangement first, then the fixed
+/// families, with the contenders validated when the spec asks for it.
+fn rows_at(
+    n: usize,
+    spec: &StudySpec,
+    args: &CampaignArgs,
+    measure: MeasureConfig,
+) -> Result<Vec<Row>, StudyError> {
+    let config = search_config(n, spec, args);
+    let outcome =
+        search(&config).map_err(|e| StudyError::Stage(format!("search n={n}: {e}")))?;
+    let best = outcome.best();
+
+    let mut rows = vec![Row {
+        label: "OPT",
+        source: format!("{}:r{}", best.init.label(), best.restart),
+        score: best.score,
+        graph: best.state.graph(),
+        validation: None,
+    }];
+    for kind in ArrangementKind::ALL {
+        rows.push(fixed_row(kind, n, &config));
+    }
+    if !spec.search.validate {
+        return Ok(rows);
+    }
+
+    // Stage 3: validate the optimized arrangement and the best fixed
+    // family with cycle-accurate saturation + workload makespan. Both
+    // rows run under the *same* derived simulator seed (from `n` alone),
+    // so their comparison measures the arrangements, not
+    // traffic-realisation noise.
+    let mut best_fixed = 1;
+    for i in 2..rows.len() {
+        if rows[i].score.value < rows[best_fixed].score.value {
+            best_fixed = i;
+        }
+    }
+    let mut vconfig = ValidateConfig { measure, ..ValidateConfig::default() };
+    vconfig.sim.seed = derive_seed(args.campaign_seed, &[n as u64]);
+    let opt_report = validate_graph(&rows[0].graph, &vconfig)
+        .map_err(|e| StudyError::Stage(format!("validate n={n} OPT: {e}")))?;
+    // When the search converges to the best fixed family the two graphs
+    // are identical, and so (same seed) is the report — skip the second
+    // cycle-accurate run, the campaign's slowest.
+    rows[best_fixed].validation = if rows[best_fixed].graph == rows[0].graph {
+        Some(opt_report.clone())
+    } else {
+        Some(validate_graph(&rows[best_fixed].graph, &vconfig).map_err(|e| {
+            StudyError::Stage(format!("validate n={n} {}: {e}", rows[best_fixed].label))
+        })?)
+    };
+    rows[0].validation = Some(opt_report);
+    Ok(rows)
 }

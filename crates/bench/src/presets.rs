@@ -82,7 +82,6 @@ pub fn preset(name: &str) -> Option<StudySpec> {
             spec.axes.kinds = Some(vec![ArrangementKind::HexaMesh, ArrangementKind::Grid]);
             spec.axes.ns = Some(vec![19]);
             spec.axes.rates = Some(vec![0.30]);
-            spec.observe.sample_every = Some(250);
             spec.observe.heatmap = true;
             spec.observe.timeline = true;
             spec.observe.trace = true;

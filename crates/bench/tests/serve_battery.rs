@@ -387,6 +387,22 @@ fn equivalent_spellings_share_one_cache_entry() {
     assert_eq!(file_map(&again), file_map(&first));
 }
 
+/// A search miss books its backend work like every other stage: one
+/// campaign job per chiplet count, each running its own restart pool.
+#[test]
+fn a_search_miss_books_one_job_per_n() {
+    let srv = server(&temp_dir("search_jobs"), 2);
+    let mut spec = StudySpec::new("search_jobs", StageKind::Search);
+    spec.axes.ns = Some(vec![7, 13]);
+    spec.search.restarts = Some(2);
+    spec.search.iterations = Some(40);
+    spec.search.validate = false;
+    let served = srv.submit(&spec).expect("search runs");
+    assert_eq!(served.outcome, Outcome::Miss);
+    assert_eq!(served.provenance.backend_jobs, 2, "one job per n");
+    assert_eq!(srv.stats().backend_jobs, 2);
+}
+
 /// A saturation-search resolution outside (0, 1) never terminates the
 /// bisection or panics the pool, and a spec breaking a stage rule
 /// (grid-normalised series without the grid, non-square kite counts, a

@@ -7,7 +7,7 @@
 
 use chiplet_layout::Rect;
 
-use super::{grid::best_factor_pair, is_perfect_square, Regularity};
+use super::{positions, Regularity};
 
 /// Brick extent in layout units.
 const BRICK_W: i64 = 4;
@@ -19,58 +19,6 @@ const HALF: i64 = BRICK_W / 2;
 /// cannot be realised with the requested regularity.
 pub(super) fn generate(n: usize, regularity: Regularity) -> Option<Vec<Rect>> {
     Some(positions(n, regularity)?.into_iter().map(|(row, col)| brick(row, col)).collect())
-}
-
-/// `(row, col)` positions of a brickwall arrangement. Shared with the
-/// honeycomb generator, which realises the same pattern with hexagons.
-pub(super) fn positions(n: usize, regularity: Regularity) -> Option<Vec<(i64, i64)>> {
-    match regularity {
-        Regularity::Regular => {
-            if !is_perfect_square(n) {
-                return None;
-            }
-            let side = (n as f64).sqrt().round() as usize;
-            Some(rows_by_cols(side, side))
-        }
-        Regularity::SemiRegular => {
-            let (r, c) = best_factor_pair(n)?;
-            Some(rows_by_cols(r, c))
-        }
-        Regularity::Irregular => Some(irregular(n)),
-    }
-}
-
-/// A full `rows × cols` position block.
-fn rows_by_cols(rows: usize, cols: usize) -> Vec<(i64, i64)> {
-    let mut out = Vec::with_capacity(rows * cols);
-    for row in 0..rows {
-        for col in 0..cols {
-            out.push((row as i64, col as i64));
-        }
-    }
-    out
-}
-
-/// Irregular brickwall (§IV-C): closest smaller regular `k × k` wall plus
-/// incomplete rows on top.
-fn irregular(n: usize) -> Vec<(i64, i64)> {
-    let k = (n as f64).sqrt() as usize;
-    let k = if k * k > n { k - 1 } else { k };
-    if k == 0 {
-        return rows_by_cols(1, n);
-    }
-    let mut out = rows_by_cols(k, k);
-    let mut remaining = n - k * k;
-    let mut row = k as i64;
-    while remaining > 0 {
-        let in_this_row = remaining.min(k);
-        for col in 0..in_this_row {
-            out.push((row, col as i64));
-        }
-        remaining -= in_this_row;
-        row += 1;
-    }
-    out
 }
 
 /// Brick at `(row, col)`: odd rows shift right by half a brick.
@@ -142,9 +90,8 @@ mod tests {
     #[test]
     fn irregular_counts_and_connectivity() {
         for n in 2..=50 {
-            let rects = irregular(n);
-            assert_eq!(rects.len(), n, "n={n}");
             let a = build(n, Regularity::Irregular);
+            assert_eq!(a.num_chiplets(), n, "n={n}");
             assert!(metrics::is_connected(a.graph()), "n={n}");
         }
     }

@@ -2,7 +2,7 @@
 
 use chiplet_layout::Rect;
 
-use super::{is_perfect_square, Regularity, MAX_SEMI_REGULAR_ASPECT};
+use super::{positions, Regularity};
 
 /// Cell size in layout units (squares; any positive size works).
 const CELL: i64 = 2;
@@ -10,76 +10,7 @@ const CELL: i64 = 2;
 /// Generates the rectangles of a grid arrangement, or `None` if `n` cannot
 /// be realised with the requested regularity.
 pub(super) fn generate(n: usize, regularity: Regularity) -> Option<Vec<Rect>> {
-    match regularity {
-        Regularity::Regular => {
-            if !is_perfect_square(n) {
-                return None;
-            }
-            let side = (n as f64).sqrt().round() as usize;
-            Some(rows_by_cols(side, side))
-        }
-        Regularity::SemiRegular => {
-            let (r, c) = best_factor_pair(n)?;
-            Some(rows_by_cols(r, c))
-        }
-        Regularity::Irregular => Some(irregular(n)),
-    }
-}
-
-/// The most-square non-trivial factorisation `R × C = n` with `R < C`,
-/// `R ≥ 2`, and aspect ratio `C / R ≤` [`MAX_SEMI_REGULAR_ASPECT`] — the
-/// "similar R and C" rule of §IV-C. `None` if no such pair exists (primes,
-/// perfect squares, and elongated-only counts).
-#[must_use]
-pub fn best_factor_pair(n: usize) -> Option<(usize, usize)> {
-    let mut best: Option<(usize, usize)> = None;
-    let mut r = (n as f64).sqrt() as usize;
-    while r >= 2 {
-        if n.is_multiple_of(r) {
-            let c = n / r;
-            if c != r {
-                best = Some((r, c));
-                break; // descending from sqrt(n): first hit is most square
-            }
-        }
-        r -= 1;
-    }
-    let (r, c) = best?;
-    (c as f64 / r as f64 <= MAX_SEMI_REGULAR_ASPECT).then_some((r, c))
-}
-
-/// A full `rows × cols` block of square cells.
-fn rows_by_cols(rows: usize, cols: usize) -> Vec<Rect> {
-    let mut rects = Vec::with_capacity(rows * cols);
-    for row in 0..rows {
-        for col in 0..cols {
-            rects.push(cell(row as i64, col as i64));
-        }
-    }
-    rects
-}
-
-/// Irregular grid (§IV-C): the closest smaller regular `k × k` grid plus the
-/// remaining chiplets as incomplete rows on top.
-fn irregular(n: usize) -> Vec<Rect> {
-    let k = (n as f64).sqrt() as usize; // floor
-    let k = if k * k > n { k - 1 } else { k };
-    if k == 0 {
-        // n == 0 is rejected upstream; n < 4 lands here with k = 1.
-        return rows_by_cols(1, n);
-    }
-    let mut rects = rows_by_cols(k, k);
-    let mut remaining = n - k * k;
-    let mut row = k as i64;
-    while remaining > 0 {
-        let in_this_row = remaining.min(k);
-        for col in 0..in_this_row {
-            rects.push(cell(row, col as i64));
-        }
-        remaining -= in_this_row;
-        row += 1;
-    }
-    rects
+    Some(positions(n, regularity)?.into_iter().map(|(row, col)| cell(row, col)).collect())
 }
 
 fn cell(row: i64, col: i64) -> Rect {
@@ -112,17 +43,6 @@ mod tests {
     }
 
     #[test]
-    fn semi_regular_picks_most_square_pair() {
-        assert_eq!(best_factor_pair(12), Some((3, 4)));
-        assert_eq!(best_factor_pair(24), Some((4, 6)));
-        assert_eq!(best_factor_pair(2), None); // 1x2 is trivial
-        assert_eq!(best_factor_pair(13), None); // prime
-        assert_eq!(best_factor_pair(26), None); // 2x13 too elongated
-        assert_eq!(best_factor_pair(16), None); // 2x8 too elongated (4x4 is regular)
-        assert_eq!(best_factor_pair(18), Some((3, 6)));
-    }
-
-    #[test]
     fn semi_regular_structure() {
         let a = Arrangement::build_with_regularity(
             ArrangementKind::Grid,
@@ -133,14 +53,6 @@ mod tests {
         // 3x4 mesh: 3*3 + 4*2 = 17 edges.
         assert_eq!(a.graph().num_edges(), 17);
         assert_eq!(metrics::diameter(a.graph()), Some(5));
-    }
-
-    #[test]
-    fn irregular_counts_match() {
-        for n in 2..=60 {
-            let rects = irregular(n);
-            assert_eq!(rects.len(), n, "n={n}");
-        }
     }
 
     #[test]

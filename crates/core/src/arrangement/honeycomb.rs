@@ -5,18 +5,18 @@
 //! arranging *rectangular* chiplets in a brickwall yields the same graph.
 //! We generate the honeycomb from hexagon geometry (odd-row offset
 //! coordinates with the six axial neighbour directions) over the same
-//! `(row, col)` position sets the brickwall uses; the equivalence test in
-//! the crate's integration suite checks edge-for-edge equality.
+//! `(row, col)` position sets the brickwall uses ([`super::positions`]);
+//! the equivalence test in the crate's integration suite checks
+//! edge-for-edge equality.
 
 use chiplet_graph::Graph;
 
-use super::{brickwall, Regularity};
+use super::{positions, Regularity};
 
 /// Generates the honeycomb ICI graph, or `None` if `n` cannot be realised
 /// with the requested regularity.
 pub(super) fn generate(n: usize, regularity: Regularity) -> Option<Graph> {
-    let positions = brickwall::positions(n, regularity)?;
-    Some(graph_from_positions(&positions))
+    Some(graph_from_positions(&positions(n, regularity)?))
 }
 
 /// Builds the adjacency graph of hexagons at odd-row-offset positions.

@@ -17,7 +17,6 @@ use std::fmt;
 use chiplet_graph::{metrics, Graph};
 use chiplet_layout::{LayoutError, PlacedChiplet, Placement, Rect};
 
-pub use grid::best_factor_pair;
 pub use hexamesh::{hexamesh_count, ring_radius};
 
 /// The four arrangement families of Fig. 4.
@@ -350,6 +349,82 @@ pub(crate) fn is_perfect_square(n: usize) -> bool {
     s * s == n
 }
 
+/// The most-square non-trivial factorisation `R × C = n` with `R < C`,
+/// `R ≥ 2`, and aspect ratio `C / R ≤` [`MAX_SEMI_REGULAR_ASPECT`] — the
+/// "similar R and C" rule of §IV-C. `None` if no such pair exists (primes,
+/// perfect squares, and elongated-only counts).
+#[must_use]
+pub fn best_factor_pair(n: usize) -> Option<(usize, usize)> {
+    let mut best: Option<(usize, usize)> = None;
+    let mut r = (n as f64).sqrt() as usize;
+    while r >= 2 {
+        if n.is_multiple_of(r) {
+            let c = n / r;
+            if c != r {
+                best = Some((r, c));
+                break; // descending from sqrt(n): first hit is most square
+            }
+        }
+        r -= 1;
+    }
+    let (r, c) = best?;
+    (c as f64 / r as f64 <= MAX_SEMI_REGULAR_ASPECT).then_some((r, c))
+}
+
+/// The row-major `(row, col)` lattice positions of a grid, brickwall or
+/// honeycomb of `n` chiplets, or `None` if the regularity cannot realise
+/// `n`. The three families differ only in the cell each position draws.
+fn positions(n: usize, regularity: Regularity) -> Option<Vec<(i64, i64)>> {
+    match regularity {
+        Regularity::Regular => {
+            if !is_perfect_square(n) {
+                return None;
+            }
+            let side = (n as f64).sqrt().round() as usize;
+            Some(rows_by_cols(side, side))
+        }
+        Regularity::SemiRegular => {
+            let (r, c) = best_factor_pair(n)?;
+            Some(rows_by_cols(r, c))
+        }
+        Regularity::Irregular => Some(irregular(n)),
+    }
+}
+
+/// A full `rows × cols` position block.
+fn rows_by_cols(rows: usize, cols: usize) -> Vec<(i64, i64)> {
+    let mut out = Vec::with_capacity(rows * cols);
+    for row in 0..rows {
+        for col in 0..cols {
+            out.push((row as i64, col as i64));
+        }
+    }
+    out
+}
+
+/// Irregular positions (§IV-C): the closest smaller regular `k × k` block
+/// plus the remaining chiplets as incomplete rows on top.
+fn irregular(n: usize) -> Vec<(i64, i64)> {
+    let k = (n as f64).sqrt() as usize; // floor
+    let k = if k * k > n { k - 1 } else { k };
+    if k == 0 {
+        // n == 0 is rejected upstream; n < 4 lands here with k = 1.
+        return rows_by_cols(1, n);
+    }
+    let mut out = rows_by_cols(k, k);
+    let mut remaining = n - k * k;
+    let mut row = k as i64;
+    while remaining > 0 {
+        let in_this_row = remaining.min(k);
+        for col in 0..in_this_row {
+            out.push((row, col as i64));
+        }
+        remaining -= in_this_row;
+        row += 1;
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -380,6 +455,24 @@ mod tests {
         assert_eq!(classify(ArrangementKind::Grid, 7), Regularity::Irregular);
         // 26 = 2x13 is too elongated.
         assert_eq!(classify(ArrangementKind::Grid, 26), Regularity::Irregular);
+    }
+
+    #[test]
+    fn semi_regular_picks_most_square_pair() {
+        assert_eq!(best_factor_pair(12), Some((3, 4)));
+        assert_eq!(best_factor_pair(24), Some((4, 6)));
+        assert_eq!(best_factor_pair(2), None); // 1x2 is trivial
+        assert_eq!(best_factor_pair(13), None); // prime
+        assert_eq!(best_factor_pair(26), None); // 2x13 too elongated
+        assert_eq!(best_factor_pair(16), None); // 2x8 too elongated (4x4 is regular)
+        assert_eq!(best_factor_pair(18), Some((3, 6)));
+    }
+
+    #[test]
+    fn irregular_position_counts_match() {
+        for n in 1..=60 {
+            assert_eq!(irregular(n).len(), n, "n={n}");
+        }
     }
 
     #[test]

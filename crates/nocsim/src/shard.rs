@@ -135,21 +135,22 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// One worker's wiring: its shard plus precomputed (slot, mailbox) and
-/// (link, mailbox) pairs, all in ascending global link id order — the
-/// boundary handoff ordering the determinism contract specifies.
+/// One worker's wiring: its shard plus precomputed `(link, mailbox)`
+/// pairs in ascending global link id order — the boundary handoff
+/// ordering the determinism contract specifies. A pair's position in its
+/// list is its outbox slot.
 struct Worker {
     index: usize,
     sim: Arc<Mutex<Simulator>>,
     shared: Arc<Shared>,
     /// Bounded-lag window length `W` in cycles.
     window: u64,
-    /// `(outbox slot, mailbox index)` per outgoing boundary line.
-    out_flits: Vec<(usize, usize)>,
-    out_credits: Vec<(usize, usize)>,
-    /// `(link id, mailbox index)` per owned boundary line, ascending.
-    in_flits: Vec<(usize, usize)>,
-    in_credits: Vec<(usize, usize)>,
+    /// Boundary links leaving the shard ([`Simulator::out_links`]): flits
+    /// posted, credits applied.
+    out_links: Vec<(usize, usize)>,
+    /// Boundary links entering the shard ([`Simulator::in_links`]):
+    /// credits posted, flits applied.
+    in_links: Vec<(usize, usize)>,
 }
 
 impl Worker {
@@ -171,10 +172,10 @@ impl Worker {
 
     /// Swaps every filled outbox into its mailbox.
     fn post(&self, sim: &mut Simulator) {
-        for &(slot, m) in &self.out_flits {
+        for (slot, &(_, m)) in self.out_links.iter().enumerate() {
             sim.post_flit_outbox(slot, &mut lock(&self.shared.flit_mail[m]));
         }
-        for &(slot, m) in &self.out_credits {
+        for (slot, &(_, m)) in self.in_links.iter().enumerate() {
             sim.post_credit_outbox(slot, &mut lock(&self.shared.credit_mail[m]));
         }
     }
@@ -182,10 +183,10 @@ impl Worker {
     /// Replays every owned mailbox onto its delay line, in ascending
     /// link id order (messages within a line are already cycle-ordered).
     fn apply(&self, sim: &mut Simulator) {
-        for &(l, m) in &self.in_flits {
+        for &(l, m) in &self.in_links {
             sim.apply_boundary_flits(l, &mut lock(&self.shared.flit_mail[m]));
         }
-        for &(l, m) in &self.in_credits {
+        for &(l, m) in &self.out_links {
             sim.apply_boundary_credits(l, &mut lock(&self.shared.credit_mail[m]));
         }
     }
@@ -436,7 +437,7 @@ impl ShardedSimulator {
         // union of all shards' outgoing flit links (each boundary link
         // crosses exactly one cut, in one direction).
         let mut boundary: Vec<usize> =
-            shards.iter().flat_map(|s| lock(s).flit_out_links().to_vec()).collect();
+            shards.iter().flat_map(|s| lock(s).out_links().to_vec()).collect();
         boundary.sort_unstable();
         let mail_of = |l: usize| boundary.binary_search(&l).expect("boundary link registered");
         let shared = Arc::new(Shared {
@@ -460,9 +461,6 @@ impl ShardedSimulator {
         let mut workers = Vec::with_capacity(k);
         for (index, sim) in shards.iter().enumerate() {
             let wire = |links: &[usize]| -> Vec<(usize, usize)> {
-                links.iter().enumerate().map(|(slot, &l)| (slot, mail_of(l))).collect()
-            };
-            let wire_in = |links: &[usize]| -> Vec<(usize, usize)> {
                 links.iter().map(|&l| (l, mail_of(l))).collect()
             };
             let mut worker = {
@@ -472,10 +470,8 @@ impl ShardedSimulator {
                     sim: Arc::clone(sim),
                     shared: Arc::clone(&shared),
                     window,
-                    out_flits: wire(s.flit_out_links()),
-                    out_credits: wire(s.credit_out_links()),
-                    in_flits: wire_in(s.flit_in_links()),
-                    in_credits: wire_in(s.credit_in_links()),
+                    out_links: wire(s.out_links()),
+                    in_links: wire(s.in_links()),
                 }
             };
             let handle = std::thread::Builder::new()

@@ -280,7 +280,7 @@ enum End {
     Endpoint(u32),
 }
 
-/// Sentinel for "this link's pushes stay local" in [`ShardRole`] maps.
+/// Sentinel for "this link's pushes stay local" in [`ShardRole::outbox`].
 const NO_OUTBOX: u32 = u32::MAX;
 
 /// Partition bookkeeping for one shard of a conservative parallel run
@@ -300,24 +300,23 @@ struct ShardRole {
     /// Owned routers `[first_router, last_router)`.
     first_router: usize,
     last_router: usize,
-    /// Per net link: outbox slot for flit pushes whose destination router
-    /// is foreign, or [`NO_OUTBOX`].
-    flit_out: Vec<u32>,
-    /// Per net link: outbox slot for credit pushes whose source router is
-    /// foreign, or [`NO_OUTBOX`].
-    credit_out: Vec<u32>,
+    /// Per net link: its outbox slot, or [`NO_OUTBOX`]. Only owned routers
+    /// push, so a slot is a flit outbox for an out link (owned source)
+    /// and a credit outbox for an in link (owned destination).
+    outbox: Vec<u32>,
     /// Outgoing boundary messages `(push_cycle, item)`, one buffer per
     /// intercepted line, preallocated to the window bound (a delay line
     /// takes at most one push per cycle).
     flit_outboxes: Vec<Vec<(u64, Flit)>>,
     credit_outboxes: Vec<Vec<(u64, Credit)>>,
-    /// Link ids behind `flit_outboxes` / `credit_outboxes`, ascending.
-    flit_out_links: Vec<usize>,
-    credit_out_links: Vec<usize>,
-    /// Boundary links whose flit / credit line this shard owns (receives
-    /// replayed messages on), ascending link id.
-    flit_in_links: Vec<usize>,
-    credit_in_links: Vec<usize>,
+    /// Boundary links from an owned to a foreign router, ascending: this
+    /// shard pushes their flits into `flit_outboxes` (slot = position)
+    /// and owns their credit lines.
+    out_links: Vec<usize>,
+    /// Boundary links from a foreign to an owned router, ascending: this
+    /// shard pushes their credits into `credit_outboxes` (slot =
+    /// position) and owns their flit lines.
+    in_links: Vec<usize>,
 }
 
 /// Number of exact one-cycle buckets in a simulator's latency histogram;
@@ -810,14 +809,11 @@ impl Simulator {
             let mut role = ShardRole {
                 first_router: first,
                 last_router: last,
-                flit_out: vec![NO_OUTBOX; num_net_links],
-                credit_out: vec![NO_OUTBOX; num_net_links],
+                outbox: vec![NO_OUTBOX; num_net_links],
                 flit_outboxes: Vec::new(),
                 credit_outboxes: Vec::new(),
-                flit_out_links: Vec::new(),
-                credit_out_links: Vec::new(),
-                flit_in_links: Vec::new(),
-                credit_in_links: Vec::new(),
+                out_links: Vec::new(),
+                in_links: Vec::new(),
             };
             let owned = first..last;
             for l in 0..num_net_links {
@@ -826,20 +822,18 @@ impl Simulator {
                     // We feed the link but its flit line is popped by the
                     // destination's shard; credits come back to us.
                     (true, false) => {
-                        role.flit_out[l] = u32::try_from(role.flit_outboxes.len())
-                            .expect("outbox count fits u32");
+                        role.outbox[l] =
+                            u32::try_from(role.out_links.len()).expect("outbox count fits u32");
                         role.flit_outboxes.push(Vec::with_capacity(cap));
-                        role.flit_out_links.push(l);
-                        role.credit_in_links.push(l);
+                        role.out_links.push(l);
                     }
                     // We pop the flit line; the credits we push back are
                     // popped by the source's shard.
                     (false, true) => {
-                        role.credit_out[l] = u32::try_from(role.credit_outboxes.len())
-                            .expect("outbox count fits u32");
+                        role.outbox[l] =
+                            u32::try_from(role.in_links.len()).expect("outbox count fits u32");
                         role.credit_outboxes.push(Vec::with_capacity(cap));
-                        role.credit_out_links.push(l);
-                        role.flit_in_links.push(l);
+                        role.in_links.push(l);
                     }
                     _ => {}
                 }
@@ -1085,7 +1079,7 @@ impl Simulator {
             if out_port < num_net_ports {
                 self.link_flit_counts[l] += 1;
                 if let Some(role) = self.shard.as_deref_mut() {
-                    let slot = role.flit_out[l];
+                    let slot = role.outbox[l];
                     if slot != NO_OUTBOX {
                         // Boundary link: the flit line lives in the
                         // destination's shard. Record the push for the
@@ -1110,7 +1104,7 @@ impl Simulator {
             let l = self.link_in[r][in_port];
             if in_port < num_net_ports {
                 if let Some(role) = self.shard.as_deref_mut() {
-                    let slot = role.credit_out[l];
+                    let slot = role.outbox[l];
                     if slot != NO_OUTBOX {
                         // Boundary link: the credit line lives in the
                         // source's shard; hand the push over at the next
@@ -2108,26 +2102,18 @@ impl Simulator {
     // boundary messages at window barriers, drain bookkeeping, and raw
     // accessors for bit-exact cross-shard stat aggregation.
 
-    /// Boundary links this shard sends flits on (ascending link id; index
-    /// `i` is outbox slot `i`).
-    pub(crate) fn flit_out_links(&self) -> &[usize] {
-        self.shard.as_ref().map_or(&[], |r| &r.flit_out_links)
+    /// Boundary links from an owned to a foreign router (ascending link
+    /// id): this shard sends their flits, through flit outbox slot `i`
+    /// for entry `i`, and owns their credit lines.
+    pub(crate) fn out_links(&self) -> &[usize] {
+        self.shard.as_ref().map_or(&[], |r| &r.out_links)
     }
 
-    /// Boundary links this shard sends credits on (ascending link id).
-    pub(crate) fn credit_out_links(&self) -> &[usize] {
-        self.shard.as_ref().map_or(&[], |r| &r.credit_out_links)
-    }
-
-    /// Boundary links whose flit line this shard owns (ascending link id).
-    pub(crate) fn flit_in_links(&self) -> &[usize] {
-        self.shard.as_ref().map_or(&[], |r| &r.flit_in_links)
-    }
-
-    /// Boundary links whose credit line this shard owns (ascending link
-    /// id).
-    pub(crate) fn credit_in_links(&self) -> &[usize] {
-        self.shard.as_ref().map_or(&[], |r| &r.credit_in_links)
+    /// Boundary links from a foreign to an owned router (ascending link
+    /// id): this shard sends their credits, through credit outbox slot
+    /// `i` for entry `i`, and owns their flit lines.
+    pub(crate) fn in_links(&self) -> &[usize] {
+        self.shard.as_ref().map_or(&[], |r| &r.in_links)
     }
 
     /// Swaps outbox slot `i` (flit direction) with the empty, equally

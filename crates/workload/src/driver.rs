@@ -22,6 +22,13 @@
 //! so statistics are bit-identical across worker counts and under
 //! [`nocsim::Simulator::set_reference_stepping`] (pinned by
 //! `tests/determinism.rs`).
+//!
+//! The traffic seed barely enters that function: endpoint RNGs are drawn
+//! only by open-loop generation, which a workload run switches off, and
+//! kernels are built without a seed. `SimConfig::seed` reaches a run only
+//! through the `randomvc` router model's VC choice, so under every other
+//! model two seeds give equal statistics (pinned by
+//! `tests/determinism.rs`), and replicates of a makespan are identical.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};

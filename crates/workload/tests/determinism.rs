@@ -8,11 +8,13 @@
 //! * results are byte-identical for any worker count (the driver is a
 //!   pure function of its inputs, so a pool sweep returns the same rows
 //!   serial and parallel);
-//! * trace record → replay reproduces a run's statistics bit for bit.
+//! * trace record → replay reproduces a run's statistics bit for bit;
+//! * the traffic seed reaches a closed-loop run only through the
+//!   `randomvc` router model.
 
 use chiplet_graph::{gen, Graph};
 use chiplet_workload::{trace, Workload, WorkloadDriver, WorkloadKind, WorkloadStats};
-use nocsim::SimConfig;
+use nocsim::{RouterModelKind, SimConfig};
 
 fn config() -> SimConfig {
     SimConfig {
@@ -99,4 +101,25 @@ fn reruns_are_bit_identical() {
     let g = gen::grid(3, 3);
     let w = WorkloadKind::RdAllReduce.build(18);
     assert_eq!(fingerprint(&g, &w, false), fingerprint(&g, &w, false));
+}
+
+/// Endpoint RNGs are drawn only by open-loop generation, and kernels are
+/// built without a seed, so `SimConfig::seed` reaches a closed-loop run
+/// only through the `randomvc` model's VC choice: under every other
+/// model, two seeds give equal statistics.
+#[test]
+fn closed_loop_runs_ignore_the_seed_outside_randomvc() {
+    let g = gen::grid(3, 3);
+    for kind in WorkloadKind::ALL {
+        let w = kind.build(18);
+        let run = |router: RouterModelKind, seed: u64| -> WorkloadStats {
+            let config = SimConfig { router: router.model(), seed, ..config() };
+            WorkloadDriver::new(&g, config, &w).expect("valid driver").run(10_000_000)
+        };
+        for router in RouterModelKind::ALL {
+            if router != RouterModelKind::RandomVc {
+                assert_eq!(run(router, 1), run(router, 2), "{kind} under {router}");
+            }
+        }
+    }
 }

@@ -224,8 +224,8 @@ pub struct CampaignArgs {
     /// Short measurement windows (`--quick`).
     pub quick: bool,
     /// Paper-scale measurement windows (`--full`); mutually exclusive
-    /// with `--quick`. When neither is given, binaries use their
-    /// historical middle-ground schedule.
+    /// with `--quick`. When neither is given, each stage keeps its own
+    /// historical windows ([`crate::flow::resolved`]).
     pub full: bool,
     /// Output directory (`--out`, default `results`).
     pub out: PathBuf,

@@ -1,14 +1,14 @@
 //! The study flow: executes a [`StudySpec`] through the engine.
 //!
 //! [`run_study`] is the one runner behind every experiment binary: it
-//! resolves the spec's axes against the stage defaults ([`resolved_axes`]),
+//! writes out every stage default the spec leaves unset ([`resolved`]),
 //! and the stage lists its cells — one table row's coordinates each — in
 //! row order. [`Campaign::run_cells`] runs `--seeds K` replicates of every
 //! cell on the worker pool with coordinate-derived seeds and hands each
-//! cell its replicates to average. The result tables go through the
-//! unified sinks with the resolved spec embedded as the manifest's
-//! `config` object, so every output file records the study that produced
-//! it.
+//! cell its replicates to average. Stage bodies read only the resolved
+//! spec, and the result tables go through the unified sinks with that
+//! spec embedded as the manifest's `config` object, so every output file
+//! records the study that produced it, schedule and fault sweep included.
 //!
 //! The stages that replaced the hand-wired experiment binaries emit
 //! **byte-identical CSV** to what those binaries wrote for the same axes
@@ -46,7 +46,7 @@ use nocsim::{
 use crate::campaign::StageRecord;
 use crate::cli::CampaignArgs;
 use crate::grid::{kind_code, point_coords, OPTIMIZED_KIND_CODE};
-use crate::spec::{StageKind, StudySpec};
+use crate::spec::{Schedule, StageKind, StudySpec};
 use crate::stats::mean_of;
 use crate::table::{f3, Table};
 use crate::Campaign;
@@ -250,8 +250,7 @@ pub fn run_study(
     hooks: &StageHooks,
 ) -> Result<StudyReport, StudyError> {
     spec.validate().map_err(StudyError::Spec)?;
-    let resolved = resolved_axes(spec, &args);
-    let spec = &resolved;
+    let spec = &resolved(spec, &args);
     let campaign = Campaign::new(&spec.name, args);
     if spec.observe.trace {
         campaign.enable_trace();
@@ -279,9 +278,8 @@ pub fn run_study(
 /// Executes the spec's stage on an existing campaign and returns its
 /// tables without touching the sinks — the serving layer's entry point
 /// ([`run_study`] is this plus validation and the sink writes). The spec
-/// should already be validated; its axes are resolved here
-/// ([`resolved_axes`] is idempotent), so every stage body reads the
-/// resolved axes.
+/// should already be validated; it is resolved here ([`resolved`] is
+/// idempotent), so every stage body and hook reads the resolved spec.
 ///
 /// # Errors
 ///
@@ -291,7 +289,7 @@ pub fn run_stage(
     campaign: &Campaign,
     hooks: &StageHooks,
 ) -> Result<StageOutput, StudyError> {
-    let spec = &resolved_axes(spec, campaign.args());
+    let spec = &resolved(spec, campaign.args());
     campaign.set_stage(spec.stage.name());
     match spec.stage {
         StageKind::Proxies => proxies_stage(spec),
@@ -315,20 +313,37 @@ pub fn run_stage(
     }
 }
 
-/// The spec with every stage-default axis written out explicitly — the
-/// *resolved* form. [`run_study`] resolves internally (so the manifest's
-/// `config` echoes the grid that actually ran), and the serving layer
-/// keys its content-addressed cache on the resolved form: a spec that
-/// spells an axis out and one that leans on the stage default resolve —
-/// and therefore hash — identically.
+/// The spec with every stage default written out — the *resolved* form,
+/// and the one place stage defaults live. [`run_study`] and [`run_stage`]
+/// resolve before a stage runs, so a stage body reads only the resolved
+/// spec, the manifest's `config` echoes what actually ran, and the
+/// serving layer's cache key, hashed over the resolved form, is the same
+/// for a spec that spells a default out and one that leans on it.
 ///
-/// Only axes the stage consumes are filled, so a resolved spec still
-/// passes [`StudySpec::validate`]. Resolving twice changes nothing. Two
-/// stages keep axes as written: resilience keeps `kinds` (its structural
-/// and degradation tables default to *different* kinds), and search
-/// keeps all of them (its axes belong to the hook).
+/// Filled from the stage and the `--quick`/`--full` tier of `args`:
+/// - the axes the stage reads;
+/// - `[schedule]` for the seven stages that simulate windows: the
+///   `--quick` ([`MeasureConfig::quick`]) or `--full`
+///   ([`MeasureConfig::default`]) tier's, else the stage's historical
+///   windows at resolution 0.01 (the load curve searches no rate and has
+///   none); a spec's own `[schedule]` that names no `rate_resolution`
+///   keeps the tier's;
+/// - the resilience `[faults]` sweep, its `fault_cycle` at half the
+///   resolved warm-up;
+/// - the workload stage's `max_cycles` and the probe period
+///   `observe.sample_every` when a timeline or heatmap is on.
+///
+/// Three values stay as written, because unset is not a default there:
+/// resilience `axes.kinds` (its structural and degradation tables default
+/// to *different* kinds), router `axes.workloads` (unset means no
+/// makespan columns, a different table shape), and search
+/// `restarts`/`iterations` (the hook's `SearchConfig::{quick, new}`
+/// tiers also set greedy iterations, which no key names).
+///
+/// Only settings the stage reads are filled, so a resolved spec still
+/// passes [`StudySpec::validate`]. Resolving twice changes nothing.
 #[must_use]
-pub fn resolved_axes(spec: &StudySpec, args: &CampaignArgs) -> StudySpec {
+pub fn resolved(spec: &StudySpec, args: &CampaignArgs) -> StudySpec {
     let mut resolved = spec.clone();
     let axes = &mut resolved.axes;
     match spec.stage {
@@ -362,6 +377,16 @@ pub fn resolved_axes(spec: &StudySpec, args: &CampaignArgs) -> StudySpec {
                 }
             });
             axes.workloads.get_or_insert_with(|| WorkloadKind::ALL.to_vec());
+            resolved.workload.max_cycles.get_or_insert(MAX_CYCLES);
+        }
+        StageKind::Search => {
+            axes.ns.get_or_insert_with(|| {
+                if args.quick {
+                    vec![19, 37]
+                } else {
+                    vec![37, 91, 169, 271]
+                }
+            });
         }
         StageKind::Kite => {
             axes.ns.get_or_insert_with(|| vec![16, 25, 36, 49]);
@@ -383,23 +408,78 @@ pub fn resolved_axes(spec: &StudySpec, args: &CampaignArgs) -> StudySpec {
                 }
             });
             axes.routers.get_or_insert_with(|| RouterModelKind::ALL.to_vec());
-            // `workloads` stays as written: unset means open-loop only
-            // (no makespan columns), which is a different table shape,
-            // not a default to fill in.
         }
         StageKind::Resilience => {
             axes.ns.get_or_insert_with(|| STRUCTURAL_RESILIENCE_NS.to_vec());
         }
-        StageKind::Search => {}
+    }
+    if let Some(tier) = default_schedule(spec.stage, args) {
+        let schedule = resolved.schedule.get_or_insert_with(|| tier.clone());
+        schedule.rate_resolution = schedule.rate_resolution.or(tier.rate_resolution);
+        if spec.stage == StageKind::Resilience {
+            let faults = &mut resolved.faults;
+            let ns = if args.quick { vec![7, 13] } else { vec![37, 91, 169] };
+            faults.ns.get_or_insert(ns);
+            faults.link_failures.get_or_insert_with(|| vec![0, 1, 2, 4]);
+            faults.fault_cycle.get_or_insert(schedule.warmup_cycles / 2);
+            faults
+                .retransmit_timeout
+                .get_or_insert(nocsim::RetransmitConfig::default().timeout);
+        }
+    }
+    if resolved.observe.wants_probe() {
+        resolved.observe.sample_every.get_or_insert(250);
     }
     resolved
 }
 
+/// The `[schedule]` a stage runs when its spec names none, or `None` for
+/// the stages that simulate no windows. The default tier keeps each
+/// stage's historical windows: 3 000/6 000 cycles for the
+/// saturation-searching stages, 4 000/8 000 for the load curve, and the
+/// paper-scale 5 000/10 000 for the kite stage.
+fn default_schedule(stage: StageKind, args: &CampaignArgs) -> Option<Schedule> {
+    use StageKind::{Kite, LoadCurve, Resilience, Router, Saturation, Search, Traffic};
+    let windows = match stage {
+        Saturation | Traffic | Router | Resilience | Search => (3_000, 6_000),
+        LoadCurve => (4_000, 8_000),
+        Kite => (5_000, 10_000),
+        _ => return None,
+    };
+    let tier = if args.quick { MeasureConfig::quick() } else { MeasureConfig::default() };
+    let (warmup, measure) = if args.quick || args.full {
+        (tier.warmup_cycles, tier.measure_cycles)
+    } else {
+        windows
+    };
+    let mut schedule = Schedule::new(warmup, measure);
+    schedule.rate_resolution = (stage != LoadCurve).then_some(tier.rate_resolution);
+    Some(schedule)
+}
+
+/// The saturation-search schedule of a resolved spec ([`resolved`]): its
+/// `[schedule]` with `sim.shards` threads per simulation. The one
+/// conversion the flow's searching stages and the search hook share.
+///
+/// # Panics
+///
+/// If `spec` has no `[schedule]`: resolve it first.
+#[must_use]
+pub fn measure_for(spec: &StudySpec) -> MeasureConfig {
+    let mut measure = MeasureConfig::default();
+    spec.schedule.as_ref().expect(RESOLVED).apply(&mut measure);
+    measure.shards = spec.sim.shards.unwrap_or(1);
+    measure
+}
+
 // ── shared resolution helpers ───────────────────────────────────────────
 
-/// The values of an axis [`resolved_axes`] filled in.
+/// Why a stage body may take a default as present.
+const RESOLVED: &str = "`resolved` fills every default the stage reads";
+
+/// The values of a list [`resolved`] filled in.
 fn axis<T>(values: &Option<Vec<T>>) -> &[T] {
-    values.as_deref().expect("resolved_axes fills every axis the stage reads")
+    values.as_deref().expect(RESOLVED)
 }
 
 /// The resolved chiplet counts in ascending order: the row order of the
@@ -421,19 +501,6 @@ fn family_name(kind: Option<ArrangementKind>) -> String {
     kind.map_or_else(|| OPTIMIZED_LABEL.to_owned(), |k| k.to_string())
 }
 
-/// The saturation-search schedule: the spec's explicit [`crate::spec::Schedule`],
-/// or the historical `--quick`/default/`--full` windows.
-fn measure_for(spec: &StudySpec, args: &CampaignArgs) -> MeasureConfig {
-    let mut schedule = sweep::schedule_for(args);
-    if let Some(over) = &spec.schedule {
-        over.apply(&mut schedule);
-    }
-    if let Some(shards) = spec.sim.shards {
-        schedule.shards = shards;
-    }
-    schedule
-}
-
 /// The searched (`OPT`) arrangement's graph at every resolved `n`, for
 /// the `optimized` axis of the load-curve and workload stages; empty
 /// when the axis is off.
@@ -453,7 +520,17 @@ fn optimized_graphs(
                 .to_owned(),
         )
     })?;
-    axis(&spec.axes.ns).iter().map(|&n| Ok((n, graph_of(n, spec, campaign.args())?))).collect()
+    // One search at a time: each runs its own restart pool on `--workers`.
+    let ns = axis(&spec.axes.ns);
+    let args = campaign.args();
+    let graphs = campaign.run_jobs(
+        ns,
+        args.workers,
+        |&n| n as u64,
+        |n| format!("{OPTIMIZED_LABEL} n={n}"),
+        |&n| graph_of(n, spec, args),
+    );
+    ns.iter().zip(graphs).map(|(&n, graph)| Ok((n, graph?))).collect()
 }
 
 /// Every replicate's result per cell, or the first error in cell order.
@@ -512,7 +589,7 @@ fn saturation_stage(spec: &StudySpec, campaign: &Campaign) -> Result<StageOutput
     let mut params = EvalParams::paper_defaults();
     params.sim = spec.base_sim();
     params.sim.pattern = pattern;
-    params.measure = measure_for(spec, campaign.args());
+    params.measure = measure_for(spec);
     let args = campaign.args();
 
     eprintln!(
@@ -645,7 +722,7 @@ const DEFAULT_TRAFFIC_PATTERNS: [TrafficPattern; 5] = [
 
 fn traffic_stage(spec: &StudySpec, campaign: &Campaign) -> Result<StageOutput, StudyError> {
     let kinds = axis(&spec.axes.kinds);
-    let schedule = measure_for(spec, campaign.args());
+    let schedule = measure_for(spec);
     let sim = spec.base_sim();
 
     // Pattern-major rows: pattern, then n, then kind.
@@ -721,18 +798,6 @@ fn default_curve_rates() -> Vec<f64> {
     (1..=12u32).map(|step| f64::from(step) * 0.04).collect()
 }
 
-/// Per-point simulation windows: the spec's explicit schedule, else the
-/// historical 4k/8k default (shortened by `--quick`, paper-scale under
-/// `--full`).
-fn curve_windows(spec: &StudySpec, args: &CampaignArgs) -> (u64, u64) {
-    match &spec.schedule {
-        Some(s) => (s.warmup_cycles, s.measure_cycles),
-        None if args.quick => (1_500, 3_000),
-        None if args.full => (5_000, 10_000),
-        None => (4_000, 8_000),
-    }
-}
-
 /// The load-curve result table, header only.
 fn curve_table() -> Table {
     Table::new(&[
@@ -774,7 +839,7 @@ impl CurveCell {
     }
 }
 
-/// The load-curve cells of a resolved spec ([`resolved_axes`]) in row
+/// The load-curve cells of a resolved spec ([`resolved`]) in row
 /// order: the fixed families (kind → n → rate → pattern), then the `OPT`
 /// cells (n → rate → pattern) when the `optimized` axis is on. The
 /// serving layer's warm-start splice walks the same list.
@@ -827,7 +892,7 @@ pub fn run_load_curve_cells(
         ));
     }
     spec.validate().map_err(StudyError::Spec)?;
-    Ok(run_curves(spec, campaign, cells, &[]).0)
+    Ok(run_curves(&resolved(spec, campaign.args()), campaign, cells, &[]).0)
 }
 
 /// The load-curve runner behind both the stage and the partial-grid
@@ -840,16 +905,18 @@ fn run_curves(
     cells: &[CurveCell],
     optimized: &[(usize, Graph)],
 ) -> (Table, Vec<ObservedPoint>) {
-    let windows = curve_windows(spec, campaign.args());
+    let schedule = spec.schedule.as_ref().expect(RESOLVED);
+    let windows = (schedule.warmup_cycles, schedule.measure_cycles);
     let sim = spec.base_sim();
     let shards = spec.sim.shards.unwrap_or(1);
     // `[observe]`: probes ride along with every job (recording into
     // preallocated buffers, never changing a row) and feed the timeline
-    // table and the per-point heatmaps.
-    let probe = spec.observe.wants_probe().then(|| {
-        let every = spec.observe.sample_every.unwrap_or(DEFAULT_SAMPLE_EVERY);
-        Probe::new(every, Probe::capacity_for(every, windows.0 + windows.1) + 1)
-    });
+    // table and the per-point heatmaps. The resolved spec names a probe
+    // period exactly when a timeline or heatmap is on.
+    let probe = spec
+        .observe
+        .sample_every
+        .map(|every| Probe::new(every, Probe::capacity_for(every, windows.0 + windows.1) + 1));
     let replicates = campaign.run_cells(
         cells,
         shards,
@@ -927,10 +994,6 @@ fn curve_point(
 }
 
 // ── load-curve observability ────────────────────────────────────────────
-
-/// Default probe sampling window (cycles) when `observe.sample_every` is
-/// absent.
-const DEFAULT_SAMPLE_EVERY: u64 = 250;
 
 /// What the probe saw during one load point.
 struct Observation {
@@ -1095,9 +1158,11 @@ fn load_curve_stage(
 
 // ── workload stage ──────────────────────────────────────────────────────
 
-/// Cycle budget per workload run — far above any sane makespan; the
-/// driver bails out on suspected deadlock long before this.
-const DEFAULT_MAX_CYCLES: u64 = 50_000_000;
+/// Cycle budget per closed-loop run — far above any sane makespan; the
+/// driver bails out on suspected deadlock long before this. The workload
+/// stage's default `max_cycles`, and the fixed budget of the resilience
+/// and router stages' makespan runs.
+const MAX_CYCLES: u64 = 50_000_000;
 
 fn workload_stage(
     spec: &StudySpec,
@@ -1108,7 +1173,7 @@ fn workload_stage(
 
     let workloads = axis(&spec.axes.workloads);
     let ns = axis(&spec.axes.ns);
-    let max_cycles = spec.workload.max_cycles.unwrap_or(DEFAULT_MAX_CYCLES);
+    let max_cycles = spec.workload.max_cycles.expect(RESOLVED);
     let sim = spec.base_sim();
     let optimized = optimized_graphs(spec, campaign, hooks)?;
 
@@ -1257,17 +1322,7 @@ fn kite_stage(spec: &StudySpec, campaign: &Campaign) -> Result<StageOutput, Stud
     let cells: Vec<(usize, KiteVariant)> =
         axis(&spec.axes.ns).iter().flat_map(|&n| KITE_VARIANTS.map(|v| (n, v))).collect();
 
-    // This stage's historical default *is* the paper-scale schedule, so
-    // --full coincides with the default and --quick shortens it.
-    let schedule = match &spec.schedule {
-        Some(over) => {
-            let mut schedule = MeasureConfig::default();
-            over.apply(&mut schedule);
-            schedule
-        }
-        None if campaign.args().quick => MeasureConfig::quick(),
-        None => MeasureConfig::default(),
-    };
+    let schedule = measure_for(spec);
     let results = campaign.run_cells(
         &cells,
         1,
@@ -1394,16 +1449,6 @@ fn with_mm_lengths(
 /// the paper concedes weaker minimum degree).
 const STRUCTURAL_RESILIENCE_NS: [usize; 8] = [16, 17, 36, 37, 41, 64, 91, 100];
 
-/// Degradation-sweep chiplet counts: paper-adjacent sizes by default,
-/// CI-sized under `--quick`.
-fn degradation_ns(quick: bool) -> Vec<usize> {
-    if quick {
-        vec![7, 13]
-    } else {
-        vec![37, 91, 169]
-    }
-}
-
 /// One degradation measurement: a network that loses `failures` random
 /// links at `fault_cycle`, probed open-loop (degraded saturation) and
 /// closed-loop (stencil / ring-all-reduce makespans with source
@@ -1473,7 +1518,7 @@ fn degradation_point(
         driver.install_fault_plan(
             FaultPlan::new(fault_schedule.clone()).with_retransmit(retransmit),
         );
-        let stats = driver.run(DEFAULT_MAX_CYCLES);
+        let stats = driver.run(MAX_CYCLES);
         Ok(if stats.completed { stats.makespan as f64 } else { f64::NAN })
     };
     Ok(DegradationPoint {
@@ -1530,19 +1575,18 @@ fn resilience_stage(spec: &StudySpec, campaign: &Campaign) -> Result<StageOutput
     // all four families, while the structural table keeps the legacy
     // EVALUATED trio.
     let degrade_kinds = spec.axes.kinds.as_deref().unwrap_or(&ArrangementKind::ALL);
-    let fault_ns =
-        spec.faults.ns.clone().unwrap_or_else(|| degradation_ns(campaign.args().quick));
-    let failure_counts = spec.faults.link_failures.clone().unwrap_or_else(|| vec![0, 1, 2, 4]);
-    let schedule = measure_for(spec, campaign.args());
-    let fault_cycle = spec.faults.fault_cycle.unwrap_or(schedule.warmup_cycles / 2);
+    let fault_ns = axis(&spec.faults.ns);
+    let failure_counts = axis(&spec.faults.link_failures);
+    let schedule = measure_for(spec);
+    let fault_cycle = spec.faults.fault_cycle.expect(RESOLVED);
     let sim = spec.base_sim();
-    let mut retransmit = nocsim::RetransmitConfig::default();
-    if let Some(timeout) = spec.faults.retransmit_timeout {
-        retransmit.timeout = timeout;
-    }
+    let retransmit = nocsim::RetransmitConfig {
+        timeout: spec.faults.retransmit_timeout.expect(RESOLVED),
+        ..Default::default()
+    };
 
     let mut cells = Vec::new();
-    for &n in &fault_ns {
+    for &n in fault_ns {
         for &kind in degrade_kinds {
             cells.extend(failure_counts.iter().map(|&failures| (n, kind, failures)));
         }
@@ -1592,7 +1636,7 @@ fn resilience_stage(spec: &StudySpec, campaign: &Campaign) -> Result<StageOutput
     // Headline: how much saturation headroom each family keeps at the
     // heaviest failure count probed.
     let worst = *failure_counts.iter().max().expect("validated non-empty");
-    for &n in &fault_ns {
+    for &n in fault_ns {
         for &kind in degrade_kinds {
             let at = |f: usize| {
                 let i = cells.iter().position(|&cell| cell == (n, kind, f))?;
@@ -1629,7 +1673,7 @@ fn router_stage(spec: &StudySpec, campaign: &Campaign) -> Result<StageOutput, St
     // (router, n, kind) point also runs those kernels closed-loop and
     // the table gains per-kernel makespan + rank columns.
     let workloads = spec.axes.workloads.clone().unwrap_or_default();
-    let schedule = measure_for(spec, campaign.args());
+    let schedule = measure_for(spec);
     let sim = spec.base_sim();
 
     eprintln!(
@@ -1681,7 +1725,7 @@ fn router_stage(spec: &StudySpec, campaign: &Campaign) -> Result<StageOutput, St
                     let workload = w.build(n * config.endpoints_per_router);
                     let mut driver =
                         WorkloadDriver::new(graph, config, &workload).expect("valid driver");
-                    let stats = driver.run(DEFAULT_MAX_CYCLES);
+                    let stats = driver.run(MAX_CYCLES);
                     if stats.completed {
                         stats.makespan as f64
                     } else {
@@ -1959,6 +2003,87 @@ mod tests {
         assert_eq!(resolved.campaign_seed, 1);
         assert_eq!(resolved.seeds, 2);
         assert_eq!(resolved.out, std::path::PathBuf::from("elsewhere"));
+    }
+
+    #[test]
+    fn resolved_fills_every_stage_default_once() {
+        use StageKind::*;
+        let dir = std::env::temp_dir();
+        for (quick, full) in [(true, false), (false, false), (false, true)] {
+            let tier = CampaignArgs { quick, full, ..args(&dir, 1) };
+            for stage in StageKind::ALL {
+                let mut spec = StudySpec::new("s", stage);
+                spec.observe.timeline = stage == LoadCurve;
+                let once = resolved(&spec, &tier);
+                assert_eq!(resolved(&once, &tier), once, "{stage}: resolving twice");
+                once.validate().unwrap_or_else(|e| panic!("{stage}: {e}"));
+                let scheduled = matches!(
+                    stage,
+                    Saturation | Traffic | LoadCurve | Search | Kite | Resilience | Router
+                );
+                assert_eq!(once.schedule.is_some(), scheduled, "{stage}: [schedule]");
+            }
+        }
+        let quick = args(&dir, 1);
+        let curve = resolved(&StudySpec::new("s", LoadCurve), &quick);
+        assert_eq!(curve.schedule, Some(Schedule::new(1_500, 3_000)), "windows only");
+        let mut watched = StudySpec::new("s", LoadCurve);
+        watched.observe.heatmap = true;
+        assert_eq!(resolved(&watched, &quick).observe.sample_every, Some(250));
+        let search = resolved(&StudySpec::new("s", Search), &quick);
+        assert_eq!(search.axes.ns, Some(vec![19, 37]));
+        let workload = resolved(&StudySpec::new("s", Workload), &quick);
+        assert_eq!(workload.workload.max_cycles, Some(MAX_CYCLES));
+    }
+
+    #[test]
+    fn an_own_schedule_without_resolution_keeps_the_tier_resolution() {
+        let dir = std::env::temp_dir();
+        for stage in [StageKind::Kite, StageKind::Saturation] {
+            let mut spec = StudySpec::new("s", stage);
+            spec.schedule = Some(Schedule::new(300, 600));
+            let quick = resolved(&spec, &args(&dir, 1));
+            let schedule = quick.schedule.expect("kept");
+            assert_eq!((schedule.warmup_cycles, schedule.measure_cycles), (300, 600));
+            assert_eq!(schedule.rate_resolution, Some(0.02), "{stage} under --quick");
+            let default = CampaignArgs { quick: false, ..args(&dir, 1) };
+            let schedule = resolved(&spec, &default).schedule.expect("kept");
+            assert_eq!(schedule.rate_resolution, Some(0.01), "{stage} by default");
+        }
+    }
+
+    #[test]
+    fn manifests_echo_the_resolved_schedule_and_faults() {
+        let dir = std::env::temp_dir().join("xp_flow_manifest_echo");
+        let _ = std::fs::remove_dir_all(&dir);
+        let json_args = CampaignArgs { format: OutputFormat::Json, ..args(&dir, 2) };
+        let config_of = |report: &StudyReport| -> crate::json::Value {
+            let manifest = std::fs::read_to_string(&report.written[0]).unwrap();
+            crate::json::parse(&manifest).unwrap().get("config").unwrap().clone()
+        };
+
+        let mut saturation = StudySpec::new("echo_saturation", StageKind::Saturation);
+        saturation.axes.kinds = Some(vec![ArrangementKind::Grid]);
+        saturation.axes.ns = Some(vec![2]);
+        let report = run_study(&saturation, json_args.clone(), &StageHooks::default()).unwrap();
+        assert_eq!(
+            config_of(&report).get("schedule").map(crate::json::Value::to_json).as_deref(),
+            Some(r#"{"warmup_cycles":1500,"measure_cycles":3000,"rate_resolution":0.02}"#)
+        );
+
+        let mut resilience = StudySpec::new("echo_resilience", StageKind::Resilience);
+        resilience.axes.kinds = Some(vec![ArrangementKind::Grid]);
+        resilience.axes.ns = Some(vec![4]);
+        resilience.faults.ns = Some(vec![4]);
+        resilience.faults.link_failures = Some(vec![0]);
+        let report = run_study(&resilience, json_args, &StageHooks::default()).unwrap();
+        assert_eq!(
+            config_of(&report).get("faults").map(crate::json::Value::to_json).as_deref(),
+            Some(
+                r#"{"ns":[4],"link_failures":[0],"fault_cycle":750,"retransmit_timeout":2048}"#
+            )
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,13 +1,9 @@
-//! Helpers shared by the study stages: competition ranking, the
-//! measurement schedule the shared flags select, and the Fig. 6 proxy
-//! sweep.
+//! Helpers shared by the study stages: competition ranking and the
+//! Fig. 6 proxy sweep.
 
 use chiplet_partition::BisectionConfig;
 use hexamesh::arrangement::{Arrangement, ArrangementKind};
 use hexamesh::proxies;
-use nocsim::MeasureConfig;
-
-use crate::cli::CampaignArgs;
 
 /// Competition ranking ("1224"): ranks `values` ascending — lower is
 /// better — with exact ties sharing the better rank. Ties are routine,
@@ -24,24 +20,6 @@ pub fn competition_rank(values: &[f64]) -> Vec<usize> {
         rank[idx] = if tied { rank[order[place - 1]] } else { place + 1 };
     }
     rank
-}
-
-/// The measurement schedule selected by the shared flags: `--quick`
-/// (short windows, coarse resolution), `--full` (the paper-scale
-/// [`MeasureConfig::default`] schedule), or — when neither is given —
-/// the middle-ground windows the simulation binaries have always used.
-#[must_use]
-pub fn schedule_for(args: &CampaignArgs) -> MeasureConfig {
-    if args.quick {
-        MeasureConfig::quick()
-    } else if args.full {
-        MeasureConfig::default()
-    } else {
-        let mut schedule = MeasureConfig::default();
-        schedule.warmup_cycles = 3_000;
-        schedule.measure_cycles = 6_000;
-        schedule
-    }
 }
 
 /// One row of the Fig. 6 proxy sweep.

@@ -6,7 +6,7 @@
 //! before. Three mechanisms keep repeat work off the pool:
 //!
 //! - **Exact hit** — the cache key is the SHA-256 of the request's
-//!   *canonical material*: the resolved spec (stage-default axes written
+//!   *canonical material*: the resolved spec (every stage default written
 //!   out, seed/replicates explicit, the transport-level `[serve]` and
 //!   `[output]` sections erased) plus the engine version (`git
 //!   describe`) and the `--quick`/`--full` schedule tier. Any encoding
@@ -49,7 +49,7 @@ use crate::cache::{CacheStats, CachedFile, Entry, Lookup, Provenance, ResultCach
 use crate::campaign::table_columns_rows;
 use crate::cli::CampaignArgs;
 use crate::flow::{
-    load_curve_cells, resolved_axes, run_load_curve_cells, run_stage, CurveCell, StageHooks,
+    load_curve_cells, resolved, run_load_curve_cells, run_stage, CurveCell, StageHooks,
     StageTable, StudyError,
 };
 use crate::hash::sha256_hex;
@@ -381,7 +381,7 @@ impl<'h> Server<'h> {
             if !warm_compatible(&donor_spec, canonical) {
                 continue;
             }
-            let donor_cells = load_curve_cells(&resolved_axes(&donor_spec, &self.config.args));
+            let donor_cells = load_curve_cells(&resolved(&donor_spec, &self.config.args));
             if donor_cells.is_empty()
                 || !donor_cells.iter().all(|c| index.contains_key(&c.coords()))
             {
@@ -501,10 +501,10 @@ impl<'h> Server<'h> {
     }
 }
 
-/// The canonical form keyed into the cache: resolved axes, explicit
-/// seed/replicates, transport-level sections erased.
+/// The canonical form keyed into the cache: every stage default written
+/// out, explicit seed/replicates, transport-level sections erased.
 fn canonical_spec(spec: &StudySpec, config: &ServeConfig) -> StudySpec {
-    let mut canonical = resolved_axes(spec, &config.args);
+    let mut canonical = resolved(spec, &config.args);
     canonical.seed = Some(canonical.seed.unwrap_or(config.args.campaign_seed));
     canonical.replicates = Some(canonical.replicates.unwrap_or(config.args.seeds).max(1));
     canonical.serve = ServeSpec::default();

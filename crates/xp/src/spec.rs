@@ -35,9 +35,9 @@ use crate::cli::MAX_REPLICATES;
 use crate::json::Value;
 use crate::toml;
 
-/// The experiment stage a spec runs. Each stage resolves its own axis
-/// defaults (see `DESIGN.md`'s stage table) and defines the output
-/// schema; the schemas of the stages that replaced hand-wired binaries
+/// The experiment stage a spec runs. Each stage has its own defaults,
+/// all filled in by [`resolved`](crate::flow::resolved), and defines the
+/// output schema; the schemas of the stages that replaced hand-wired binaries
 /// are byte-compatible with what those binaries always wrote.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
@@ -227,9 +227,9 @@ impl RouterSpec {
     }
 }
 
-/// An explicit measurement schedule. When absent, stages follow the
-/// historical `--quick` / default / `--full` windows of the binary they
-/// replaced.
+/// A measurement schedule. When absent,
+/// [`resolved`](crate::flow::resolved) fills in the stage's default for
+/// the `--quick` / default / `--full` tier.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub struct Schedule {
@@ -237,23 +237,23 @@ pub struct Schedule {
     pub warmup_cycles: u64,
     /// Cycles in the measurement window.
     pub measure_cycles: u64,
-    /// Saturation-search resolution on the injection rate; `None` keeps
-    /// the stage default.
+    /// Saturation-search resolution on the injection rate; `None` takes
+    /// the tier's (the load curve searches no rate and keeps `None`).
     pub rate_resolution: Option<f64>,
 }
 
 impl Schedule {
-    /// A schedule with the given windows and the default resolution.
+    /// A schedule with the given windows that names no resolution.
     #[must_use]
     pub fn new(warmup_cycles: u64, measure_cycles: u64) -> Self {
         Self { warmup_cycles, measure_cycles, rate_resolution: None }
     }
 
-    /// Overlays this schedule onto a stage's base
-    /// [`MeasureConfig`](nocsim::MeasureConfig) —
-    /// the one merge rule every stage (including hook-provided ones)
-    /// shares, so a future schedule field cannot be honoured by some
-    /// stages and ignored by others.
+    /// Overlays this schedule onto a
+    /// [`MeasureConfig`](nocsim::MeasureConfig): the windows, and the
+    /// resolution when named. [`measure_for`](crate::flow::measure_for)
+    /// applies a resolved schedule, which names it for every stage that
+    /// searches a rate.
     pub fn apply(&self, schedule: &mut nocsim::MeasureConfig) {
         schedule.warmup_cycles = self.warmup_cycles;
         schedule.measure_cycles = self.measure_cycles;
@@ -286,7 +286,7 @@ impl Default for SearchOverrides {
 #[derive(Debug, Clone, PartialEq, Default)]
 #[non_exhaustive]
 pub struct WorkloadOverrides {
-    /// Cycle budget per run; `None` = the historical 50 M guard.
+    /// Cycle budget per run; `None` resolves to the historical 50 M guard.
     pub max_cycles: Option<u64>,
     /// Additionally record each swept DAG as a replayable trace under
     /// `<out>/traces/`.
@@ -307,17 +307,19 @@ pub struct SaturationOverrides {
 #[derive(Debug, Clone, PartialEq, Default)]
 #[non_exhaustive]
 pub struct FaultsSpec {
-    /// Chiplet counts of the degradation sweep; `None` = the stage
-    /// default (`{37, 91, 169}`, shrunk under `--quick`).
+    /// Chiplet counts of the degradation sweep; `None` resolves to
+    /// `{37, 91, 169}` (`{7, 13}` under `--quick`).
     pub ns: Option<Vec<usize>>,
-    /// Numbers of randomly chosen links to kill per run; `None` =
-    /// `{0, 1, 2, 4}`. `0` rows are the healthy baseline.
+    /// Numbers of randomly chosen links to kill per run; `None` resolves
+    /// to `{0, 1, 2, 4}`. `0` rows are the healthy baseline.
     pub link_failures: Option<Vec<usize>>,
-    /// Cycle at which all of a run's failures strike; `None` = half the
-    /// resolved warmup window (tables rebuild before measurement opens).
+    /// Cycle at which all of a run's failures strike; `None` resolves to
+    /// half the resolved warmup window (tables rebuild before measurement
+    /// opens).
     pub fault_cycle: Option<u64>,
     /// Source-retransmission timeout (cycles) for the closed-loop
-    /// makespan runs; `None` = the [`nocsim::RetransmitConfig`] default.
+    /// makespan runs; `None` resolves to the [`nocsim::RetransmitConfig`]
+    /// default.
     pub retransmit_timeout: Option<u64>,
 }
 
@@ -332,8 +334,8 @@ pub struct FaultsSpec {
 #[derive(Debug, Clone, PartialEq, Default)]
 #[non_exhaustive]
 pub struct ObserveSpec {
-    /// Probe sampling window in cycles; `None` = 250 when a probe
-    /// consumer (`timeline` / `heatmap`) is enabled.
+    /// Probe sampling window in cycles; `None` resolves to 250 when a
+    /// probe consumer (`timeline` / `heatmap`) is enabled.
     pub sample_every: Option<u64>,
     /// Render a congestion heatmap SVG per load point (replicate 0),
     /// merging per-link flit counts with the physical placement.

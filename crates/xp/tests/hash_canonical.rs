@@ -7,11 +7,13 @@
 //! axis value, one override — lands on a different one. These tests pin
 //! that contract with randomised specs.
 
+use hexamesh::arrangement::ArrangementKind;
+use nocsim::TrafficPattern;
 use proptest::prelude::*;
 use xp::cli::CampaignArgs;
 use xp::json::Value;
 use xp::serve::ServeConfig;
-use xp::spec::{ServeMode, StageKind, StudySpec};
+use xp::spec::{Schedule, ServeMode, StageKind, StudySpec};
 use xp::Server;
 
 const KINDS: [&str; 4] = ["grid", "honeycomb", "brickwall", "hexamesh"];
@@ -277,4 +279,81 @@ fn version_and_tier_are_key_material() {
         xp::StageHooks::default(),
     );
     assert_ne!(quick.cache_key(&base).0, key);
+}
+
+/// A `[schedule]` with the given windows and resolution.
+fn schedule(warmup: u64, measure: u64, resolution: Option<f64>) -> Option<Schedule> {
+    let mut schedule = Schedule::new(warmup, measure);
+    schedule.rate_resolution = resolution;
+    Some(schedule)
+}
+
+/// A spec that writes out every default the stage resolves — schedule,
+/// fault sweep and search n list included — lands on the sparse spec's
+/// key, under the default tier and under `--quick`.
+#[test]
+fn spelled_out_stage_defaults_hash_like_the_sparse_spec() {
+    let dir = temp_dir("stage_defaults");
+    let mut quick_args = test_args();
+    quick_args.quick = true;
+    let quick = Server::new(
+        &dir,
+        ServeConfig { args: quick_args, version: "test-version".to_owned() },
+        xp::StageHooks::default(),
+    );
+    let default = server(&dir);
+    let evaluated = ArrangementKind::EVALUATED.to_vec();
+
+    let mut spelled = Vec::new();
+    let mut saturation = StudySpec::new("s", StageKind::Saturation);
+    saturation.axes.kinds = Some(evaluated.clone());
+    saturation.axes.ns = Some((2..=100).collect());
+    saturation.axes.patterns = Some(vec![TrafficPattern::UniformRandom]);
+    saturation.schedule = schedule(3_000, 6_000, Some(0.01));
+    spelled.push((&default, saturation));
+
+    let mut curve = StudySpec::new("s", StageKind::LoadCurve);
+    curve.axes.kinds = Some(evaluated);
+    curve.axes.ns = Some(vec![37]);
+    curve.axes.rates = Some((1..=12u32).map(|step| f64::from(step) * 0.04).collect());
+    curve.axes.patterns = Some(vec![TrafficPattern::UniformRandom]);
+    curve.schedule = schedule(4_000, 8_000, None);
+    spelled.push((&default, curve.clone()));
+    curve.schedule = schedule(1_500, 3_000, None);
+    spelled.push((&quick, curve));
+
+    let mut resilience = StudySpec::new("s", StageKind::Resilience);
+    resilience.axes.ns = Some(vec![16, 17, 36, 37, 41, 64, 91, 100]);
+    resilience.schedule = schedule(3_000, 6_000, Some(0.01));
+    resilience.faults.ns = Some(vec![37, 91, 169]);
+    resilience.faults.link_failures = Some(vec![0, 1, 2, 4]);
+    resilience.faults.fault_cycle = Some(1_500);
+    resilience.faults.retransmit_timeout = Some(2_048);
+    spelled.push((&default, resilience.clone()));
+    resilience.schedule = schedule(1_500, 3_000, Some(0.02));
+    resilience.faults.ns = Some(vec![7, 13]);
+    resilience.faults.fault_cycle = Some(750);
+    spelled.push((&quick, resilience));
+
+    let mut search = StudySpec::new("s", StageKind::Search);
+    search.axes.ns = Some(vec![37, 91, 169, 271]);
+    search.schedule = schedule(3_000, 6_000, Some(0.01));
+    spelled.push((&default, search.clone()));
+    search.axes.ns = Some(vec![19, 37]);
+    search.schedule = schedule(1_500, 3_000, Some(0.02));
+    spelled.push((&quick, search));
+
+    for (server, spec) in spelled {
+        spec.validate().expect("spelled-out defaults are a valid spec");
+        let sparse = StudySpec::new("s", spec.stage);
+        let (key, canonical) = server.cache_key(&sparse);
+        assert_eq!(
+            server.cache_key(&spec).0,
+            key,
+            "{} spelled out: {} vs {}",
+            spec.stage,
+            spec.to_value().to_json(),
+            canonical.to_value().to_json()
+        );
+    }
 }

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # serve-smoke: drive `study serve` through the cache states that matter —
-# cold miss, exact hit across separate server processes, warm superset
-# splice, and same-stream in-flight dedup — asserting the streamed
-# provenance of each. Separate invocations per request where a *disk*
+# cold miss, exact hit across separate server processes (also for a
+# request that writes out its resolved defaults), warm superset splice,
+# and same-stream in-flight dedup — asserting the streamed provenance of
+# each. Separate invocations per request where a *disk*
 # hit is the point: within one stream, identical requests dedupe to one
 # backend run instead (the final invocation asserts exactly that).
 #
@@ -19,6 +20,8 @@ SERVE=("$BIN/study" serve --cache-dir "$CACHE" --quick --seed 42 --workers 2)
 
 SUB='{"id":"r","spec":{"name":"smoke","stage":"load_curve","axes":{"kinds":["hexamesh"],"ns":[7],"rates":[0.08,0.16]}}}'
 SUP='{"id":"r","spec":{"name":"smoke","stage":"load_curve","axes":{"kinds":["hexamesh"],"ns":[7],"rates":[0.08,0.16,0.24]}}}'
+# SUB with its --quick windows written out: the same resolved study.
+SPELLED='{"id":"r","spec":{"name":"smoke","stage":"load_curve","axes":{"kinds":["hexamesh"],"ns":[7],"rates":[0.08,0.16]},"schedule":{"warmup_cycles":1500,"measure_cycles":3000}}}'
 
 expect() {
     local label="$1" stream="$2" pattern="$3"
@@ -38,6 +41,10 @@ echo "== exact hit (new process, same cache)"
 printf '%s\n' "$SUB" | "${SERVE[@]}" > "$OUT/hit.jsonl" 2> /dev/null
 expect hit "$OUT/hit.jsonl" '"outcome":"hit"'
 expect hit "$OUT/hit.jsonl" '"hits":1'
+
+echo "== respelled defaults hit the same entry"
+printf '%s\n' "$SPELLED" | "${SERVE[@]}" > "$OUT/spelled.jsonl" 2> /dev/null
+expect spelled "$OUT/spelled.jsonl" '"outcome":"hit"'
 
 echo "== warm superset (cached cells spliced, delta run)"
 printf '%s\n' "$SUP" | "${SERVE[@]}" > "$OUT/warm.jsonl" 2> /dev/null
