@@ -7,7 +7,10 @@
 //! `speedup_vs_serial`.
 //!
 //! Each grid scenario is measured twice — on the event-driven hot path and
-//! on the forced poll-every-cycle reference path. Shard speedups are
+//! on the forced poll-every-cycle reference path. Every row also records
+//! `heap_mb`, the heap the simulator holds after its measured run
+//! ([`Simulator::heap_bytes`], summed over shards and sharing one routing
+//! table for a sharded run). Shard speedups are
 //! wall-clock numbers, so compare them only to runs on comparable
 //! hardware; the JSON manifest records `git describe` and `host_cpus` for
 //! every run so regressions (and single-core runs, where sharding cannot
@@ -51,6 +54,7 @@ struct Measured {
     wall_s: f64,
     mcycles_per_s: f64,
     mflit_hops_per_s: f64,
+    heap_mb: f64,
 }
 
 fn measure(
@@ -81,6 +85,7 @@ fn measure(
         wall_s,
         mcycles_per_s: cycles as f64 / wall_s / 1e6,
         mflit_hops_per_s: hops as f64 / wall_s / 1e6,
+        heap_mb: sim.heap_bytes() as f64 / 1e6,
     }
 }
 
@@ -105,6 +110,7 @@ fn measure_sharded(graph: &Graph, rate: f64, cycles: u64, shards: usize) -> Meas
         wall_s,
         mcycles_per_s: cycles as f64 / wall_s / 1e6,
         mflit_hops_per_s: hops as f64 / wall_s / 1e6,
+        heap_mb: sim.heap_bytes() as f64 / 1e6,
     }
 }
 
@@ -145,8 +151,8 @@ fn main() {
         for reference in [false, true] {
             let m = measure(side, rate, cycles, reference, scenario);
             eprintln!(
-                "  {scenario:>16} {:>9}: {:.3} Mcycles/s, {:.3} Mflit-hops/s",
-                m.path, m.mcycles_per_s, m.mflit_hops_per_s
+                "  {scenario:>16} {:>9}: {:.3} Mcycles/s, {:.3} Mflit-hops/s, {:.1} MB",
+                m.path, m.mcycles_per_s, m.mflit_hops_per_s, m.heap_mb
             );
             rows.push(m);
         }
@@ -156,8 +162,8 @@ fn main() {
     for &shards in &shard_counts {
         let m = measure_sharded(arrangement.graph(), LARGE_N_RATE, large_n_cycles, shards);
         eprintln!(
-            "  {:>16} shards={shards}: {:.4} Mcycles/s, {:.3} Mflit-hops/s",
-            m.scenario, m.mcycles_per_s, m.mflit_hops_per_s
+            "  {:>16} shards={shards}: {:.4} Mcycles/s, {:.3} Mflit-hops/s, {:.1} MB",
+            m.scenario, m.mcycles_per_s, m.mflit_hops_per_s, m.heap_mb
         );
         rows.push(m);
     }
@@ -177,6 +183,7 @@ fn main() {
         "mcycles_per_s",
         "mflit_hops_per_s",
         "speedup_vs_serial",
+        "heap_mb",
     ]);
     for m in &rows {
         let speedup_serial =
@@ -191,6 +198,7 @@ fn main() {
             &f3(m.mcycles_per_s),
             &f3(m.mflit_hops_per_s),
             &speedup_serial,
+            &f3(m.heap_mb),
         ]);
     }
 

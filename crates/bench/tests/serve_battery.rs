@@ -406,7 +406,9 @@ fn a_search_miss_books_one_job_per_n() {
 /// A saturation-search resolution outside (0, 1) never terminates the
 /// bisection or panics the pool, and a spec breaking a stage rule
 /// (grid-normalised series without the grid, non-square kite counts, a
-/// honeycomb thermal map) cannot produce its table. Each such line is
+/// honeycomb thermal map) cannot produce its table. A load curve given a
+/// rate resolution, which it never reads, would run again under a second
+/// cache key for the same rows. Each such line is
 /// answered with an `error` event before any backend run, and the stream
 /// keeps serving the next request.
 #[test]
@@ -438,6 +440,11 @@ fn out_of_range_resolution_is_an_error_event_and_serving_continues() {
             concat!(
                 r#"{"name":"x","stage":"load_curve","replicates":99999999999999,"#,
                 r#""axes":{"kinds":["hexamesh"],"ns":[4],"rates":[0.1]}}"#,
+            ),
+            concat!(
+                r#"{"name":"rr","stage":"load_curve","axes":{"kinds":["hexamesh"],"ns":[7],"#,
+                r#""rates":[0.08]},"schedule":{"warmup_cycles":1500,"measure_cycles":3000,"#,
+                r#""rate_resolution":0.05}}"#,
             ),
         ]
         .map(str::to_owned),

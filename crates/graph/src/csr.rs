@@ -152,6 +152,13 @@ impl Graph {
         self.num_edges
     }
 
+    /// Heap bytes the adjacency arrays hold (their capacities).
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        self.offsets.capacity() * size_of::<usize>()
+            + self.targets.capacity() * size_of::<VertexId>()
+    }
+
     /// `true` if the graph has no vertices.
     #[must_use]
     pub fn is_empty(&self) -> bool {

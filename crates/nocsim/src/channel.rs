@@ -20,6 +20,9 @@ pub struct DelayLine<T> {
     /// event-driven simulator keys its wheel on this instead of polling
     /// the queue every cycle.
     next_due: u64,
+    /// Occupancy bound recorded by [`DelayLine::reserve`] (0 on a line
+    /// never reserved); debug builds check every push against it.
+    bound: usize,
 }
 
 /// Sentinel [`DelayLine::next_due`] value for an empty line.
@@ -53,6 +56,7 @@ impl<T> DelayLine<T> {
             last_push_cycle: None,
             last_delivery: None,
             next_due: IDLE,
+            bound: 0,
         }
     }
 
@@ -68,11 +72,19 @@ impl<T> DelayLine<T> {
         self.interval
     }
 
-    /// Reserves queue capacity for at least `items` in-flight items. The
-    /// simulator pre-reserves each line's flow-control occupancy bound so
-    /// the steady-state hot path never reallocates.
+    /// Reserves queue capacity for `items` in-flight items and records
+    /// `items` as the line's occupancy bound. The simulator reserves each
+    /// line it pops to the line's bound once, at construction, so the
+    /// steady-state hot path never reallocates; debug builds then assert
+    /// on every push that the bound holds.
     pub fn reserve(&mut self, items: usize) {
-        self.queue.reserve(items);
+        self.queue.reserve_exact(items);
+        self.bound = items;
+    }
+
+    /// Heap bytes the queue holds: its capacity, not its occupancy.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.queue.capacity() * size_of::<(u64, T)>()
     }
 
     /// Pushes an item at `cycle`; it becomes available at `cycle + latency`,
@@ -84,11 +96,18 @@ impl<T> DelayLine<T> {
     /// # Panics
     ///
     /// Panics (debug) if two items are pushed in the same cycle — each
-    /// channel carries at most one flit per cycle.
+    /// channel carries at most one flit per cycle — or if the push would
+    /// take a reserved line past its bound ([`DelayLine::reserve`]).
     pub fn push(&mut self, cycle: u64, extra_delay: u64, item: T) {
         debug_assert!(
             self.last_push_cycle != Some(cycle),
             "channel accepted two items in cycle {cycle}"
+        );
+        debug_assert!(
+            self.bound == 0 || self.queue.len() < self.bound,
+            "line would hold {} items in cycle {cycle}, past its reserved bound {}",
+            self.queue.len() + 1,
+            self.bound
         );
         self.last_push_cycle = Some(cycle);
         let mut deliver_at = cycle + self.latency + extra_delay;
@@ -195,13 +214,6 @@ impl Link {
     pub fn is_idle(&self) -> bool {
         self.flits.is_empty() && self.credits.is_empty()
     }
-
-    /// Reserves capacity for `items` in-flight flits and credits each
-    /// (see [`DelayLine::reserve`]).
-    pub fn reserve(&mut self, items: usize) {
-        self.flits.reserve(items);
-        self.credits.reserve(items);
-    }
 }
 
 #[cfg(test)]
@@ -250,6 +262,18 @@ mod tests {
         let mut c: DelayLine<u32> = DelayLine::new(1);
         c.push(0, 0, 1);
         c.push(0, 0, 2);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "past its reserved bound 2")]
+    fn push_past_the_reserved_bound_panics() {
+        let mut c: DelayLine<u32> = DelayLine::new(5);
+        c.reserve(2);
+        assert_eq!(c.heap_bytes(), 2 * size_of::<(u64, u32)>());
+        for t in 0..3 {
+            c.push(t, 0, 1);
+        }
     }
 
     #[test]

@@ -26,6 +26,7 @@ use rand::SeedableRng;
 
 use crate::channel::IDLE;
 use crate::flit::{EndpointId, Flit, PacketId, VcId};
+use crate::heap::HeapBytes;
 use crate::traffic::{InjectionProcess, ProcessState, TrafficPattern};
 
 /// What became of one scheduled packet generation
@@ -88,7 +89,8 @@ impl Endpoint {
     /// `vcs`/`buffer_depth` size the credit counters toward the router;
     /// `source_queue_cap_packets` bounds the source queue (packets generated
     /// while it is full count as offered but are refused — at that point the
-    /// network is saturated anyway).
+    /// network is saturated anyway). The queue starts without capacity;
+    /// the simulator reserves it for the endpoints it steps.
     #[must_use]
     pub fn new(
         id: EndpointId,
@@ -103,9 +105,7 @@ impl Endpoint {
         Self {
             id,
             num_endpoints,
-            // Capacity is a hard bound (offers beyond it are refused), so
-            // reserving it up front makes injection allocation-free.
-            source_queue: VecDeque::with_capacity(cap_flits),
+            source_queue: VecDeque::new(),
             source_queue_cap_flits: cap_flits,
             credits: vec![buffer_depth; vcs],
             bound_vc: None,
@@ -117,6 +117,20 @@ impl Endpoint {
             queue_max: 0,
             queue_mark: 0,
         }
+    }
+
+    /// Reserves the source queue to its capacity, a hard bound (offers
+    /// beyond it are refused), so generation and injection never allocate.
+    /// The simulator calls this once, at construction, for each endpoint
+    /// it steps; a shard leaves the endpoints it does not own empty.
+    pub(crate) fn reserve_source_queue(&mut self) {
+        self.source_queue.reserve_exact(self.source_queue_cap_flits);
+    }
+
+    /// Heap bytes the endpoint holds: its source queue's capacity and its
+    /// credit counters.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.source_queue.heap_bytes() + self.credits.heap_bytes()
     }
 
     /// Opens the measurement window at `cycle`: the source-queue occupancy
@@ -246,6 +260,8 @@ impl Endpoint {
         created_at: u64,
     ) {
         self.note_queue(now);
+        // Every endpoint id fits `u32`: the simulator refuses larger networks.
+        let dest = dest as u32;
         self.source_queue.extend((0..size_flits).map(|i| Flit {
             packet: id,
             is_head: i == 0,
@@ -280,7 +296,7 @@ impl Endpoint {
         }
         self.note_queue(now);
         let mut flit = self.source_queue.pop_front().expect("checked above");
-        flit.vc = vc;
+        flit.vc = vc as u8;
         self.credits[vc] -= 1;
         if flit.is_tail {
             self.bound_vc = None;
@@ -340,7 +356,7 @@ impl Endpoint {
             if is_doomed(flit.packet) {
                 return false;
             }
-            if Some(flit.packet) != bound_packet && dest_cut(flit.dest) {
+            if Some(flit.packet) != bound_packet && dest_cut(flit.dest as usize) {
                 if last_reported != Some(flit.packet) {
                     last_reported = Some(flit.packet);
                     queue_dropped(flit.packet);
@@ -382,7 +398,7 @@ impl Endpoint {
     #[must_use]
     pub fn partially_injected(&self) -> Option<(PacketId, EndpointId)> {
         if self.bound_vc.is_some() {
-            self.source_queue.front().map(|f| (f.packet, f.dest))
+            self.source_queue.front().map(|f| (f.packet, f.dest as usize))
         } else {
             None
         }

@@ -153,6 +153,11 @@ impl FaultPlan {
         self.retransmit = Some(config);
         self
     }
+
+    /// Heap bytes of the schedule's event list.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.schedule.events.capacity() * size_of::<FaultEvent>()
+    }
 }
 
 #[cfg(test)]

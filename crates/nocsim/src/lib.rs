@@ -45,6 +45,7 @@ pub mod channel;
 pub mod endpoint;
 pub mod fault;
 pub mod flit;
+mod heap;
 pub mod measure;
 pub mod obs;
 pub mod rmodel;

@@ -16,6 +16,7 @@
 
 use crate::channel::Credit;
 use crate::flit::{Flit, PacketId, RouterId, VcId};
+use crate::heap::HeapBytes;
 use crate::rmodel::{OutputArbPolicy, RouterModel, VcAllocPolicy};
 use crate::routing::{RoutingKind, RoutingTables};
 
@@ -66,11 +67,11 @@ struct InputVc {
 }
 
 impl InputVc {
-    fn new(buffer_depth: usize) -> Self {
-        // Depth is a hard bound (credits enforce it), so reserving it up
-        // front makes the receive/traverse path allocation-free.
+    /// An empty VC whose buffer holds no capacity yet: only the simulator
+    /// stepping the router reserves it ([`Router::reserve_buffers`]).
+    fn new() -> Self {
         Self {
-            buffer: std::collections::VecDeque::with_capacity(buffer_depth),
+            buffer: std::collections::VecDeque::new(),
             bound: None,
             bound_packet: None,
             escape_committed: false,
@@ -255,8 +256,7 @@ impl Router {
     ) -> Self {
         assert!((1..=64).contains(&params.vcs), "a router needs 1 to 64 VCs per port");
         let num_ports = num_net_ports + num_endpoint_ports;
-        let inputs =
-            (0..num_ports * params.vcs).map(|_| InputVc::new(params.buffer_depth)).collect();
+        let inputs = (0..num_ports * params.vcs).map(|_| InputVc::new()).collect();
         let outputs = (0..num_ports * params.vcs)
             .map(|_| OutputVc { credits: params.buffer_depth, owner: None })
             .collect();
@@ -295,6 +295,27 @@ impl Router {
         z ^ (z >> 31)
     }
 
+    /// Reserves every input VC's buffer to the buffer depth, a hard bound
+    /// (credits enforce it), so receiving and traversal never allocate.
+    /// The simulator calls this once, at construction, for each router it
+    /// steps; a shard leaves the routers it does not own empty.
+    pub(crate) fn reserve_buffers(&mut self) {
+        for vc in &mut self.inputs {
+            vc.buffer.reserve_exact(self.params.buffer_depth);
+        }
+    }
+
+    /// Heap bytes the router holds: its VC and port state, its switch
+    /// scratch and every input buffer's capacity.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let buffers: usize = self.inputs.iter().map(|vc| vc.buffer.heap_bytes()).sum();
+        self.inputs.heap_bytes()
+            + buffers
+            + self.outputs.heap_bytes()
+            + self.ports.heap_bytes()
+            + self.nominees.heap_bytes()
+    }
+
     /// Number of network (router-to-router) ports.
     #[must_use]
     pub fn num_net_ports(&self) -> usize {
@@ -326,7 +347,8 @@ impl Router {
     /// Panics if the VC buffer would overflow — credits upstream must make
     /// this impossible, so an overflow is a flow-control bug.
     pub fn receive_flit(&mut self, in_port: usize, flit: Flit) {
-        let idx = in_port * self.params.vcs + flit.vc;
+        let vc = usize::from(flit.vc);
+        let idx = in_port * self.params.vcs + vc;
         assert!(
             self.inputs[idx].buffer.len() < self.params.buffer_depth,
             "router {} port {in_port} vc {} buffer overflow",
@@ -337,7 +359,7 @@ impl Router {
             if self.inputs[idx].bound.is_some() {
                 self.ports[in_port].sa_candidates += 1;
             } else {
-                self.ports[in_port].waiting |= 1 << flit.vc;
+                self.ports[in_port].waiting |= 1 << vc;
                 self.unbound_heads += 1;
                 self.va_dirty = true;
             }
@@ -443,10 +465,11 @@ impl Router {
         ctx: RouteContext<'_>,
         head: &Flit,
     ) -> Option<(usize, VcId, bool)> {
-        let dest_router = ctx.router_of(head.dest);
+        let dest = head.dest as usize;
+        let dest_router = ctx.router_of(dest);
         // Ejection at the destination router.
         if dest_router == self.id {
-            let slot = head.dest % ctx.endpoints_per_router;
+            let slot = dest % ctx.endpoints_per_router;
             let port = self.num_net_ports + slot;
             let vc = self.pick_free_vc(port, 0)?;
             return Some((port, vc, false));
@@ -607,7 +630,7 @@ impl Router {
                 state.buffer.len(),
                 state.bound,
                 state.escape_committed,
-                state.buffer.front().map(|f| f.dest),
+                state.buffer.front().map(|f| f.dest as usize),
             ));
         }
         out
@@ -721,8 +744,8 @@ impl Router {
             self.ports[in_port].sa_vc_rr = if vc + 1 == vcs { 0 } else { vc as u16 + 1 };
 
             // Rewrite per-hop flit fields.
-            let in_vc = flit.vc;
-            flit.vc = out_vc;
+            let in_vc = usize::from(flit.vc);
+            flit.vc = out_vc as u8;
             flit.escape = escape;
             let out = &mut self.outputs[out_idx];
             out.credits -= 1;
@@ -924,7 +947,7 @@ mod tests {
         RoutingTables::new(g, kind).expect("valid topology")
     }
 
-    fn head_flit(dest: usize, vc: usize) -> Flit {
+    fn head_flit(dest: u32, vc: u8) -> Flit {
         Flit { packet: 1, is_head: true, is_tail: true, dest, created_at: 0, vc, escape: false }
     }
 
@@ -1045,12 +1068,12 @@ mod tests {
         r.allocate_switch(&mut sent, &mut credits);
         assert_eq!(sent.len(), 1);
         // Output VC still owned between head and tail.
-        assert!(r.outputs[sent[0].flit.vc].owner.is_some());
+        assert!(r.outputs[usize::from(sent[0].flit.vc)].owner.is_some());
         r.receive_flit(1, tail);
         r.allocate_vcs(ctx);
         r.allocate_switch(&mut sent, &mut credits);
         assert_eq!(sent.len(), 1);
-        assert!(r.outputs[sent[0].flit.vc].owner.is_none());
+        assert!(r.outputs[usize::from(sent[0].flit.vc)].owner.is_none());
         assert!(!r.has_buffered());
     }
 

@@ -18,6 +18,7 @@ use chiplet_graph::{bfs, metrics, Graph};
 use std::fmt;
 
 use crate::flit::RouterId;
+use crate::heap::HeapBytes;
 
 /// Routing algorithm selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -196,6 +197,14 @@ impl RoutingTables {
     #[must_use]
     pub fn reachable(&self, r: RouterId, d: RouterId) -> bool {
         self.dist[r * self.num_routers + d] != u32::MAX
+    }
+
+    /// Heap bytes the tables hold: the capacities of their four arrays.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.dist.heap_bytes()
+            + self.minimal_start.heap_bytes()
+            + self.minimal.heap_bytes()
+            + self.escape.heap_bytes()
     }
 
     /// The algorithm these tables were built for.

@@ -36,11 +36,12 @@ use chiplet_graph::Graph;
 use crate::channel::Credit;
 use crate::fault::FaultPlan;
 use crate::flit::{Flit, PacketId, RouterId};
+use crate::heap::{arc_block, HeapBytes};
 use crate::obs::{merge_window_series, Probe, WindowSample};
 use crate::router::StallCounters;
 use crate::sim::{
-    percentiles_from_histogram, stats_from_sums, LinkSpec, NetworkStats, SimConfig, SimError,
-    Simulator, WindowSums, LATENCY_HISTOGRAM_BUCKETS,
+    percentiles_from_histogram, stats_from_sums, tables_heap_bytes, LinkSpec, NetworkStats,
+    SimConfig, SimError, Simulator, WindowSums, LATENCY_HISTOGRAM_BUCKETS,
 };
 
 /// Commands the coordinator hands to the shard workers.
@@ -129,6 +130,28 @@ struct Shared {
     /// credit returns it owes routers owned by other shards.
     fault_seeds: Vec<Mutex<Vec<PacketId>>>,
     fault_credits: Vec<Mutex<Vec<(u32, u32)>>>,
+}
+
+impl Shared {
+    /// Heap bytes of the shared block: mailboxes, drain slots and fault
+    /// exchange slots.
+    fn heap_bytes(&self) -> usize {
+        fn slots<T>(v: &[Mutex<Vec<T>>]) -> usize {
+            v.iter().map(|m| lock(m).heap_bytes()).sum()
+        }
+        arc_block::<Self>()
+            + self.flit_mail.heap_bytes()
+            + slots(&self.flit_mail)
+            + self.credit_mail.heap_bytes()
+            + slots(&self.credit_mail)
+            + self.in_flight.heap_bytes()
+            + self.last_progress.heap_bytes()
+            + self.local_drained.heap_bytes()
+            + self.fault_seeds.heap_bytes()
+            + slots(&self.fault_seeds)
+            + self.fault_credits.heap_bytes()
+            + slots(&self.fault_credits)
+    }
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -686,6 +709,34 @@ impl ShardedSimulator {
             stalls.absorb(lock(shard).stall_counters());
         }
         stalls
+    }
+
+    /// Heap bytes the run holds: every shard's simulator (see
+    /// [`Simulator::heap_bytes`]), each distinct routing table once (the
+    /// shards share one until a fault gives each its own degraded copy),
+    /// the boundary mailboxes and the workers' wiring lists.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        let mut bytes = self.shards.heap_bytes()
+            + self.workers.heap_bytes()
+            + self.cuts.heap_bytes()
+            + self.shared.as_deref().map_or(0, Shared::heap_bytes);
+        let mut tables: Vec<*const crate::routing::RoutingTables> = Vec::new();
+        for shard in &self.shards {
+            let sim = lock(shard);
+            bytes += arc_block::<Mutex<Simulator>>() + sim.heap_bytes_without_tables();
+            if self.shared.is_some() {
+                // A worker's `(link, mailbox)` pair per boundary link.
+                bytes += (sim.out_links().len() + sim.in_links().len())
+                    * size_of::<(usize, usize)>();
+            }
+            let t = sim.routing_tables();
+            if !tables.contains(&Arc::as_ptr(t)) {
+                tables.push(Arc::as_ptr(t));
+                bytes += tables_heap_bytes(t);
+            }
+        }
+        bytes
     }
 
     /// Flits currently inside the network, summed across shards.

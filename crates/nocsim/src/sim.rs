@@ -21,6 +21,7 @@ use crate::channel::{Credit, DelayLine, Link, IDLE};
 use crate::endpoint::{Endpoint, Generated};
 use crate::fault::{FaultPlan, FaultTarget};
 use crate::flit::{Flit, PacketId, RouterId};
+use crate::heap::{arc_block, HeapBytes};
 use crate::obs::{ObsState, Probe, WindowSample};
 use crate::rmodel::RouterModel;
 use crate::router::{RouteContext, Router, RouterParams, SentCredit, SentFlit, StallCounters};
@@ -319,6 +320,22 @@ struct ShardRole {
     in_links: Vec<usize>,
 }
 
+impl ShardRole {
+    /// Heap bytes of the boxed role, its outboxes included.
+    fn heap_bytes(&self) -> usize {
+        let flits: usize = self.flit_outboxes.iter().map(HeapBytes::heap_bytes).sum();
+        let credits: usize = self.credit_outboxes.iter().map(HeapBytes::heap_bytes).sum();
+        size_of::<Self>()
+            + self.outbox.heap_bytes()
+            + self.flit_outboxes.heap_bytes()
+            + flits
+            + self.credit_outboxes.heap_bytes()
+            + credits
+            + self.out_links.heap_bytes()
+            + self.in_links.heap_bytes()
+    }
+}
+
 /// Number of exact one-cycle buckets in a simulator's latency histogram;
 /// longer latencies share the last bucket.
 pub const LATENCY_HISTOGRAM_BUCKETS: usize = 4096;
@@ -488,6 +505,17 @@ struct FaultState {
 }
 
 impl FaultState {
+    /// Heap bytes of the boxed state (its hash map estimated).
+    fn heap_bytes(&self) -> usize {
+        size_of::<Self>()
+            + self.plan.heap_bytes()
+            + self.graph.heap_bytes()
+            + self.dead_link.heap_bytes()
+            + self.dead_router.heap_bytes()
+            + self.outstanding.heap_bytes()
+            + self.retx_heap.heap_bytes()
+    }
+
     /// The one retransmission rule: gives outstanding packet `p` up once
     /// its attempts are spent, else schedules another re-offer after the
     /// exponential backoff.
@@ -692,9 +720,16 @@ impl Simulator {
         };
 
         let epr = config.endpoints_per_router;
-        let num_endpoints = n * epr;
+        let num_endpoints = n.saturating_mul(epr);
         let num_net_links = 2 * g.num_edges();
-        let num_links = num_net_links + 2 * num_endpoints;
+        let num_links = num_net_links.saturating_add(num_endpoints.saturating_mul(2));
+        // Endpoints, and the event wheel's two delay lines per link, are
+        // keyed by `u32`, with `u32::MAX` kept as the wheel's sentinel.
+        if num_links >= (u32::MAX / 2) as usize {
+            return Err(SimError::InvalidConfig(
+                "the network has too many links and endpoints for 32-bit ids",
+            ));
+        }
         let mut routers = Vec::with_capacity(n);
         let mut links = Vec::with_capacity(num_links);
         let mut link_src = Vec::with_capacity(num_links);
@@ -743,14 +778,6 @@ impl Simulator {
         }
 
         let max_ports = routers.iter().map(Router::num_ports).max().unwrap_or(1);
-        // Flow control bounds every delay line's occupancy: each flit (or
-        // outstanding credit) in flight holds one of the vcs × buffer_depth
-        // downstream buffer slots. Reserving that bound up front keeps the
-        // steady-state hot path allocation-free from cycle 0.
-        let credit_bound = config.vcs * config.buffer_depth;
-        for link in &mut links {
-            link.reserve(credit_bound);
-        }
         let endpoints = (0..num_endpoints)
             .map(|e| {
                 Endpoint::new(
@@ -841,18 +868,121 @@ impl Simulator {
             sim.shard = Some(Box::new(role));
         }
         let process = sim.injection_process();
-        let epr = sim.config.endpoints_per_router;
-        let owned_endpoints = match &sim.shard {
-            Some(role) => role.first_router * epr..role.last_router * epr,
-            None => 0..sim.endpoints.len(),
-        };
         // Only owned endpoints ever generate traffic; foreign ones stay
         // idle forever (their routers are serviced by another shard).
-        for e in owned_endpoints {
+        for e in sim.owned_endpoints() {
             sim.endpoints[e].schedule_arrival(0, process);
         }
+        sim.reserve_stepped();
         sim.rebuild_event_state();
         Ok(sim)
+    }
+
+    /// The routers this simulator steps: all of them, or a shard's range.
+    fn owned_routers(&self) -> std::ops::Range<usize> {
+        self.shard.as_deref().map_or(0..self.routers.len(), |r| r.first_router..r.last_router)
+    }
+
+    /// The endpoints this simulator steps: those of its routers.
+    fn owned_endpoints(&self) -> std::ops::Range<usize> {
+        let (routers, epr) = (self.owned_routers(), self.config.endpoints_per_router);
+        routers.start * epr..routers.end * epr
+    }
+
+    /// The one reservation pass: sizes every buffer this simulator steps
+    /// to its occupancy bound at construction, which keeps the hot path
+    /// allocation-free from cycle 0. A delay line is reserved by the
+    /// simulator that pops it (a flit line by its destination's owner, a
+    /// credit line by its source's owner) to [`line_bound`], and input VCs
+    /// and source queues only for owned routers and endpoints. A shard
+    /// leaves everything it does not step at zero capacity. No decision
+    /// reads a capacity, so sizing changes no result.
+    fn reserve_stepped(&mut self) {
+        let owned = self.owned_routers();
+        let epr = self.config.endpoints_per_router;
+        let owns = |end: End| match end {
+            End::Router(r, _) => owned.contains(&(r as usize)),
+            End::Endpoint(e) => owned.contains(&(e as usize / epr)),
+        };
+        let credit_bound = self.config.vcs * self.config.buffer_depth;
+        let pipeline = self.config.pipeline_cycles();
+        for (l, link) in self.links.iter_mut().enumerate() {
+            if owns(self.link_dst[l]) {
+                // Routers delay what they send by their pipeline; an
+                // endpoint injects straight onto the wire.
+                let extra = match self.link_src[l] {
+                    End::Router(..) => pipeline,
+                    End::Endpoint(_) => 0,
+                };
+                link.flits.reserve(line_bound(&link.flits, extra, credit_bound));
+            }
+            if owns(self.link_src[l]) {
+                link.credits.reserve(line_bound(&link.credits, 0, credit_bound));
+            }
+        }
+        for r in owned {
+            self.routers[r].reserve_buffers();
+        }
+        for e in self.owned_endpoints() {
+            self.endpoints[e].reserve_source_queue();
+        }
+    }
+
+    /// Heap bytes this simulator holds: a walk over the capacities of its
+    /// routers, links, endpoints, event wheel, scratch buffers, shard,
+    /// fault and probe state, and its routing tables. A counting allocator
+    /// agrees with it (`tests/alloc_footprint.rs`); only a fault plan's
+    /// packet map is estimated.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        self.heap_bytes_without_tables() + tables_heap_bytes(&self.tables)
+    }
+
+    /// [`Simulator::heap_bytes`] less the routing tables, which the shards
+    /// of one run share.
+    pub(crate) fn heap_bytes_without_tables(&self) -> usize {
+        let routers: usize = self.routers.iter().map(Router::heap_bytes).sum();
+        let endpoints: usize = self.endpoints.iter().map(Endpoint::heap_bytes).sum();
+        let lines: usize =
+            self.links.iter().map(|l| l.flits.heap_bytes() + l.credits.heap_bytes()).sum();
+        let ports: usize =
+            self.link_out.iter().chain(&self.link_in).map(HeapBytes::heap_bytes).sum();
+        let obs = self.obs.as_deref().map_or(0, |o| {
+            size_of::<ObsState>() + o.windows.heap_bytes() + o.prev_links.heap_bytes()
+        });
+        self.routers.heap_bytes()
+            + routers
+            + self.endpoints.heap_bytes()
+            + endpoints
+            + self.links.heap_bytes()
+            + lines
+            + self.link_src.heap_bytes()
+            + self.link_dst.heap_bytes()
+            + self.link_out.heap_bytes()
+            + self.link_in.heap_bytes()
+            + ports
+            + self.link_flit_counts.heap_bytes()
+            + self.latency_histogram.heap_bytes()
+            + self.line_events.slot_head.heap_bytes()
+            + self.line_events.next.heap_bytes()
+            + self.wheel_scratch.heap_bytes()
+            + self.arrival_events.heap_bytes()
+            + self.active_routers.heap_bytes()
+            + self.router_active.heap_bytes()
+            + self.inject_list.heap_bytes()
+            + self.endpoint_injecting.heap_bytes()
+            + self.sent_scratch.heap_bytes()
+            + self.credit_scratch.heap_bytes()
+            + self.delivery_log.heap_bytes()
+            + self.shard.as_deref().map_or(0, ShardRole::heap_bytes)
+            + self.faults.as_deref().map_or(0, FaultState::heap_bytes)
+            + obs
+    }
+
+    /// The routing tables in use (shared by a sharded run's shards until
+    /// a fault swaps in a shard's own).
+    pub(crate) fn routing_tables(&self) -> &Arc<RoutingTables> {
+        &self.tables
     }
 
     /// The configuration in use.
@@ -994,7 +1124,7 @@ impl Simulator {
     fn eject_flits(&mut self, t: u64, l: usize, e: usize) {
         let event = !self.reference_stepping;
         while let Some(flit) = self.links[l].flits.pop_due(t) {
-            debug_assert_eq!(flit.dest, e, "flit delivered to wrong endpoint");
+            debug_assert_eq!(flit.dest as usize, e, "flit delivered to wrong endpoint");
             self.in_flight -= 1;
             let counted = u64::from(t >= self.window_start);
             self.window.received_flits += counted;
@@ -1024,7 +1154,7 @@ impl Simulator {
                 event.then(|| (&mut self.line_events, credit_line(l))),
                 t,
                 0,
-                Credit { vc: flit.vc },
+                Credit { vc: usize::from(flit.vc) },
             );
             self.last_progress = t;
         }
@@ -1846,7 +1976,7 @@ impl Simulator {
             let lost = |flit: &&Flit| {
                 dead || match next {
                     End::Router(r, _) => {
-                        flit.escape || !tables.reachable(r as usize, flit.dest / epr)
+                        flit.escape || !tables.reachable(r as usize, flit.dest as usize / epr)
                     }
                     End::Endpoint(_) => false,
                 }
@@ -1859,7 +1989,7 @@ impl Simulator {
                 self.routers[r].for_each_bound_packet(|_, p, _| seeds.push(p));
             } else {
                 self.routers[r].for_each_flit(|flit| {
-                    if flit.escape || !tables.reachable(r, flit.dest / epr) {
+                    if flit.escape || !tables.reachable(r, flit.dest as usize / epr) {
                         seeds.push(flit.packet);
                     }
                 });
@@ -1919,10 +2049,7 @@ impl Simulator {
         let mut f = self.faults.take().expect("no fault plan installed");
         let ev = f.plan.schedule.events()[f.cursor];
         let is_doomed = |p: PacketId| doomed.binary_search(&p).is_ok();
-        let owned = self
-            .shard
-            .as_deref()
-            .map_or(0..self.routers.len(), |r| r.first_router..r.last_router);
+        let owned = self.owned_routers();
 
         // Every purged flit, on a link or in a router buffer, held a buffer
         // slot at the receiving end of a link: `freed` records `(link, vc)`
@@ -1935,7 +2062,7 @@ impl Simulator {
             link.flits.purge(|flit| {
                 let purged = dead || is_doomed(flit.packet);
                 if purged {
-                    freed.push((l, flit.vc));
+                    freed.push((l, usize::from(flit.vc)));
                 }
                 purged
             });
@@ -1945,7 +2072,7 @@ impl Simulator {
             let link_in = &self.link_in[r];
             self.routers[r].purge_doomed(
                 |p| dead || is_doomed(p),
-                |port, flit| freed.push((link_in[port], flit.vc)),
+                |port, flit| freed.push((link_in[port], usize::from(flit.vc))),
             );
         }
         let mut foreign: Vec<(u32, u32)> = Vec::new();
@@ -2312,6 +2439,30 @@ fn arm_line<T>(wheel: &mut EventWheel, line: &DelayLine<T>, id: u32) {
     }
 }
 
+/// The most items `line` can hold at once, the bound the simulator reserves
+/// it to. Flow control bounds every line by the `credit_bound` = vcs ×
+/// buffer_depth buffer slots at its link's downstream end: each flit in
+/// flight holds one, and each credit in flight returns one. A line with
+/// `interval == 1` is bound tighter: it takes at most one push per cycle
+/// and releases each item at its due cycle, `latency + extra` cycles after
+/// its push (`extra` is the router pipeline on a router-fed flit line, 0
+/// elsewhere). It thus holds the pushes of the last `latency + extra`
+/// cycles, plus one when a push precedes the pop of the item due in the
+/// same cycle (an ejection's credit). A serialized line's deliveries drift
+/// behind its pushes, so it keeps the credit bound.
+fn line_bound<T>(line: &DelayLine<T>, extra: u64, credit_bound: usize) -> usize {
+    if line.interval() > 1 {
+        return credit_bound;
+    }
+    usize::try_from(line.latency().saturating_add(extra + 1))
+        .map_or(credit_bound, |b| b.min(credit_bound))
+}
+
+/// Heap bytes of a routing-table `Arc`: its block and the tables' arrays.
+pub(crate) fn tables_heap_bytes(tables: &Arc<RoutingTables>) -> usize {
+    arc_block::<RoutingTables>() + tables.heap_bytes()
+}
+
 /// Pushes `item` onto `line`; when `events` is supplied (event-driven
 /// stepping) and the line was empty, schedules its new delivery on the
 /// wheel. Pushes to a non-empty line never change the front, so no entry
@@ -2380,6 +2531,15 @@ mod tests {
             Simulator::new(&disconnected, small_config(0.1)),
             Err(SimError::Routing(RoutingError::DisconnectedTopology))
         ));
+        // Flits carry `u32` endpoint ids: a network past that is refused
+        // before its endpoints are allocated.
+        let huge = SimConfig { endpoints_per_router: 1 << 31, ..small_config(0.1) };
+        assert_eq!(
+            Simulator::new(&g, huge).err(),
+            Some(SimError::InvalidConfig(
+                "the network has too many links and endpoints for 32-bit ids"
+            ))
+        );
     }
 
     #[test]
@@ -2710,6 +2870,28 @@ mod tests {
         fast.run(12_000);
         let fast_tp = fast.stats().accepted_flits_per_cycle_per_endpoint;
         assert!(fast_tp > 2.0 * per_endpoint, "fast {fast_tp} vs serialized {per_endpoint}");
+    }
+
+    #[test]
+    fn saturated_serialized_links_stay_within_their_reserved_bounds() {
+        // Interval-3 wires queue flits behind one another, so their lines
+        // fill toward the credit bound (8 × 8 = 64 here) rather than the
+        // latency bound (27 + 3 + 1 = 31). At rate 1.0 from construction
+        // every line runs at its worst case; debug builds assert each push
+        // against the line's bound, and no buffer grows past what
+        // construction reserved.
+        let g = gen::grid(4, 4);
+        let cfg = SimConfig { vcs: 8, buffer_depth: 8, ..small_config(1.0) };
+        let mut sim =
+            Simulator::with_link_specs(&g, cfg, |_, _| LinkSpec { latency: 27, interval: 3 })
+                .unwrap();
+        let reserved = sim.heap_bytes();
+        sim.open_measurement_window();
+        sim.run(6_000);
+        let stats = sim.stats();
+        assert!(stats.offered_packets > stats.accepted_packets, "the network saturated");
+        assert!(stats.received_packets > 0);
+        assert_eq!(sim.heap_bytes(), reserved, "a buffer grew past its reservation");
     }
 
     #[test]

@@ -947,7 +947,7 @@ impl StudySpec {
         let stage = self.stage;
         // `search` settings also drive the `optimized` axis.
         let searches = stage == Search || self.axes.optimized;
-        let checks: [(&str, bool, bool); 11] = [
+        let checks: [(&str, bool, bool); 12] = [
             (
                 "axes.kinds",
                 self.axes.kinds.is_some(),
@@ -981,6 +981,12 @@ impl StudySpec {
                     stage,
                     Saturation | Traffic | LoadCurve | Search | Kite | Resilience | Rt
                 ),
+            ),
+            // The load curve runs windows at given rates and searches none.
+            (
+                "schedule.rate_resolution",
+                self.schedule.as_ref().is_some_and(|s| s.rate_resolution.is_some()),
+                matches!(stage, Saturation | Traffic | Search | Kite | Resilience | Rt),
             ),
             ("[search]", self.search != SearchOverrides::default(), searches),
             (
@@ -1442,6 +1448,30 @@ mod tests {
         spec.sim.vcs = Some(2);
         spec.schedule = Some(Schedule::new(100, 200));
         assert!(spec.validate().is_ok());
+    }
+
+    #[test]
+    fn a_load_curve_rejects_a_rate_resolution() {
+        // The load curve simulates the rates it is given and searches none,
+        // so a resolution would only split its cache key.
+        let mut schedule = Schedule::new(1_500, 3_000);
+        schedule.rate_resolution = Some(0.05);
+        let mut spec = StudySpec::new("s", StageKind::LoadCurve);
+        spec.schedule = Some(schedule.clone());
+        let err = spec.validate().expect_err("the load curve searches no rate");
+        assert_eq!(
+            err,
+            "`schedule.rate_resolution` is set but the load_curve stage does not use it"
+        );
+        // The windows alone pass, and so does the resolution on a stage
+        // that searches.
+        spec.schedule.as_mut().unwrap().rate_resolution = None;
+        assert!(spec.validate().is_ok());
+        for stage in [StageKind::Saturation, StageKind::Kite, StageKind::Resilience] {
+            let mut spec = StudySpec::new("s", stage);
+            spec.schedule = Some(schedule.clone());
+            assert!(spec.validate().is_ok(), "{stage}");
+        }
     }
 
     #[test]
