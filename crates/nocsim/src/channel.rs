@@ -14,14 +14,18 @@ pub struct DelayLine<T> {
     latency: u64,
     interval: u64,
     queue: VecDeque<(u64, T)>,
-    last_push_cycle: Option<u64>,
     last_delivery: Option<u64>,
     /// Cached delivery cycle of the front item (`IDLE` when empty) — the
     /// event-driven simulator keys its wheel on this instead of polling
     /// the queue every cycle.
     next_due: u64,
+    /// Cycle of the last push, for the one-push-per-cycle check. Like
+    /// `bound`, only debug builds keep it: only their assertions read it.
+    #[cfg(debug_assertions)]
+    last_push_cycle: Option<u64>,
     /// Occupancy bound recorded by [`DelayLine::reserve`] (0 on a line
     /// never reserved); debug builds check every push against it.
+    #[cfg(debug_assertions)]
     bound: usize,
 }
 
@@ -53,9 +57,11 @@ impl<T> DelayLine<T> {
             latency,
             interval,
             queue: VecDeque::new(),
-            last_push_cycle: None,
             last_delivery: None,
             next_due: IDLE,
+            #[cfg(debug_assertions)]
+            last_push_cycle: None,
+            #[cfg(debug_assertions)]
             bound: 0,
         }
     }
@@ -72,14 +78,17 @@ impl<T> DelayLine<T> {
         self.interval
     }
 
-    /// Reserves queue capacity for `items` in-flight items and records
-    /// `items` as the line's occupancy bound. The simulator reserves each
-    /// line it pops to the line's bound once, at construction, so the
-    /// steady-state hot path never reallocates; debug builds then assert
-    /// on every push that the bound holds.
+    /// Reserves queue capacity for `items` in-flight items, the line's
+    /// occupancy bound. The simulator reserves each line it pops to the
+    /// line's bound once, at construction, so the steady-state hot path
+    /// never reallocates; debug builds record the bound and assert on
+    /// every push that it holds.
     pub fn reserve(&mut self, items: usize) {
         self.queue.reserve_exact(items);
-        self.bound = items;
+        #[cfg(debug_assertions)]
+        {
+            self.bound = items;
+        }
     }
 
     /// Heap bytes the queue holds: its capacity, not its occupancy.
@@ -99,17 +108,20 @@ impl<T> DelayLine<T> {
     /// channel carries at most one flit per cycle — or if the push would
     /// take a reserved line past its bound ([`DelayLine::reserve`]).
     pub fn push(&mut self, cycle: u64, extra_delay: u64, item: T) {
-        debug_assert!(
-            self.last_push_cycle != Some(cycle),
-            "channel accepted two items in cycle {cycle}"
-        );
-        debug_assert!(
-            self.bound == 0 || self.queue.len() < self.bound,
-            "line would hold {} items in cycle {cycle}, past its reserved bound {}",
-            self.queue.len() + 1,
-            self.bound
-        );
-        self.last_push_cycle = Some(cycle);
+        #[cfg(debug_assertions)]
+        {
+            assert!(
+                self.last_push_cycle != Some(cycle),
+                "channel accepted two items in cycle {cycle}"
+            );
+            assert!(
+                self.bound == 0 || self.queue.len() < self.bound,
+                "line would hold {} items in cycle {cycle}, past its reserved bound {}",
+                self.queue.len() + 1,
+                self.bound
+            );
+            self.last_push_cycle = Some(cycle);
+        }
         let mut deliver_at = cycle + self.latency + extra_delay;
         if let Some(last) = self.last_delivery {
             deliver_at = deliver_at.max(last + self.interval);

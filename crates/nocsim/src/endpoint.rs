@@ -1,11 +1,11 @@
 //! Traffic endpoints: packet sources and sinks.
 //!
 //! Each chiplet hosts a router and (in the paper's configuration) two
-//! endpoints. An endpoint generates packets with a Bernoulli (or bursty
-//! on/off) process, queues their flits in a bounded source queue, and
-//! injects them into its router's injection port under credit flow
-//! control. Arriving flits are sunk by the simulator, which also does all
-//! measurement-window counting; an endpoint keeps only source state.
+//! endpoints. An endpoint generates packets with a Bernoulli process,
+//! queues their flits in a bounded source queue, and injects them into its
+//! router's injection port under credit flow control. Arriving flits are
+//! sunk by the simulator, which also does all measurement-window counting;
+//! an endpoint keeps only source state.
 //!
 //! Generation is *arrival-scheduled*: instead of flipping a coin every
 //! cycle, the endpoint samples the cycle of its next packet with
@@ -27,7 +27,7 @@ use rand::SeedableRng;
 use crate::channel::IDLE;
 use crate::flit::{EndpointId, Flit, PacketId, VcId};
 use crate::heap::HeapBytes;
-use crate::traffic::{InjectionProcess, ProcessState, TrafficPattern};
+use crate::traffic::{InjectionProcess, TrafficPattern};
 
 /// What became of one scheduled packet generation
 /// ([`Endpoint::generate_due`]).
@@ -68,7 +68,6 @@ pub struct Endpoint {
     /// at failure barriers identifies packets *by id across shards*.
     next_seq: u64,
     rng: StdRng,
-    process_state: ProcessState,
     /// Cycle of the next scheduled packet generation ([`IDLE`] when the
     /// process never fires again).
     next_arrival: u64,
@@ -111,7 +110,6 @@ impl Endpoint {
             bound_vc: None,
             next_seq: 0,
             rng: StdRng::seed_from_u64(seed ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-            process_state: ProcessState::default(),
             next_arrival: IDLE,
             queue_integral: 0,
             queue_max: 0,
@@ -172,7 +170,7 @@ impl Endpoint {
         self.next_arrival = if self.num_endpoints < 2 {
             IDLE
         } else {
-            process.next_arrival(from, &mut self.process_state, &mut self.rng).unwrap_or(IDLE)
+            process.next_arrival(from, &mut self.rng).unwrap_or(IDLE)
         };
     }
 

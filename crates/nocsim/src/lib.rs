@@ -16,7 +16,7 @@
 //! * [`rmodel`] — pluggable router microarchitectures (VC allocation and
 //!   output arbitration policies, escape-VC bubble flow control,
 //!   crossbar pipeline depth),
-//! * [`endpoint`] / [`traffic`] — Bernoulli and on/off traffic sources,
+//! * [`endpoint`] / [`traffic`] — traffic patterns and Bernoulli sources,
 //! * [`fault`] — deterministic link/router failure schedules and
 //!   source retransmission,
 //! * [`sim`] — the cycle loop and statistics,

@@ -86,10 +86,9 @@ pub struct SaturationResult {
 /// over all ordered endpoint pairs.
 ///
 /// A packet between endpoints whose routers are `H` hops apart costs
-/// `inj + H·(router + link) + router + inj + (P − 1)` cycles: injection
-/// link, `H` router-and-link traversals, the destination router, the
-/// ejection link, and tail serialisation. Matches what the simulator
-/// measures at vanishing load (validated in the crate's tests).
+/// [`SimConfig::zero_load_cycles`], linear in `H`, so the average over
+/// pairs is that cost at the average hop count. Matches what the
+/// simulator measures at vanishing load (validated in the crate's tests).
 ///
 /// # Errors
 ///
@@ -108,10 +107,8 @@ pub fn zero_load_latency(g: &Graph, config: &SimConfig) -> Result<f64, SimError>
     if endpoints < 2 {
         return Err(SimError::InvalidConfig("need at least two endpoints"));
     }
-    let per_hop = (config.pipeline_cycles() + config.link_latency) as f64;
-    let constant = 2.0 * config.injection_latency as f64
-        + config.pipeline_cycles() as f64
-        + (config.packet_size as f64 - 1.0);
+    let per_hop = config.hop_cycles() as f64;
+    let constant = config.zero_load_cycles(0, config.packet_size) as f64;
     // Average router-to-router hop distance over ordered endpoint pairs:
     // each router pair carries epr² of them, and a same-router pair, the
     // endpoint itself included, adds 0 hops.

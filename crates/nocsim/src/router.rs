@@ -52,30 +52,42 @@ pub struct SentCredit {
     pub credit: Credit,
 }
 
+/// A packet's hold on one output VC, from its head's VC allocation until
+/// its tail leaves or a fault purges it. Ports fit `u32` (the simulator
+/// refuses a network whose links would not) and VCs `u8`
+/// ([`crate::SimConfig::validate`] caps `vcs` at 64).
+#[derive(Debug, Clone, Copy)]
+struct Binding {
+    /// The packet holding the binding, kept so fault handling can identify
+    /// it even when the VC is momentarily empty (all its flits already
+    /// forwarded downstream).
+    packet: PacketId,
+    out_port: u32,
+    out_vc: u8,
+    /// The packet committed to the escape network at this hop.
+    escape: bool,
+}
+
+impl Binding {
+    /// The bound output `(port, vc)`.
+    fn output(self) -> (usize, VcId) {
+        (self.out_port as usize, usize::from(self.out_vc))
+    }
+}
+
 /// Per-input-VC state.
 #[derive(Debug, Clone)]
 struct InputVc {
     buffer: std::collections::VecDeque<Flit>,
-    /// Output (port, vc) held by the packet currently at the head.
-    bound: Option<(usize, VcId)>,
-    /// Id of the packet holding the binding. Kept alongside `bound` so
-    /// fault handling can identify the owning packet even when the VC is
-    /// momentarily empty (all its flits already forwarded downstream).
-    bound_packet: Option<PacketId>,
-    /// The bound packet committed to the escape network at this hop.
-    escape_committed: bool,
+    /// The output VC held by the packet at the head, if it is bound.
+    binding: Option<Binding>,
 }
 
 impl InputVc {
     /// An empty VC whose buffer holds no capacity yet: only the simulator
     /// stepping the router reserves it ([`Router::reserve_buffers`]).
     fn new() -> Self {
-        Self {
-            buffer: std::collections::VecDeque::new(),
-            bound: None,
-            bound_packet: None,
-            escape_committed: false,
-        }
+        Self { buffer: std::collections::VecDeque::new(), binding: None }
     }
 }
 
@@ -83,9 +95,15 @@ impl InputVc {
 #[derive(Debug, Clone)]
 struct OutputVc {
     credits: usize,
-    /// Input (port, vc) currently holding this output VC, if any.
-    owner: Option<(usize, VcId)>,
+    /// Input `(port, vc)` currently holding this output VC, if any, as
+    /// narrow as [`Binding`]'s.
+    owner: Option<(u32, u8)>,
 }
+
+// Every router keeps one of each per VC of every port, in every shard:
+// 63 952 of each for HexaMesh at n = 1027 with paper defaults.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(size_of::<InputVc>() == 48 && size_of::<OutputVc>() == 24);
 
 /// One row of [`Router::occupancy_report`]: `(in_port, vc,
 /// buffered_flits, bound_output, escape_committed, head_dest)`.
@@ -356,7 +374,7 @@ impl Router {
             flit.vc
         );
         if self.inputs[idx].buffer.is_empty() {
-            if self.inputs[idx].bound.is_some() {
+            if self.inputs[idx].binding.is_some() {
                 self.ports[in_port].sa_candidates += 1;
             } else {
                 self.ports[in_port].waiting |= 1 << vc;
@@ -443,12 +461,14 @@ impl Router {
                 self.stalls.vc_starved += 1;
                 continue;
             };
-            self.outputs[out_port * vcs + out_vc].owner = Some((port, vc));
+            self.outputs[out_port * vcs + out_vc].owner = Some((port as u32, vc as u8));
             self.ports[out_port].free_vcs &= !(1 << out_vc);
-            let state = &mut self.inputs[idx];
-            state.bound = Some((out_port, out_vc));
-            state.bound_packet = Some(head.packet);
-            state.escape_committed = escape;
+            self.inputs[idx].binding = Some(Binding {
+                packet: head.packet,
+                out_port: out_port as u32,
+                out_vc: out_vc as u8,
+                escape,
+            });
             self.ports[port].waiting &= !(1 << vc);
             self.ports[port].sa_candidates += 1;
             self.unbound_heads -= 1;
@@ -621,15 +641,15 @@ impl Router {
     pub fn occupancy_report(&self) -> Vec<OccupancyEntry> {
         let mut out = Vec::new();
         for (idx, state) in self.inputs.iter().enumerate() {
-            if state.buffer.is_empty() && state.bound.is_none() {
+            if state.buffer.is_empty() && state.binding.is_none() {
                 continue;
             }
             out.push((
                 idx / self.params.vcs,
                 idx % self.params.vcs,
                 state.buffer.len(),
-                state.bound,
-                state.escape_committed,
+                state.binding.map(Binding::output),
+                state.binding.is_some_and(|b| b.escape),
                 state.buffer.front().map(|f| f.dest as usize),
             ));
         }
@@ -642,7 +662,8 @@ impl Router {
     pub fn output_report(&self) -> Vec<(usize, VcId, usize, (usize, VcId))> {
         let mut out = Vec::new();
         for (idx, state) in self.outputs.iter().enumerate() {
-            if let Some(owner) = state.owner {
+            if let Some((port, vc)) = state.owner {
+                let owner = (port as usize, usize::from(vc));
                 out.push((idx / self.params.vcs, idx % self.params.vcs, state.credits, owner));
             }
         }
@@ -671,14 +692,15 @@ impl Router {
             let mut vc = usize::from(self.ports[port].sa_vc_rr);
             for _ in 0..vcs {
                 let ivc = &self.inputs[port * vcs + vc];
-                if let Some((out_port, out_vc)) = ivc.bound {
+                if let Some(binding) = ivc.binding {
                     if let Some(front) = ivc.buffer.front() {
+                        let (out_port, out_vc) = binding.output();
                         if self.outputs[out_port * vcs + out_vc].credits > 0 {
                             self.nominees.push(Nominee {
                                 in_port: port as u32,
                                 vc: vc as u32,
-                                out_port: out_port as u32,
-                                out_vc: out_vc as u32,
+                                out_port: binding.out_port,
+                                out_vc: u32::from(binding.out_vc),
                                 age: front.created_at,
                             });
                             break;
@@ -737,7 +759,7 @@ impl Router {
             let (in_port, vc) = (n.in_port as usize, n.vc as usize);
             let (out_vc, out_idx) = (n.out_vc as usize, out_port * vcs + n.out_vc as usize);
             let in_idx = in_port * vcs + vc;
-            let escape = self.inputs[in_idx].escape_committed;
+            let escape = self.inputs[in_idx].binding.is_some_and(|b| b.escape);
             let mut flit =
                 self.inputs[in_idx].buffer.pop_front().expect("granted VC non-empty");
             self.buffered -= 1;
@@ -755,9 +777,7 @@ impl Router {
                     self.ports[out_port].free_vcs |= 1 << out_vc;
                     self.va_dirty = true;
                 }
-                self.inputs[in_idx].bound = None;
-                self.inputs[in_idx].bound_packet = None;
-                self.inputs[in_idx].escape_committed = false;
+                self.inputs[in_idx].binding = None;
                 self.ports[in_port].sa_candidates -= 1;
                 if !self.inputs[in_idx].buffer.is_empty() {
                     // Wormhole invariant: the flit behind a departed tail
@@ -817,8 +837,8 @@ impl Router {
     /// escape tree.
     pub fn for_each_bound_packet(&self, mut f: impl FnMut(usize, PacketId, bool)) {
         for state in &self.inputs {
-            if let (Some((out_port, _)), Some(packet)) = (state.bound, state.bound_packet) {
-                f(out_port, packet, state.escape_committed);
+            if let Some(b) = state.binding {
+                f(b.out_port as usize, b.packet, b.escape);
             }
         }
     }
@@ -850,12 +870,10 @@ impl Router {
                 }
             });
             count += before - state.buffer.len();
-            if let Some(packet) = state.bound_packet {
-                if is_doomed(packet) {
-                    let (out_port, out_vc) = state.bound.expect("bound_packet implies bound");
-                    state.bound = None;
-                    state.bound_packet = None;
-                    state.escape_committed = false;
+            if let Some(b) = state.binding {
+                if is_doomed(b.packet) {
+                    state.binding = None;
+                    let (out_port, out_vc) = b.output();
                     self.outputs[out_port * vcs + out_vc].owner = None;
                 }
             }
@@ -878,7 +896,7 @@ impl Router {
         for v in 0..vcs {
             let input = &self.inputs[port * vcs + v];
             if !input.buffer.is_empty() {
-                if input.bound.is_some() {
+                if input.binding.is_some() {
                     state.sa_candidates += 1;
                 } else {
                     state.waiting |= 1 << v;

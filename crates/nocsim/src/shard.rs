@@ -10,8 +10,8 @@
 //! boundary messages at a barrier.
 //!
 //! **Determinism contract.** For every reported statistic —
-//! [`NetworkStats`], latency percentiles, channel loads, drain outcome,
-//! the deadlock watchdog — a sharded run is *bit-identical* to the serial
+//! [`NetworkStats`], latency percentiles, channel loads, the deadlock
+//! watchdog — a sharded run is *bit-identical* to the serial
 //! [`Simulator`], for any contiguous partition and any shard count. Two
 //! properties carry the proof: (1) all cross-shard influence flows
 //! through delay lines, and boundary pushes are *replayed* on the owning
@@ -27,7 +27,6 @@
 //! state performs zero heap allocations — the same contract as the serial
 //! hot path.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
@@ -49,8 +48,6 @@ use crate::sim::{
 enum Command {
     /// Advance to the absolute cycle `target` in bounded-lag windows.
     Run { target: u64 },
-    /// Stop generation; run until globally drained or `deadline`.
-    Drain { deadline: u64 },
     /// Exit the worker loop.
     Stop,
 }
@@ -121,10 +118,6 @@ struct Shared {
     /// window bound; posted and drained by O(1) buffer swaps.
     flit_mail: Vec<Mutex<Vec<(u64, Flit)>>>,
     credit_mail: Vec<Mutex<Vec<(u64, Credit)>>>,
-    /// Per-shard drain status, published at drain barriers.
-    in_flight: Vec<AtomicU64>,
-    last_progress: Vec<AtomicU64>,
-    local_drained: Vec<AtomicBool>,
     /// Per-shard fault-exchange slots: at a failure barrier each shard
     /// publishes the doomed packet ids it can see locally, then the
     /// credit returns it owes routers owned by other shards.
@@ -133,8 +126,7 @@ struct Shared {
 }
 
 impl Shared {
-    /// Heap bytes of the shared block: mailboxes, drain slots and fault
-    /// exchange slots.
+    /// Heap bytes of the shared block: mailboxes and fault exchange slots.
     fn heap_bytes(&self) -> usize {
         fn slots<T>(v: &[Mutex<Vec<T>>]) -> usize {
             v.iter().map(|m| lock(m).heap_bytes()).sum()
@@ -144,9 +136,6 @@ impl Shared {
             + slots(&self.flit_mail)
             + self.credit_mail.heap_bytes()
             + slots(&self.credit_mail)
-            + self.in_flight.heap_bytes()
-            + self.last_progress.heap_bytes()
-            + self.local_drained.heap_bytes()
             + self.fault_seeds.heap_bytes()
             + slots(&self.fault_seeds)
             + self.fault_credits.heap_bytes()
@@ -183,7 +172,6 @@ impl Worker {
             let command = *lock(&self.shared.command);
             match command {
                 Command::Run { target } => self.advance(target),
-                Command::Drain { deadline } => self.drain(deadline),
                 Command::Stop => {
                     self.shared.done.wait();
                     return;
@@ -265,51 +253,6 @@ impl Worker {
             self.exchange_faults(sim);
             let to =
                 sim.cycle().saturating_add(self.window).min(target).min(sim.next_fault_cycle());
-            self.window(sim, to);
-        }
-    }
-
-    /// The sharded half of [`Simulator::drain`]: windows until every
-    /// shard is drained, then rewind to the exact cycle the serial drain
-    /// loop would have stopped at — one past the last flit movement
-    /// anywhere (the unwound cycles carried only residual credit
-    /// deliveries, which no reported stat observes).
-    fn drain(&self, deadline: u64) {
-        let sim = &mut *lock(&self.sim);
-        let entry = sim.cycle();
-        sim.stop_generation();
-        loop {
-            let me = self.index;
-            self.shared.in_flight[me].store(sim.flits_in_network() as u64, Ordering::SeqCst);
-            self.shared.last_progress[me].store(sim.last_progress_cycle(), Ordering::SeqCst);
-            self.shared.local_drained[me].store(sim.is_fully_drained(), Ordering::SeqCst);
-            self.shared.sync.wait();
-            // Every worker reads the same published snapshot, so every
-            // worker reaches the same verdict without another barrier.
-            let mut drained = true;
-            let mut last_progress = 0u64;
-            for k in 0..self.shared.local_drained.len() {
-                drained &= self.shared.local_drained[k].load(Ordering::SeqCst);
-                last_progress =
-                    last_progress.max(self.shared.last_progress[k].load(Ordering::SeqCst));
-            }
-            if drained {
-                let stop = (last_progress + 1).max(entry);
-                debug_assert!(stop <= sim.cycle(), "drain cycle ahead of the run");
-                sim.rewind_cycle(stop);
-                return;
-            }
-            if sim.cycle() >= deadline {
-                return;
-            }
-            // Mirrors the serial drain loop: the drained verdict comes
-            // first, then due failure events apply, then the network runs.
-            self.exchange_faults(sim);
-            let to = sim
-                .cycle()
-                .saturating_add(self.window)
-                .min(deadline)
-                .min(sim.next_fault_cycle());
             self.window(sim, to);
         }
     }
@@ -474,9 +417,6 @@ impl ShardedSimulator {
             credit_mail: (0..boundary.len())
                 .map(|_| Mutex::new(Vec::with_capacity(capacity)))
                 .collect(),
-            in_flight: (0..k).map(|_| AtomicU64::new(0)).collect(),
-            last_progress: (0..k).map(|_| AtomicU64::new(0)).collect(),
-            local_drained: (0..k).map(|_| AtomicBool::new(false)).collect(),
             fault_seeds: (0..k).map(|_| Mutex::new(Vec::new())).collect(),
             fault_credits: (0..k).map(|_| Mutex::new(Vec::new())).collect(),
         });
@@ -602,26 +542,6 @@ impl ShardedSimulator {
         self.open_measurement_window();
         self.run(measure);
         self.stats()
-    }
-
-    /// Stops traffic generation and runs until the whole network drains
-    /// or `max_cycles` pass; returns `true` if fully drained. The final
-    /// cycle count matches the serial [`Simulator::drain`] exactly.
-    pub fn drain(&mut self, max_cycles: u64) -> bool {
-        if self.shared.is_none() {
-            let mut sim = lock(&self.shards[0]);
-            let drained = sim.drain(max_cycles);
-            self.cycle = sim.cycle();
-            return drained;
-        }
-        let deadline = self.cycle.saturating_add(max_cycles);
-        self.command(Command::Drain { deadline });
-        self.cycle = lock(&self.shards[0]).cycle();
-        debug_assert!(
-            self.shards.iter().all(|s| lock(s).cycle() == self.cycle),
-            "shards disagree on the drain cycle"
-        );
-        self.shards.iter().all(|s| lock(s).is_fully_drained())
     }
 
     /// Aggregated statistics since the measurement window opened —
@@ -760,47 +680,6 @@ impl ShardedSimulator {
         in_flight > 0
             && self.cycle.saturating_sub(last_progress) > self.config.deadlock_watchdog
     }
-
-    /// The blocked-packet report, aggregated across shards. Leads with
-    /// the shard holding the *oldest* blocked flit (the least recent
-    /// per-shard progress among shards still holding flits) — read that
-    /// shard's section first when the watchdog fires.
-    #[must_use]
-    pub fn blocked_packet_report(&self) -> String {
-        use std::fmt::Write as _;
-        let mut oldest: Option<(usize, u64)> = None;
-        for (k, shard) in self.shards.iter().enumerate() {
-            let sim = lock(shard);
-            if sim.flits_in_network() > 0 {
-                let progress = sim.last_progress_cycle();
-                if oldest.is_none_or(|(_, best)| progress < best) {
-                    oldest = Some((k, progress));
-                }
-            }
-        }
-        let mut out = String::new();
-        if let Some((k, progress)) = oldest {
-            let _ = writeln!(
-                out,
-                "oldest blocked flit: shard {k} (routers {}..{}, no progress since cycle {progress})",
-                self.cuts[k],
-                self.cuts[k + 1],
-            );
-        }
-        for (k, shard) in self.shards.iter().enumerate() {
-            let report = lock(shard).blocked_packet_report();
-            if !report.is_empty() {
-                let _ = writeln!(
-                    out,
-                    "shard {k} (routers {}..{}):",
-                    self.cuts[k],
-                    self.cuts[k + 1]
-                );
-                out.push_str(&report);
-            }
-        }
-        out
-    }
 }
 
 impl Drop for ShardedSimulator {
@@ -859,26 +738,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_drain_matches_serial() {
-        let g = gen::grid(4, 4);
-        let cfg = config(0.2);
-        let mut serial = Simulator::new(&g, cfg).unwrap();
-        serial.run(400);
-        serial.open_measurement_window();
-        serial.run(1_500);
-        let drained = serial.drain(30_000);
-        for shards in [2, 4] {
-            let mut sharded = ShardedSimulator::new(&g, cfg, shards).unwrap();
-            sharded.run(400);
-            sharded.open_measurement_window();
-            sharded.run(1_500);
-            assert_eq!(sharded.drain(30_000), drained, "{shards} shards");
-            assert_eq!(sharded.cycle(), serial.cycle(), "{shards} shards");
-            assert_eq!(sharded.stats(), serial.stats(), "{shards} shards");
-        }
-    }
-
-    #[test]
     fn sharded_faulted_run_matches_serial() {
         use crate::fault::{FaultEvent, FaultPlan, FaultSchedule, FaultTarget};
         let g = gen::grid(4, 4);
@@ -905,30 +764,6 @@ mod tests {
                 "{shards} shards"
             );
             assert_eq!(sharded.channel_loads(), serial.channel_loads(), "{shards} shards");
-        }
-    }
-
-    #[test]
-    fn sharded_faulted_drain_matches_serial() {
-        use crate::fault::{FaultPlan, FaultSchedule};
-        let g = gen::grid(4, 4);
-        let cfg = config(0.2);
-        let plan = FaultPlan::new(FaultSchedule::random_links(&g, 2, 900, 11));
-        let mut serial = Simulator::new(&g, cfg).unwrap();
-        serial.install_fault_plan(plan.clone());
-        serial.run(400);
-        serial.open_measurement_window();
-        serial.run(1_500);
-        let drained = serial.drain(30_000);
-        for shards in [2, 4] {
-            let mut sharded = ShardedSimulator::new(&g, cfg, shards).unwrap();
-            sharded.install_fault_plan(plan.clone());
-            sharded.run(400);
-            sharded.open_measurement_window();
-            sharded.run(1_500);
-            assert_eq!(sharded.drain(30_000), drained, "{shards} shards");
-            assert_eq!(sharded.cycle(), serial.cycle(), "{shards} shards");
-            assert_eq!(sharded.stats(), serial.stats(), "{shards} shards");
         }
     }
 
@@ -960,12 +795,5 @@ mod tests {
         let mut sim = ShardedSimulator::new(&g, config(0.1), 3).unwrap();
         sim.run_to_window(500, 1_500);
         assert!(!sim.deadlock_suspected());
-        // Mid-flight there are flits somewhere; the report names the
-        // shard and router range to look at.
-        let report = sim.blocked_packet_report();
-        if sim.flits_in_network() > 0 {
-            assert!(report.contains("oldest blocked flit: shard "), "report:\n{report}");
-            assert!(report.contains("routers "), "report:\n{report}");
-        }
     }
 }

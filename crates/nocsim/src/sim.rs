@@ -26,7 +26,7 @@ use crate::obs::{ObsState, Probe, WindowSample};
 use crate::rmodel::RouterModel;
 use crate::router::{RouteContext, Router, RouterParams, SentCredit, SentFlit, StallCounters};
 use crate::routing::{RoutingError, RoutingKind, RoutingTables};
-use crate::traffic::{InjectionProcess, ProcessKind, TrafficPattern};
+use crate::traffic::{InjectionProcess, TrafficPattern};
 
 /// Full simulator configuration.
 ///
@@ -53,8 +53,6 @@ pub struct SimConfig {
     pub routing: RoutingKind,
     /// Spatial traffic pattern.
     pub pattern: TrafficPattern,
-    /// Temporal injection process (Bernoulli or bursty on/off).
-    pub process: ProcessKind,
     /// Offered load in flits/cycle/endpoint.
     pub injection_rate: f64,
     /// RNG seed (traffic is reproducible given the seed).
@@ -83,7 +81,6 @@ impl SimConfig {
             packet_size: 4,
             routing: RoutingKind::MinimalAdaptiveEscape,
             pattern: TrafficPattern::UniformRandom,
-            process: ProcessKind::Bernoulli,
             injection_rate: 0.1,
             seed: 0xD2D_11CC,
             source_queue_cap: 64,
@@ -98,6 +95,27 @@ impl SimConfig {
     #[must_use]
     pub fn pipeline_cycles(&self) -> u64 {
         self.router_latency + self.router.crossbar_depth
+    }
+
+    /// Cycles one router-to-router hop adds to a packet's contention-free
+    /// latency: a router pipeline and a link.
+    #[must_use]
+    pub fn hop_cycles(&self) -> u64 {
+        self.pipeline_cycles() + self.link_latency
+    }
+
+    /// Contention-free latency of a `flits`-flit packet between endpoints
+    /// whose routers are `hops` apart: the injection link, `hops`
+    /// router-and-link traversals, the destination router, the ejection
+    /// link and the tail's serialization. The analytic zero-load latency,
+    /// the closed-loop workloads' critical path and the tests' latency
+    /// floors all read it.
+    #[must_use]
+    pub fn zero_load_cycles(&self, hops: u64, flits: usize) -> u64 {
+        2 * self.injection_latency
+            + self.pipeline_cycles()
+            + hops * self.hop_cycles()
+            + (flits as u64 - 1)
     }
 
     /// Checks every field against the range the engine supports. The
@@ -1022,11 +1040,7 @@ impl Simulator {
 
     /// The injection process implied by the configuration.
     fn injection_process(&self) -> InjectionProcess {
-        InjectionProcess {
-            rate: self.config.injection_rate,
-            packet_size: self.config.packet_size,
-            kind: self.config.process,
-        }
+        InjectionProcess::bernoulli(self.config.injection_rate, self.config.packet_size)
     }
 
     /// Forces (or lifts) poll-every-cycle stepping: the reference path
@@ -2226,8 +2240,8 @@ impl Simulator {
     // ── Shard-coordination hooks (crate::shard) ─────────────────────────
     //
     // Everything the bounded-lag coordinator needs: posting/applying
-    // boundary messages at window barriers, drain bookkeeping, and raw
-    // accessors for bit-exact cross-shard stat aggregation.
+    // boundary messages at window barriers, and raw accessors for
+    // bit-exact cross-shard stat aggregation and the watchdog.
 
     /// Boundary links from an owned to a foreign router (ascending link
     /// id): this shard sends their flits, through flit outbox slot `i`
@@ -2297,43 +2311,9 @@ impl Simulator {
         msgs.clear();
     }
 
-    /// Stops traffic generation without running (the sharded drain's
-    /// per-worker half of [`Simulator::drain`]).
-    pub(crate) fn stop_generation(&mut self) {
-        self.generation_stopped = true;
-    }
-
-    /// Whether nothing is left to move locally (see
-    /// [`Simulator::fully_drained`]).
-    pub(crate) fn is_fully_drained(&self) -> bool {
-        self.fully_drained()
-    }
-
     /// Last cycle any flit moved in this shard.
     pub(crate) fn last_progress_cycle(&self) -> u64 {
         self.last_progress
-    }
-
-    /// Rewinds the cycle counter to the exact global drain cycle. Sound
-    /// only after a global drain: the cycles being unwound moved no flit
-    /// anywhere (only residual credit deliveries, which no reported stat
-    /// observes), and generation is stopped.
-    ///
-    /// Probe windows ending in the unwound cycles are dropped, as the
-    /// serial drain never reaches them. The probe's counter snapshots
-    /// stay: nothing they count changed in those cycles.
-    pub(crate) fn rewind_cycle(&mut self, to: u64) {
-        debug_assert!(self.generation_stopped, "rewind is a drain-only operation");
-        debug_assert!(to <= self.cycle, "rewind must not advance the clock");
-        self.cycle = to;
-        if let Some(obs) = self.obs.as_deref_mut() {
-            let kept = obs.windows.partition_point(|w| w.end_cycle <= to);
-            if let Some(first_dropped) = obs.windows.get(kept) {
-                obs.last_sample_cycle = first_dropped.start_cycle;
-                obs.next_sample = first_dropped.end_cycle;
-                obs.windows.truncate(kept);
-            }
-        }
     }
 
     /// Per-link flit counts since construction (boundary links count on
@@ -2499,7 +2479,6 @@ mod tests {
             packet_size: 4,
             routing: RoutingKind::MinimalAdaptiveEscape,
             pattern: TrafficPattern::UniformRandom,
-            process: ProcessKind::Bernoulli,
             injection_rate: rate,
             seed: 99,
             source_queue_cap: 16,
@@ -2620,7 +2599,8 @@ mod tests {
         assert!(stats.measured_packets > 0);
         // Minimum possible latency: same-router pair, H = 0:
         // inj 1 + router 3 + ej 1 + (P-1) 3 = 8 cycles.
-        let min = 1 + cfg.router_latency + 1 + (cfg.packet_size as u64 - 1);
+        let min = cfg.zero_load_cycles(0, cfg.packet_size);
+        assert_eq!(min, 8);
         assert!(
             stats.avg_packet_latency.unwrap() >= min as f64,
             "avg latency below structural minimum"
@@ -2924,24 +2904,6 @@ mod tests {
             assert!(stats.received_packets > 0, "{pattern:?} delivered nothing");
             assert!(!sim.deadlock_suspected(), "{pattern:?} deadlocked");
         }
-    }
-
-    #[test]
-    fn onoff_process_delivers_packets() {
-        let g = gen::grid(2, 2);
-        let cfg = SimConfig {
-            process: ProcessKind::OnOff { alpha: 0.02, beta: 0.05 },
-            ..small_config(0.1)
-        };
-        let mut sim = Simulator::new(&g, cfg).unwrap();
-        sim.run(1_000);
-        sim.open_measurement_window();
-        sim.run(8_000);
-        let stats = sim.stats();
-        assert!(stats.received_packets > 0);
-        // Long-run offered rate stays near the configured one.
-        let ratio = stats.offered_flits_per_cycle_per_endpoint / 0.1;
-        assert!((0.6..=1.4).contains(&ratio), "offered ratio {ratio}");
     }
 
     #[test]

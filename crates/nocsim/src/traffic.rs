@@ -211,44 +211,15 @@ impl std::str::FromStr for TrafficPattern {
     }
 }
 
-/// Temporal injection process: how packet generation is spread over time.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum ProcessKind {
-    /// Independent Bernoulli trials every cycle (BookSim2's default).
-    #[default]
-    Bernoulli,
-    /// Two-state Markov-modulated on/off process (BookSim2's `onoff`):
-    /// bursty traffic with the same average rate. `alpha` is the per-cycle
-    /// off→on probability, `beta` the on→off probability; while *on*, the
-    /// source fires at rate `rate · (alpha + beta) / alpha` so the long-run
-    /// average equals `rate`.
-    OnOff {
-        /// Off→on transition probability per cycle.
-        alpha: f64,
-        /// On→off transition probability per cycle.
-        beta: f64,
-    },
-}
-
-/// Injection process parameters.
+/// The Bernoulli injection process (BookSim2's default): every cycle an
+/// independent trial generates a packet with probability
+/// [`InjectionProcess::packet_rate`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InjectionProcess {
     /// Offered load in flits per cycle per endpoint (`0.0..=1.0`).
     pub rate: f64,
     /// Packet length in flits (≥ 1).
     pub packet_size: usize,
-    /// Temporal structure of the process.
-    pub kind: ProcessKind,
-}
-
-/// Per-endpoint state of an on/off source (ignored for Bernoulli).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ProcessState {
-    /// Whether the modulating Markov chain is in the *on* state.
-    pub on: bool,
-    /// Last cycle of the current on-window (inclusive); only meaningful
-    /// while `on` is `true`.
-    pub on_until: u64,
 }
 
 /// Samples a Geometric(p) count over `{0, 1, 2, …}`: the number of failed
@@ -270,10 +241,11 @@ fn geometric_skip(p: f64, rng: &mut StdRng) -> u64 {
 }
 
 impl InjectionProcess {
-    /// Bernoulli-style constructor (the paper's configuration).
+    /// The process offering `rate` flits per cycle in packets of
+    /// `packet_size` flits (the paper's configuration).
     #[must_use]
     pub fn bernoulli(rate: f64, packet_size: usize) -> Self {
-        Self { rate, packet_size, kind: ProcessKind::Bernoulli }
+        Self { rate, packet_size }
     }
 
     /// The per-cycle packet-generation probability implied by the flit
@@ -284,85 +256,20 @@ impl InjectionProcess {
     }
 
     /// Samples the cycle of the next packet generation at or after `from`,
-    /// or `None` if the process never fires (zero rate, or an on/off chain
-    /// that can never turn on). One call replaces the per-cycle Bernoulli
-    /// trials of every cycle in `from..=arrival` — the generation sequence
-    /// has exactly the law of those per-cycle trials, but the simulator
-    /// only touches the endpoint at arrival cycles.
-    pub fn next_arrival(
-        &self,
-        from: u64,
-        state: &mut ProcessState,
-        rng: &mut StdRng,
-    ) -> Option<u64> {
+    /// or `None` if the process never fires (zero rate). One call replaces
+    /// the per-cycle Bernoulli trials of every cycle in `from..=arrival` —
+    /// the generation sequence has exactly the law of those per-cycle
+    /// trials, but the simulator only touches the endpoint at arrival
+    /// cycles.
+    pub fn next_arrival(&self, from: u64, rng: &mut StdRng) -> Option<u64> {
         let p = self.packet_rate();
         if p <= 0.0 {
             return None;
         }
-        match self.kind {
-            ProcessKind::Bernoulli => {
-                if p >= 1.0 {
-                    return Some(from);
-                }
-                Some(from.saturating_add(geometric_skip(p, rng)))
-            }
-            ProcessKind::OnOff { alpha, beta } => {
-                let on_fraction = alpha / (alpha + beta);
-                let q = (p / on_fraction).clamp(0.0, 1.0);
-                if q <= 0.0 {
-                    return None;
-                }
-                let mut t = from;
-                loop {
-                    if state.on && t > state.on_until {
-                        // The cycle right after the window hosts the
-                        // off-transition itself (the beta draw succeeded
-                        // there, consuming that cycle's single transition
-                        // trial), so the first off→on trial is one cycle
-                        // later — off sojourns are 1 + Geometric(alpha)
-                        // cycles, exactly as in per-cycle simulation.
-                        state.on = false;
-                        t = t.max(state.on_until.saturating_add(2));
-                    }
-                    if !state.on {
-                        // Off dwell: the chain turns on after a
-                        // Geometric(alpha) number of off-state trials, and
-                        // may fire in the turn-on cycle itself (matching
-                        // the transition-then-fire order of per-cycle
-                        // simulation). The on-window length is
-                        // 1 + Geometric(beta) cycles.
-                        if alpha <= 0.0 {
-                            return None;
-                        }
-                        let start = if alpha >= 1.0 {
-                            t
-                        } else {
-                            t.saturating_add(geometric_skip(alpha, rng))
-                        };
-                        let dwell = if beta >= 1.0 {
-                            0
-                        } else if beta <= 0.0 {
-                            u64::MAX / 4
-                        } else {
-                            geometric_skip(beta, rng)
-                        };
-                        state.on = true;
-                        state.on_until = start.saturating_add(dwell);
-                        t = start;
-                    }
-                    // Next fire attempt success within the on-window?
-                    let fire =
-                        if q >= 1.0 { t } else { t.saturating_add(geometric_skip(q, rng)) };
-                    if fire <= state.on_until {
-                        return Some(fire);
-                    }
-                    // Window exhausted without a fire: resume just past it
-                    // and let the expiry branch above consume the
-                    // off-transition cycle.
-                    t = state.on_until.saturating_add(1);
-                }
-            }
+        if p >= 1.0 {
+            return Some(from);
         }
+        Some(from.saturating_add(geometric_skip(p, rng)))
     }
 }
 
@@ -508,10 +415,9 @@ mod tests {
     /// All arrival cycles in `0..horizon` produced by skip-ahead sampling.
     fn arrivals(proc: &InjectionProcess, horizon: u64, seed: u64) -> Vec<u64> {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut state = ProcessState::default();
         let mut out = Vec::new();
         let mut from = 0u64;
-        while let Some(t) = proc.next_arrival(from, &mut state, &mut rng) {
+        while let Some(t) = proc.next_arrival(from, &mut rng) {
             if t >= horizon {
                 break;
             }
@@ -555,72 +461,6 @@ mod tests {
     fn zero_rate_never_fires() {
         let mut rng = StdRng::seed_from_u64(6);
         let proc = InjectionProcess::bernoulli(0.0, 4);
-        let mut state = ProcessState::default();
-        assert_eq!(proc.next_arrival(0, &mut state, &mut rng), None);
-    }
-
-    #[test]
-    fn onoff_preserves_average_rate() {
-        let proc = InjectionProcess {
-            rate: 0.2,
-            packet_size: 2,
-            kind: ProcessKind::OnOff { alpha: 0.01, beta: 0.03 },
-        };
-        let trials = 400_000;
-        let fires = arrivals(&proc, trials, 7).len();
-        let expected = trials as f64 * 0.1; // 0.2 flits / 2 flits-per-packet
-        let tolerance = expected * 0.08; // bursty: wider tolerance
-        assert!(
-            (fires as f64 - expected).abs() < tolerance,
-            "fires {fires} vs expected {expected}"
-        );
-    }
-
-    #[test]
-    fn onoff_is_bursty() {
-        // Compare the variance of per-window packet counts: on/off must be
-        // burstier than Bernoulli at the same rate.
-        let window = 100u64;
-        let windows = 2_000u64;
-        let count_variance = |kind: ProcessKind, seed: u64| -> f64 {
-            let proc = InjectionProcess { rate: 0.2, packet_size: 1, kind };
-            let mut counts = vec![0f64; windows as usize];
-            for t in arrivals(&proc, window * windows, seed) {
-                counts[(t / window) as usize] += 1.0;
-            }
-            let mean = counts.iter().sum::<f64>() / counts.len() as f64;
-            counts.iter().map(|c| (c - mean) * (c - mean)).sum::<f64>() / counts.len() as f64
-        };
-        let bernoulli = count_variance(ProcessKind::Bernoulli, 8);
-        let onoff = count_variance(ProcessKind::OnOff { alpha: 0.02, beta: 0.05 }, 8);
-        assert!(onoff > 2.0 * bernoulli, "onoff {onoff} vs bernoulli {bernoulli}");
-    }
-
-    #[test]
-    fn onoff_rate_exact_at_high_transition_rates() {
-        // alpha = beta = 0.5: off sojourns are 1 + Geometric(0.5) cycles
-        // (the off-transition consumes a cycle). Dropping that mandatory
-        // cycle would inflate the measured rate by 4/3 here, far outside
-        // this tolerance — a regression guard on the skip-ahead law.
-        let proc = InjectionProcess {
-            rate: 0.2,
-            packet_size: 1,
-            kind: ProcessKind::OnOff { alpha: 0.5, beta: 0.5 },
-        };
-        let trials = 1_000_000;
-        let measured = arrivals(&proc, trials, 11).len() as f64 / trials as f64;
-        assert!((measured - 0.2).abs() < 0.01, "rate {measured} vs configured 0.2");
-    }
-
-    #[test]
-    fn onoff_never_on_with_zero_alpha() {
-        let mut rng = StdRng::seed_from_u64(10);
-        let proc = InjectionProcess {
-            rate: 0.5,
-            packet_size: 1,
-            kind: ProcessKind::OnOff { alpha: 0.0, beta: 0.1 },
-        };
-        let mut state = ProcessState::default();
-        assert_eq!(proc.next_arrival(0, &mut state, &mut rng), None);
+        assert_eq!(proc.next_arrival(0, &mut rng), None);
     }
 }

@@ -91,7 +91,7 @@ fn construction_footprint_at_n_1027() {
     let before = live_mb();
     let sim = Simulator::new(&g, config).expect("valid configuration");
     let serial_mb = live_mb() - before;
-    assert!(serial_mb <= 62.0, "Simulator::new left {serial_mb:.2} MB live");
+    assert!(serial_mb <= 59.0, "Simulator::new left {serial_mb:.2} MB live");
     assert_walk_agrees("serial", serial_mb, sim.heap_bytes());
     drop(sim);
 
@@ -100,6 +100,6 @@ fn construction_footprint_at_n_1027() {
     let before = live_mb();
     let sharded = ShardedSimulator::new(&g, config, 8).expect("valid configuration");
     let sharded_mb = live_mb() - before;
-    assert!(sharded_mb <= 160.0, "ShardedSimulator::new(.., 8) left {sharded_mb:.2} MB live");
+    assert!(sharded_mb <= 132.0, "ShardedSimulator::new(.., 8) left {sharded_mb:.2} MB live");
     assert_walk_agrees("8 shards", sharded_mb, sharded.heap_bytes());
 }

@@ -76,11 +76,8 @@ proptest! {
         sim.drain(60_000);
         let stats = sim.stats();
         prop_assume!(stats.measured_packets > 0);
-        // Cheapest possible packet: sibling endpoints, H = 0:
-        // 2·inj + router + (P − 1).
-        let min = 2 * cfg.injection_latency
-            + cfg.router_latency
-            + (cfg.packet_size as u64 - 1);
+        // Cheapest possible packet: sibling endpoints, H = 0.
+        let min = cfg.zero_load_cycles(0, cfg.packet_size);
         prop_assert!(stats.avg_packet_latency.expect("measured") >= min as f64);
     }
 

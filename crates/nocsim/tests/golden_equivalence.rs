@@ -2,15 +2,14 @@
 //! *bit-identical* results to the forced poll-every-cycle reference path
 //! ([`Simulator::set_reference_stepping`]) — same `NetworkStats`, same
 //! per-channel loads, same latency percentiles — across routing kinds,
-//! traffic patterns, injection processes, heterogeneous link specs, and
-//! the drain schedule. Plus a property test pinning the new cached-
-//! `next_due` [`DelayLine`] to a naive model of the original semantics.
+//! traffic patterns, heterogeneous link specs, and the drain schedule.
+//! Plus a property test pinning the new cached-`next_due` [`DelayLine`]
+//! to a naive model of the original semantics.
 
 use std::collections::VecDeque;
 
 use chiplet_graph::{gen, Graph};
 use nocsim::channel::{DelayLine, IDLE};
-use nocsim::traffic::ProcessKind;
 use nocsim::{LinkSpec, RouterModelKind, RoutingKind, SimConfig, Simulator, TrafficPattern};
 use proptest::prelude::*;
 
@@ -104,15 +103,6 @@ fn golden_across_traffic_patterns() {
     ] {
         let config = SimConfig { pattern, ..base_config(0.07) };
         assert_equivalent(&g, config, uniform_spec(&config), false, &format!("{pattern:?}"));
-    }
-}
-
-#[test]
-fn golden_across_injection_processes() {
-    let g = gen::grid(3, 3);
-    for process in [ProcessKind::Bernoulli, ProcessKind::OnOff { alpha: 0.02, beta: 0.05 }] {
-        let config = SimConfig { process, ..base_config(0.1) };
-        assert_equivalent(&g, config, uniform_spec(&config), false, &format!("{process:?}"));
     }
 }
 

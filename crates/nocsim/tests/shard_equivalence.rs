@@ -1,14 +1,13 @@
 //! Golden determinism suite for the sharded engine: a
 //! [`ShardedSimulator`] run must produce *bit-identical* results to the
 //! serial [`Simulator`] — same `NetworkStats`, same per-channel loads,
-//! same latency percentiles, same drain outcome and final cycle — across
-//! routing kinds, traffic patterns, injection processes, heterogeneous
-//! link specs, and shard counts 1/2/4/8. Plus a property test pinning
-//! that *any* contiguous partition of the router ids (not just the
-//! balanced cuts) yields identical statistics.
+//! same latency percentiles, same flits in flight — across routing
+//! kinds, router models, traffic patterns, heterogeneous link specs, and
+//! shard counts 1/2/4/8. Plus a property test pinning that *any*
+//! contiguous partition of the router ids (not just the balanced cuts)
+//! yields identical statistics.
 
 use chiplet_graph::{gen, Graph};
-use nocsim::traffic::ProcessKind;
 use nocsim::{
     LinkSpec, RouterModelKind, RoutingKind, ShardedSimulator, SimConfig, Simulator,
     TrafficPattern,
@@ -36,27 +35,23 @@ struct Fingerprint {
     channel_loads: Vec<(usize, usize, u64)>,
     percentiles: Vec<Option<f64>>,
     in_network: usize,
-    drained: Option<bool>,
 }
 
 fn serial_fingerprint(
     g: &Graph,
     config: SimConfig,
     spec: impl Fn(usize, usize) -> LinkSpec,
-    drain: bool,
 ) -> Fingerprint {
     let mut sim = Simulator::with_link_specs(g, config, spec).expect("valid config");
     sim.run(600);
     sim.open_measurement_window();
     sim.run(2_500);
-    let drained = drain.then(|| sim.drain(40_000));
     Fingerprint {
         cycle: sim.cycle(),
         stats: sim.stats(),
         channel_loads: sim.channel_loads(),
         percentiles: sim.latency_percentiles(&[0.5, 0.9, 0.95, 0.99]),
         in_network: sim.flits_in_network(),
-        drained,
     }
 }
 
@@ -65,20 +60,17 @@ fn sharded_fingerprint(
     config: SimConfig,
     spec: impl Fn(usize, usize) -> LinkSpec,
     shards: usize,
-    drain: bool,
 ) -> Fingerprint {
     let mut sim = ShardedSimulator::with_link_specs(g, config, spec, shards).expect("valid");
     sim.run(600);
     sim.open_measurement_window();
     sim.run(2_500);
-    let drained = drain.then(|| sim.drain(40_000));
     Fingerprint {
         cycle: sim.cycle(),
         stats: sim.stats(),
         channel_loads: sim.channel_loads(),
         percentiles: sim.latency_percentiles(&[0.5, 0.9, 0.95, 0.99]),
         in_network: sim.flits_in_network(),
-        drained,
     }
 }
 
@@ -86,12 +78,11 @@ fn assert_equivalent(
     g: &Graph,
     config: SimConfig,
     spec: impl Fn(usize, usize) -> LinkSpec + Copy,
-    drain: bool,
     label: &str,
 ) {
-    let serial = serial_fingerprint(g, config, spec, drain);
+    let serial = serial_fingerprint(g, config, spec);
     for shards in SHARD_COUNTS {
-        let sharded = sharded_fingerprint(g, config, spec, shards, drain);
+        let sharded = sharded_fingerprint(g, config, spec, shards);
         assert_eq!(sharded, serial, "sharded ({shards}) vs serial mismatch: {label}");
     }
 }
@@ -110,7 +101,7 @@ fn sharded_golden_across_routing_kinds() {
         RoutingKind::UpDownOnly,
     ] {
         let config = SimConfig { routing, ..base_config(0.08) };
-        assert_equivalent(&g, config, uniform_spec(&config), false, &format!("{routing:?}"));
+        assert_equivalent(&g, config, uniform_spec(&config), &format!("{routing:?}"));
     }
 }
 
@@ -127,16 +118,7 @@ fn sharded_golden_across_traffic_patterns() {
         TrafficPattern::Hotspot { num_hotspots: 2, fraction_permille: 700 },
     ] {
         let config = SimConfig { pattern, ..base_config(0.07) };
-        assert_equivalent(&g, config, uniform_spec(&config), false, &format!("{pattern:?}"));
-    }
-}
-
-#[test]
-fn sharded_golden_across_injection_processes() {
-    let g = gen::grid(3, 3);
-    for process in [ProcessKind::Bernoulli, ProcessKind::OnOff { alpha: 0.02, beta: 0.05 }] {
-        let config = SimConfig { process, ..base_config(0.1) };
-        assert_equivalent(&g, config, uniform_spec(&config), false, &format!("{process:?}"));
+        assert_equivalent(&g, config, uniform_spec(&config), &format!("{pattern:?}"));
     }
 }
 
@@ -155,7 +137,7 @@ fn sharded_golden_under_heterogeneous_link_specs() {
             LinkSpec { latency: 27, interval: 2 }
         }
     };
-    assert_equivalent(&g, config, spec, false, "heterogeneous links");
+    assert_equivalent(&g, config, spec, "heterogeneous links");
 }
 
 #[test]
@@ -163,22 +145,12 @@ fn sharded_golden_across_router_models() {
     // Every router model must shard bit-identically: per-router policy
     // RNG state lives with the owning shard, boundary replays re-apply
     // the crossbar-deepened pipeline, and arbitration keys carry no
-    // global state. Drain included — bubble flow control restricts
-    // escape entry, so the drain path is the risky one.
+    // global state.
     let g = gen::grid(4, 4);
     for kind in RouterModelKind::ALL {
         let config = SimConfig { router: kind.model(), ..base_config(0.12) };
-        assert_equivalent(&g, config, uniform_spec(&config), true, kind.name());
+        assert_equivalent(&g, config, uniform_spec(&config), kind.name());
     }
-}
-
-#[test]
-fn sharded_golden_through_drain() {
-    let g = gen::grid(3, 3);
-    // High enough load that drain starts with real backlog in every
-    // shard — exercises the global drain detection and cycle rewind.
-    let config = base_config(0.25);
-    assert_equivalent(&g, config, uniform_spec(&config), true, "drain");
 }
 
 #[test]
@@ -187,7 +159,7 @@ fn sharded_golden_at_fast_forward_loads() {
     // fast-forward must still stop at every window boundary handoff.
     let g = gen::grid(3, 3);
     let config = base_config(0.004);
-    assert_equivalent(&g, config, uniform_spec(&config), true, "fast-forward");
+    assert_equivalent(&g, config, uniform_spec(&config), "fast-forward");
 }
 
 #[test]
@@ -195,7 +167,7 @@ fn sharded_golden_on_irregular_topology() {
     let g = Graph::from_edges(7, &[(0, 1), (1, 2), (2, 3), (3, 0), (2, 4), (4, 5), (5, 6)])
         .expect("simple graph");
     let config = base_config(0.1);
-    assert_equivalent(&g, config, uniform_spec(&config), true, "irregular");
+    assert_equivalent(&g, config, uniform_spec(&config), "irregular");
 }
 
 #[test]
@@ -204,7 +176,7 @@ fn sharded_golden_on_dense_topology() {
     // worst case for handoff volume relative to local work.
     let g = gen::complete(6);
     let config = base_config(0.1);
-    assert_equivalent(&g, config, uniform_spec(&config), true, "complete");
+    assert_equivalent(&g, config, uniform_spec(&config), "complete");
 }
 
 proptest! {
@@ -271,7 +243,6 @@ proptest! {
         let mut serial = Simulator::new(&g, config).expect("valid");
         serial.install_fault_plan(plan.clone());
         let serial_stats = serial.run_to_window(400, 2_200);
-        let serial_drained = serial.drain(60_000);
 
         for shards in SHARD_COUNTS {
             let latency = config.link_latency;
@@ -284,10 +255,9 @@ proptest! {
             .expect("valid");
             sharded.install_fault_plan(plan.clone());
             let sharded_stats = sharded.run_to_window(400, 2_200);
-            let sharded_drained = sharded.drain(60_000);
             prop_assert_eq!(&sharded_stats, &serial_stats, "{} shards", shards);
-            prop_assert_eq!(sharded_drained, serial_drained);
             prop_assert_eq!(sharded.cycle(), serial.cycle());
+            prop_assert_eq!(sharded.flits_in_network(), serial.flits_in_network());
             prop_assert_eq!(sharded.channel_loads(), serial.channel_loads());
         }
     }

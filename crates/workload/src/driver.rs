@@ -415,10 +415,7 @@ fn critical_path_cycles(
     let epr = config.endpoints_per_router;
     let ideal = |m: &crate::ir::Message| -> u64 {
         let h = u64::from(hops[(m.src / epr) * n + m.dest / epr]);
-        2 * config.injection_latency
-            + (h + 1) * config.pipeline_cycles()
-            + h * config.link_latency
-            + (m.size_flits as u64 - 1)
+        config.zero_load_cycles(h, m.size_flits)
     };
     let count = workload.len();
     let mut indegree = dep_counts.to_vec();
