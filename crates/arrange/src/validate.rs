@@ -10,7 +10,7 @@
 
 use chiplet_graph::Graph;
 use chiplet_workload::{WorkloadDriver, WorkloadKind, WorkloadStats};
-use nocsim::measure::{saturation_search, SaturationResult};
+use nocsim::measure::{saturation_search, zero_load_latency, SaturationResult};
 use nocsim::{MeasureConfig, SimConfig};
 
 use crate::ArrangeError;
@@ -61,7 +61,8 @@ pub fn validate_graph(
     graph: &Graph,
     config: &ValidateConfig,
 ) -> Result<ValidationReport, ArrangeError> {
-    let saturation = saturation_search(graph, &config.sim, &config.measure)?;
+    let zero_load = zero_load_latency(graph, &config.sim)?;
+    let saturation = saturation_search(graph, &config.sim, &config.measure, zero_load)?;
     let endpoints = graph.num_vertices() * config.sim.endpoints_per_router;
     let workload = config.workload.build(endpoints);
     let sim = SimConfig { injection_rate: 0.0, ..config.sim };

@@ -185,9 +185,10 @@ pub struct EvalResult {
 /// Evaluates an arrangement end to end: link budget, zero-load latency, and
 /// simulated saturation throughput ([`evaluate_analytic`] followed by
 /// [`measure::saturation_search`], the paper's bisection over injection
-/// rates at the resolution of `params.measure`). This runs the
-/// cycle-accurate simulator several times — seconds per call at `N ≈ 100`
-/// in release builds.
+/// rates at the resolution of `params.measure`). The analytic zero-load
+/// latency is computed once and is also the search's latency-guard
+/// baseline. This runs the cycle-accurate simulator several times —
+/// seconds per call at `N ≈ 100` in release builds.
 ///
 /// # Errors
 ///
@@ -198,8 +199,12 @@ pub fn evaluate(
     params: &EvalParams,
 ) -> Result<EvalResult, EvalError> {
     let analytic = evaluate_analytic(arrangement, params)?;
-    let saturation =
-        measure::saturation_search(arrangement.graph(), &params.sim, &params.measure)?;
+    let saturation = measure::saturation_search(
+        arrangement.graph(),
+        &params.sim,
+        &params.measure,
+        analytic.zero_load_latency_cycles,
+    )?;
     Ok(EvalResult {
         saturation_fraction: saturation.throughput,
         saturation_throughput_tbps: saturation.throughput * analytic.full_global_bandwidth_tbps,

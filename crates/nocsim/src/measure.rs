@@ -2,7 +2,12 @@
 //!
 //! Mirrors the BookSim2 workflow the paper uses (§VI-A): warm the network up,
 //! measure over a window, report average packet latency and accepted
-//! throughput; find the saturation point by searching over injection rates.
+//! throughput; find the saturation point by bisecting the injection rate.
+//!
+//! [`load_point`] is the one place a point is measured and classified, and
+//! [`saturation_search_with`] the one search: the caller says how one
+//! probe is simulated and supplies the zero-load baseline of its latency
+//! guard. [`saturation_search`] is that search over uniform links.
 
 use chiplet_graph::{metrics, Graph};
 
@@ -194,12 +199,10 @@ pub fn run_load_point(
     Ok(load_point(&mut sim, schedule, zero_load))
 }
 
-/// Finds the saturation throughput by bisecting the injection rate over
-/// uniform links ([`saturation_search_batched`] at `fanout = 1`, each
-/// probe a [`load_point`] on a fresh engine).
-///
-/// Returns the highest stable rate (to within
-/// [`MeasureConfig::rate_resolution`]) and the accepted throughput there.
+/// Finds the saturation throughput over uniform links:
+/// [`saturation_search_with`] at [`MeasureConfig::rate_resolution`], each
+/// probe a [`load_point`] on a fresh engine against the caller's
+/// latency-guard baseline `zero_load` (usually [`zero_load_latency`]).
 ///
 /// # Errors
 ///
@@ -208,40 +211,67 @@ pub fn saturation_search(
     g: &Graph,
     base: &SimConfig,
     schedule: &MeasureConfig,
+    zero_load: f64,
 ) -> Result<SaturationResult, SimError> {
-    let zero_load = zero_load_latency(g, base)?;
-    saturation_search_batched(schedule.rate_resolution, 1, |rates| {
-        rates
-            .iter()
-            .map(|&rate| {
-                let config = SimConfig { injection_rate: rate, ..*base };
-                let mut sim = ShardedSimulator::new(g, config, schedule.shards)?;
-                Ok(load_point(&mut sim, schedule, zero_load))
-            })
-            .collect()
+    saturation_search_with(schedule.rate_resolution, |rate| {
+        let config = SimConfig { injection_rate: rate, ..*base };
+        let mut sim = ShardedSimulator::new(g, config, schedule.shards)?;
+        Ok(load_point(&mut sim, schedule, zero_load))
     })
 }
 
-/// The `fanout` equally spaced probe rates of one search round inside the
-/// open bracket `(lo, hi)` — all independent simulation jobs.
-fn round_rates(lo: f64, hi: f64, fanout: usize) -> Vec<f64> {
-    let k = fanout.max(1);
-    (1..=k).map(|i| lo + (hi - lo) * i as f64 / (k + 1) as f64).collect()
+/// The one saturation search: a bisection over injection rates (§VI-A).
+///
+/// `probe(rate)` simulates one load point at `rate` — how (link specs,
+/// a fault plan, an observer) is the caller's business, and so is the
+/// zero-load baseline of its latency guard. The search probes rate 1.0
+/// first and returns it if stable, since some tiny networks never
+/// saturate. Otherwise it bisects `(0, 1)` while the bracket is wider
+/// than `resolution`, and returns the highest stable probe; if every
+/// probe saturated, it returns one more probe at `resolution / 2`.
+///
+/// # Errors
+///
+/// Returns the first error of `probe`; no probe runs after it.
+pub fn saturation_search_with<E>(
+    resolution: f64,
+    mut probe: impl FnMut(f64) -> Result<LoadPointResult, E>,
+) -> Result<SaturationResult, E> {
+    let result = |point: LoadPointResult| SaturationResult {
+        rate: point.offered,
+        throughput: point.stats.accepted_flits_per_cycle_per_endpoint,
+        latency_at_saturation: point.stats.avg_packet_latency,
+    };
+
+    let top = probe(1.0)?;
+    if !top.saturated {
+        return Ok(SaturationResult { rate: 1.0, ..result(top) });
+    }
+
+    let mut lo = 0.0f64;
+    let mut hi = 1.0f64;
+    let mut best = None;
+    while hi - lo > resolution {
+        let rate = lo + (hi - lo) / 2.0;
+        let point = probe(rate)?;
+        if point.saturated {
+            hi = rate;
+        } else {
+            lo = rate;
+            best = Some(point);
+        }
+    }
+    let point = match best {
+        Some(point) => point,
+        // Saturated even at the smallest probed rate (`lo` is still 0):
+        // report the boundary.
+        None => probe(lo.max(resolution / 2.0))?,
+    };
+    Ok(result(point))
 }
 
-/// The one knee-bracketing algorithm behind every saturation search.
-///
-/// Each round asks `run_points` to simulate `fanout` equally spaced rates
-/// inside the open bracket — independent jobs the caller may run serially
-/// or on any number of workers — then narrows the bracket around the
-/// knee. With `fanout = 1` the probe sequence is the classic bisection
-/// ([`saturation_search`] is exactly this); larger fanouts trade ~2×
-/// total simulation work for fanout-way parallelism inside a single
-/// search. The outcome depends only on the returned points, never on how
-/// the batch was scheduled.
-///
-/// `run_points` must return one [`LoadPointResult`] per requested rate,
-/// in order.
+/// The benchmark's batch-shaped entry to [`saturation_search_with`], until
+/// it calls that search itself: `run_points` gets one rate per call.
 ///
 /// # Errors
 ///
@@ -249,7 +279,8 @@ fn round_rates(lo: f64, hi: f64, fanout: usize) -> Vec<f64> {
 ///
 /// # Panics
 ///
-/// Panics if `run_points` returns the wrong number of points.
+/// Panics unless `fanout == 1` (the bisection probes one rate at a
+/// time), or if `run_points` returns other than one point.
 pub fn saturation_search_batched<E, F>(
     resolution: f64,
     fanout: usize,
@@ -258,45 +289,12 @@ pub fn saturation_search_batched<E, F>(
 where
     F: FnMut(&[f64]) -> Result<Vec<LoadPointResult>, E>,
 {
-    let result = |point: LoadPointResult| SaturationResult {
-        rate: point.offered,
-        throughput: point.stats.accepted_flits_per_cycle_per_endpoint,
-        latency_at_saturation: point.stats.avg_packet_latency,
-    };
-
-    // The full-capacity point first: some tiny networks never saturate.
-    let top = run_points(&[1.0])?.pop().expect("one point per rate");
-    if !top.saturated {
-        return Ok(SaturationResult { rate: 1.0, ..result(top) });
-    }
-
-    let mut lo = 0.0f64;
-    let mut hi = 1.0f64;
-    let mut best: Option<LoadPointResult> = None;
-    while hi - lo > resolution {
-        let rates = round_rates(lo, hi, fanout);
-        let points = run_points(&rates)?;
-        assert_eq!(points.len(), rates.len(), "one point per requested rate");
-        // Highest stable prefix: the knee lies between the last stable
-        // rate and the first saturated one.
-        let stable = points.iter().take_while(|p| !p.saturated).count();
-        if stable > 0 {
-            lo = rates[stable - 1];
-            best = points.get(stable - 1).copied();
-        }
-        if stable < rates.len() {
-            hi = rates[stable];
-        }
-    }
-    match best {
-        Some(point) => Ok(result(point)),
-        // Saturated even at the smallest probed rate; report the boundary.
-        None => {
-            let rate = lo.max(resolution / 2.0);
-            let point = run_points(&[rate])?.pop().expect("one point per rate");
-            Ok(result(point))
-        }
-    }
+    assert_eq!(fanout, 1, "the saturation search probes one rate at a time");
+    saturation_search_with(resolution, |rate| {
+        let points = run_points(&[rate])?;
+        assert_eq!(points.len(), 1, "one point per requested rate");
+        Ok(points[0])
+    })
 }
 
 #[cfg(test)]
@@ -386,18 +384,14 @@ mod tests {
         };
         let zero_load = simulated_zero_load_latency(&g, &base, spec).unwrap();
         let schedule = MeasureConfig::quick();
-        let hetero = saturation_search_batched(schedule.rate_resolution, 1, |rates| {
-            rates
-                .iter()
-                .map(|&rate| {
-                    let config = SimConfig { injection_rate: rate, ..base };
-                    let mut sim = ShardedSimulator::with_link_specs(&g, config, spec, 1)?;
-                    Ok::<_, SimError>(load_point(&mut sim, &schedule, zero_load))
-                })
-                .collect()
+        let hetero = saturation_search_with(schedule.rate_resolution, |rate| {
+            let config = SimConfig { injection_rate: rate, ..base };
+            let mut sim = ShardedSimulator::with_link_specs(&g, config, spec, 1)?;
+            Ok::<_, SimError>(load_point(&mut sim, &schedule, zero_load))
         })
         .unwrap();
-        let uniform = saturation_search(&g, &base, &MeasureConfig::quick()).unwrap();
+        let uniform_zero_load = zero_load_latency(&g, &base).unwrap();
+        let uniform = saturation_search(&g, &base, &schedule, uniform_zero_load).unwrap();
         assert!(hetero.rate > 0.0);
         assert!(
             hetero.throughput <= uniform.throughput + 0.02,
@@ -420,7 +414,9 @@ mod tests {
     #[test]
     fn saturation_search_brackets_the_knee() {
         let g = gen::grid(3, 3);
-        let result = saturation_search(&g, &config(0.0), &MeasureConfig::quick()).unwrap();
+        let zero_load = zero_load_latency(&g, &config(0.0)).unwrap();
+        let result =
+            saturation_search(&g, &config(0.0), &MeasureConfig::quick(), zero_load).unwrap();
         assert!(result.rate > 0.0 && result.rate < 1.0, "rate {}", result.rate);
         assert!(result.throughput > 0.0);
         // Accepted throughput at the stable point tracks the offered rate.
@@ -430,5 +426,99 @@ mod tests {
             result.throughput,
             result.rate
         );
+    }
+
+    /// A synthetic probe that saturates above `knee`, accepts what it is
+    /// offered below it, and records every rate it is asked for.
+    fn knee_probe(
+        knee: f64,
+        asked: &mut Vec<f64>,
+    ) -> impl FnMut(f64) -> Result<LoadPointResult, SimError> + '_ {
+        let mut sim = Simulator::new(&gen::grid(1, 2), config(0.0)).unwrap();
+        sim.open_measurement_window();
+        let idle = sim.stats();
+        move |rate| {
+            asked.push(rate);
+            let stats = NetworkStats {
+                accepted_flits_per_cycle_per_endpoint: rate,
+                avg_packet_latency: Some(100.0 + rate),
+                ..idle
+            };
+            Ok(LoadPointResult {
+                offered: rate,
+                stats,
+                saturated: rate > knee,
+                deadlock: false,
+            })
+        }
+    }
+
+    #[test]
+    fn bisection_probes_the_expected_rates() {
+        let mut asked = Vec::new();
+        let result = saturation_search_with(0.02, knee_probe(0.37, &mut asked)).unwrap();
+        let expected = [1.0, 0.5, 0.25, 0.375, 0.3125, 0.34375, 0.359375];
+        assert_eq!(asked, expected);
+        let knee = SaturationResult {
+            rate: 0.359375,
+            throughput: 0.359375,
+            latency_at_saturation: Some(100.359375),
+        };
+        assert_eq!(result, knee);
+        // The benchmark's batch adaptor asks for the same rates.
+        let mut batched = Vec::new();
+        let mut probe = knee_probe(0.37, &mut batched);
+        let adapted = saturation_search_batched(0.02, 1, |rates: &[f64]| {
+            rates.iter().map(|&rate| probe(rate)).collect()
+        })
+        .unwrap();
+        drop(probe);
+        assert_eq!(adapted, knee);
+        assert_eq!(batched, expected);
+    }
+
+    #[test]
+    fn stable_full_rate_ends_the_search() {
+        let mut asked = Vec::new();
+        let result = saturation_search_with(0.02, knee_probe(1.0, &mut asked)).unwrap();
+        assert_eq!(asked, [1.0]);
+        assert_eq!(result.rate, 1.0);
+        assert_eq!(result.throughput, 1.0);
+    }
+
+    #[test]
+    fn all_saturated_probes_the_boundary() {
+        let mut asked = Vec::new();
+        let result = saturation_search_with(0.02, knee_probe(0.0, &mut asked)).unwrap();
+        assert_eq!(asked, [1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.01]);
+        assert_eq!(result.rate, 0.01);
+    }
+
+    #[test]
+    fn probe_error_stops_the_search() {
+        let mut asked = Vec::new();
+        let mut probe = knee_probe(0.37, &mut asked);
+        let mut calls = 0;
+        let result = saturation_search_with(0.02, |rate| {
+            calls += 1;
+            if calls == 3 {
+                return Err(SimError::InvalidConfig("third probe"));
+            }
+            probe(rate)
+        });
+        drop(probe);
+        assert_eq!(result, Err(SimError::InvalidConfig("third probe")));
+        assert_eq!(calls, 3);
+        assert_eq!(asked, [1.0, 0.5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one rate at a time")]
+    fn batched_search_rejects_fanout_above_one() {
+        let mut asked = Vec::new();
+        let mut probe = knee_probe(0.37, &mut asked);
+        let _ = saturation_search_batched(0.02, 2, |rates: &[f64]| {
+            rates.iter().map(|&rate| probe(rate)).collect()
+        });
     }
 }

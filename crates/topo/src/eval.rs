@@ -3,8 +3,10 @@
 //! For each link: physical length (pitches × pitch-mm) → sustainable bit
 //! rate from the signal-integrity model → serialization interval and
 //! latency for the cycle-accurate simulator. Then: zero-load latency by
-//! low-rate simulation and saturation throughput by bisection, both over
-//! the heterogeneous-link network.
+//! low-rate simulation and saturation throughput by
+//! [`nocsim::measure::saturation_search_with`], the one bisection, whose
+//! probe builds each rate's engine with the per-link specs and whose
+//! latency guard uses that simulated zero-load latency.
 //!
 //! This is the machinery that makes HexaMesh-vs-Kite comparisons fair: the
 //! mesh and HexaMesh pay nothing (all links adjacent, full rate), while
@@ -15,7 +17,7 @@ use std::fmt;
 
 use chiplet_phy::{capacity, SignalBudget, Technology};
 use nocsim::measure::{
-    load_point, saturation_search_batched, simulated_zero_load_latency, MeasureConfig,
+    load_point, saturation_search_with, simulated_zero_load_latency, MeasureConfig,
 };
 use nocsim::{LinkSpec, SaturationResult, ShardedSimulator, SimConfig, SimError};
 
@@ -191,20 +193,11 @@ pub fn evaluate(topo: &Topology, opts: &EvalOptions) -> Result<TopoEval, TopoEva
 
     let zero_load = simulated_zero_load_latency(topo.graph(), &opts.sim, spec)?;
     let schedule = &opts.schedule;
-    let saturation = saturation_search_batched(schedule.rate_resolution, 1, |rates| {
-        rates
-            .iter()
-            .map(|&rate| {
-                let config = SimConfig { injection_rate: rate, ..opts.sim };
-                let mut sim = ShardedSimulator::with_link_specs(
-                    topo.graph(),
-                    config,
-                    spec,
-                    schedule.shards,
-                )?;
-                Ok::<_, SimError>(load_point(&mut sim, schedule, zero_load))
-            })
-            .collect()
+    let saturation = saturation_search_with(schedule.rate_resolution, |rate| {
+        let config = SimConfig { injection_rate: rate, ..opts.sim };
+        let mut sim =
+            ShardedSimulator::with_link_specs(topo.graph(), config, spec, schedule.shards)?;
+        Ok::<_, SimError>(load_point(&mut sim, schedule, zero_load))
     })?;
 
     let min_rate_gbps =

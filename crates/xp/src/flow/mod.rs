@@ -744,7 +744,7 @@ fn traffic_stage(spec: &StudySpec, campaign: &Campaign) -> Result<StageOutput, S
             let config = SimConfig { pattern, seed, ..sim };
             let zero_load =
                 noc_measure::zero_load_latency(graph, &config).expect("connected graph");
-            let sat = noc_measure::saturation_search(graph, &config, &schedule)
+            let sat = noc_measure::saturation_search(graph, &config, &schedule, zero_load)
                 .expect("valid configuration");
             (zero_load, sat.throughput)
         },
@@ -1496,16 +1496,11 @@ fn degradation_point(
     // a degraded network saturates earlier.
     let plan = FaultPlan::new(fault_schedule.clone());
     let zero_load = noc_measure::zero_load_latency(graph, &config)?;
-    let sat = noc_measure::saturation_search_batched(schedule.rate_resolution, 1, |rates| {
-        rates
-            .iter()
-            .map(|&rate| {
-                let at_rate = SimConfig { injection_rate: rate, ..config };
-                let mut sim = ShardedSimulator::new(graph, at_rate, schedule.shards)?;
-                sim.install_fault_plan(plan.clone());
-                Ok::<_, SimError>(noc_measure::load_point(&mut sim, schedule, zero_load))
-            })
-            .collect()
+    let sat = noc_measure::saturation_search_with(schedule.rate_resolution, |rate| {
+        let at_rate = SimConfig { injection_rate: rate, ..config };
+        let mut sim = ShardedSimulator::new(graph, at_rate, schedule.shards)?;
+        sim.install_fault_plan(plan.clone());
+        Ok::<_, SimError>(noc_measure::load_point(&mut sim, schedule, zero_load))
     })?;
 
     let makespan = |kind: WorkloadKind| -> Result<f64, StudyError> {
@@ -1715,7 +1710,7 @@ fn router_stage(spec: &StudySpec, campaign: &Campaign) -> Result<StageOutput, St
             let config = SimConfig { router: router.model(), seed, ..sim };
             let zero_load =
                 noc_measure::zero_load_latency(graph, &config).expect("connected graph");
-            let sat = noc_measure::saturation_search(graph, &config, &schedule)
+            let sat = noc_measure::saturation_search(graph, &config, &schedule, zero_load)
                 .expect("valid configuration");
             // Closed-loop kernels under the same model and seed; a stalled
             // run reads as NaN (ranked last by total_cmp), not an abort.

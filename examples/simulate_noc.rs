@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let zero_load = measure::zero_load_latency(graph, &config)?;
     println!("\nzero-load latency (structural): {zero_load:.1} cycles");
     let schedule = hexamesh_repro::nocsim::MeasureConfig::quick();
-    let sat = measure::saturation_search(graph, &config, &schedule)?;
+    let sat = measure::saturation_search(graph, &config, &schedule, zero_load)?;
     println!(
         "saturation: rate {:.3} flits/cycle/endpoint, accepted {:.3} ({}% of capacity)",
         sat.rate,
